@@ -11,10 +11,14 @@ normalized seed packings they act on, and breadth-first orbit closures
 produces the sequence of balls of one such orbit whose curvatures are
 exactly 0, 1, 4, 9, ...
 
-Cluster generation is deterministic: entries are ordered by depth and then
-by a canonical key of the stored row data (the same in all exact engine
-modes), and each entry records the first shortest generator word that
-produces it (ties broken by generator position).
+Clusters grow in one breadth-first level loop, the reduced-word enumeration
+of Graham, Lagarias, Mallows, Wilks and Yan, over numpy row arrays of one
+of three kinds: int64, python ints (when int64 could overflow) or float64.
+Only the deduplication key differs between them.  Generation is
+deterministic: entries are ordered by depth and then by a canonical key of
+the stored row data (the same for int64 and python-int rows), and each entry
+records the first shortest generator word that produces it (ties broken by
+generator position).
 """
 
 from __future__ import annotations
@@ -35,13 +39,10 @@ from .exactnum import (
 )
 from .lorentz import (
     Ball,
-    DISJOINT,
-    EXTERNALLY_TANGENT,
     FLOAT_TOL,
     MobiusMap,
     apply_map,
     ball_from_geometry,
-    classify_pair,
     inversion_map,
     lorentz_product,
     x_north,
@@ -51,6 +52,7 @@ from .packings import (
     _reflection_swapping,
     _translation_map,
     dual,
+    first_overlap,
     project,
     standard_form,
     with_dual,
@@ -466,17 +468,16 @@ class _Store:
 
     Exact rows keep a primitive integer vector plus one reduced fraction
     num/den scaling the whole row, so coordinates never accumulate common
-    denominators.  mode "i64" holds numpy int64 arrays ("A"/"B" for the
-    rational and sqrt parts, "num"/"den" per row); mode "obj" holds python
-    integer rows (flat tuple, num, den); mode "float" holds float64 rows.
+    denominators: arrays "A"/"B" hold the rational and sqrt parts and
+    "num"/"den" the per-row scale, all int64 (mode "i64") or python ints
+    (dtype object, mode "obj").  Mode "float" holds float64 rows "V".
     """
 
-    __slots__ = ("mode", "m", "nb", "levels", "offsets", "order", "count")
+    __slots__ = ("mode", "m", "levels", "offsets", "order", "count")
 
-    def __init__(self, mode, m, nb):
+    def __init__(self, mode, m):
         self.mode = mode
         self.m = m
-        self.nb = nb
         self.levels = []
         self.offsets = [0]
         self.order = []
@@ -501,10 +502,7 @@ class _Store:
 
     def _row(self, k: int, i: int):
         lv = self.levels[k]
-        if self.mode == "i64":
-            return lv["A"][i], lv["B"][i], lv["num"][i], lv["den"][i]
-        flat, num, den = lv["V"][i]
-        return flat[: self.nb], flat[self.nb :], num, den
+        return lv["A"][i], lv["B"][i], lv["num"][i], lv["den"][i]
 
     def vector(self, k: int, i: int) -> tuple:
         if self.mode == "float":
@@ -530,9 +528,9 @@ class Cluster:
     """Deduplicated breadth-first closure of a seed packing.
 
     Entries are ordered by depth and then by the canonical key of the
-    stored row, so the order is reproducible across runs and engine modes;
-    materializing entries is lazy, so very large exact clusters can still
-    stream curvatures without building Ball objects.
+    stored row, so the order is reproducible across runs and across int64
+    and python-int rows; materializing entries is lazy, so very large exact
+    clusters can still stream curvatures without building Ball objects.
     """
 
     __slots__ = ("seed", "flavor", "depth", "generator_names", "_store", "_entries")
@@ -613,39 +611,25 @@ class Cluster:
         #   Z       : kb = 0 and den | ka num
         #   Z[sqrt2]: den | ka num and den | kb num          (m = 2)
         #   Z[phi]  : den | 2 kb num and den | (ka - kb) num (m = 5)
-        for k, lv in enumerate(st.levels):
-            if st.mode == "i64":
-                import numpy as np
-
-                ka = lv["A"][:, -1] - lv["A"][:, -2]
-                kb = lv["B"][:, -1] - lv["B"][:, -2]
-                num, den = lv["num"], lv["den"]
-                big = 4 * int(np.abs(ka).max(initial=0) + np.abs(kb).max(initial=0) + 1)
-                if big * int(num.max(initial=1)) >= 2**63:
-                    rows = zip(ka.tolist(), kb.tolist(), num.tolist(), den.tolist())
-                    ok = _ring_rows_ok(rows, ring, st.m)
-                elif ring == RING_Z_SQRT2 and st.m == 2:
-                    ok = bool(
-                        ((ka * num) % den == 0).all() and ((kb * num) % den == 0).all()
-                    )
-                elif ring == RING_Z_PHI and st.m == 5:
-                    ok = bool(
-                        ((2 * kb * num) % den == 0).all()
-                        and (((ka - kb) * num) % den == 0).all()
-                    )
-                else:  # rational integers are the only members left to allow
-                    ok = bool((kb == 0).all() and ((ka * num) % den == 0).all())
-            else:
-                rows = (
-                    (
-                        flat[st.nb - 1] - flat[st.nb - 2],
-                        flat[2 * st.nb - 1] - flat[2 * st.nb - 2],
-                        num,
-                        den,
-                    )
-                    for flat, num, den in lv["V"]
-                )
+        for lv in st.levels:
+            ka = lv["A"][:, -1] - lv["A"][:, -2]
+            kb = lv["B"][:, -1] - lv["B"][:, -2]
+            num, den = lv["num"], lv["den"]
+            big = 4 * int(abs(ka).max(initial=0) + abs(kb).max(initial=0) + 1)
+            if big * int(num.max(initial=1)) >= 2**63:
+                rows = zip(ka.tolist(), kb.tolist(), num.tolist(), den.tolist())
                 ok = _ring_rows_ok(rows, ring, st.m)
+            elif ring == RING_Z_SQRT2 and st.m == 2:
+                ok = bool(
+                    ((ka * num) % den == 0).all() and ((kb * num) % den == 0).all()
+                )
+            elif ring == RING_Z_PHI and st.m == 5:
+                ok = bool(
+                    ((2 * kb * num) % den == 0).all()
+                    and (((ka - kb) * num) % den == 0).all()
+                )
+            else:  # rational integers are the only members left to allow
+                ok = bool((kb == 0).all() and ((ka * num) % den == 0).all())
             if not ok:
                 return False
         return True
@@ -687,17 +671,6 @@ def _reduce_row(flat, num: int, den: int):
     return flat, num // g, den // g
 
 
-def _group_ranges(groups) -> list:
-    """Half-open ranges of equal consecutive values in a sorted int list."""
-    ranges = []
-    lo = 0
-    for i in range(1, len(groups) + 1):
-        if i == len(groups) or groups[i] != groups[lo]:
-            ranges.append((lo, i))
-            lo = i
-    return ranges
-
-
 def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) -> Cluster:
     """Breadth-first closure of the seed balls under the generators.
 
@@ -715,13 +688,101 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
         any(is_float_data(r) for r in m) for m in mats
     )
     if floaty:
-        store = _bfs_float(seed, mats, depth)
+        store = _float_cluster(seed, mats, depth)
     else:
-        store = _bfs_exact(seed, mats, depth)
+        store = _exact_cluster(seed, mats, depth)
     return Cluster(seed, gens.flavor, depth, gens.names, store)
 
 
-def _bfs_exact(seed: BallArrangement, mats, depth: int) -> _Store:
+def _grow(store: _Store, rows: dict, expand, keys_of, depth: int, n_gens: int) -> _Store:
+    """The level loop shared by the int64, big-int and float backends.
+
+    ``rows`` holds the seed rows as named arrays, ``expand(level)`` returns
+    the rows g(x) of every generator g and level row x, generator-major,
+    and ``keys_of(rows)`` their canonical keys: a sorted-comparable void
+    array, or a list of tuples for python-int rows.  Candidates are visited
+    in production order (parent's word group, then generator, then parent),
+    a child repeating its parent's generator is pruned, and the first
+    candidate of each unseen key is kept.  Kept children of one parent
+    group and generator form one group of the next level; within a level,
+    entries are exposed in key order.
+    """
+    import numpy as np
+
+    keys = keys_of(rows)
+    seen = set() if isinstance(keys, list) else keys[:0]
+    sel, seen = _first_fresh(keys, np.arange(len(keys)), seen)
+    none = np.full(sel.size, -1, dtype=np.int64)
+    meta = {"gen": none, "parent": none, "orbit": sel, "group": np.zeros_like(sel)}
+    _close_level(store, rows, keys, sel, meta)
+    for k in range(1, depth + 1):
+        prev = store.levels[k - 1]
+        n = prev["n"]
+        rows = expand(prev)
+        keys = keys_of(rows)
+        gg = np.repeat(np.arange(n_gens, dtype=np.int64), n)
+        pp = np.tile(np.arange(n, dtype=np.int64), n_gens)
+        order = np.lexsort((pp, gg, np.tile(prev["group"], n_gens)))
+        order = order[np.tile(prev["gen"], n_gens)[order] != gg[order]]
+        first, seen = _first_fresh(keys, order, seen)
+        if first.size == 0:
+            break
+        sel = order[first]
+        p_lv = sel % n
+        g_lv = sel // n
+        pair = prev["group"][p_lv] * n_gens + g_lv  # nondecreasing along `order`
+        group = np.cumsum(np.concatenate([[0], (np.diff(pair) != 0).astype(np.int64)]))
+        meta = {
+            "gen": g_lv,
+            "parent": store.offsets[k - 1] + p_lv,
+            "orbit": prev["orbit"][p_lv],
+            "group": group,
+        }
+        _close_level(store, rows, keys, sel, meta)
+    return store
+
+
+def _first_fresh(keys, order, seen):
+    """Ascending positions in ``order`` of the first candidate of each key
+    not in ``seen``, and ``seen`` grown by those keys."""
+    import numpy as np
+
+    if isinstance(keys, list):
+        first = []
+        for pos, c in enumerate(order.tolist()):
+            key = keys[c]
+            if key not in seen:
+                seen.add(key)
+                first.append(pos)
+        return np.array(first, dtype=np.int64), seen
+    uniq, first = np.unique(keys[order], return_index=True)
+    if len(seen):
+        pos = np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)
+        fresh = seen[pos] != uniq
+        uniq, first = uniq[fresh], first[fresh]
+    return np.sort(first), np.sort(np.concatenate([seen, uniq]))
+
+
+def _close_level(store: _Store, rows: dict, keys, sel, meta: dict) -> None:
+    import numpy as np
+
+    if isinstance(keys, list):
+        picked = [keys[c] for c in sel.tolist()]
+        order = sorted(range(len(picked)), key=picked.__getitem__)
+    else:
+        order = np.argsort(keys[sel]).tolist()
+    base = store.offsets[-1]
+    store.order.extend(base + i for i in order)
+    level = {name: arr[sel] for name, arr in rows.items()}
+    level.update(meta, n=int(sel.size))
+    store.close_level(level)
+
+
+def _exact_cluster(seed: BallArrangement, mats, depth: int, dtype=None) -> _Store:
+    """Exact closure on integer rows: int64 arrays unless a level could
+    overflow, then the whole run again on python ints (``dtype=object``)."""
+    import numpy as np
+
     nb = seed.dimension + 2
     m = 0
     seed_rows = []
@@ -759,10 +820,13 @@ def _bfs_exact(seed: BallArrangement, mats, depth: int) -> _Store:
             fa = sum(abs(a) for a, _ in row)
             fb = sum(abs(bb) for _, bb in row)
             factor = max(factor, fa + m * fb, fa + fb)
-    try:
-        return _bfs_exact_i64(seed_rows, mats_int, den_gens, m, depth, nb, factor)
-    except (_NeedsBigInts, OverflowError):
-        return _bfs_exact_obj(seed_rows, mats_int, den_gens, m, depth, nb)
+    args = (seed_rows, mats_int, den_gens, m, depth, nb, factor)
+    if dtype is None:
+        try:
+            return _exact_rows(*args, np.int64)
+        except (_NeedsBigInts, OverflowError):
+            dtype = object
+    return _exact_rows(*args, dtype)
 
 
 def _merge_modulus(m1: int, m2: int) -> int:
@@ -777,299 +841,87 @@ class _NeedsBigInts(Exception):
     """Raised when a level could overflow int64; retried with python ints."""
 
 
-def _bfs_exact_i64(seed_rows, mats_int, den_gens, m, depth, nb, factor) -> _Store:
-    """Vectorized engine: whole levels as int64 arrays, keys as packed rows.
+def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _Store:
+    """Exact rows (A + B sqrt m) * num / den, with A, B, num, den arrays.
 
-    A key row is (primitive integer vector, reduced numerator, reduced
-    denominator); flipping the sign bit and byteswapping makes the raw-byte
-    order of a row agree with numeric lexicographic order, so dedup and the
-    exposure sort both run on a void view without touching python objects.
-    Before each level a one-step lookahead checks that no product can reach
-    2^63; if it could, the whole run is redone with arbitrary precision.
+    An int64 key row is (A, B, num, den) with the sign bit flipped and the
+    bytes swapped, so the raw-byte order of its void view is the numeric
+    lexicographic order; python-int rows use the same numbers as a tuple.
+    Before each int64 level a one-step lookahead checks that no product can
+    reach 2^63, and raises _NeedsBigInts if one could.
     """
     import numpy as np
 
-    sign_flip = np.int64(-(2**63))
+    i64 = dtype is not object
     limit = 2**63
-
-    def pack(P, num, den):
-        K = np.concatenate([P, num[:, None], den[:, None]], axis=1)
-        U = np.ascontiguousarray((K ^ sign_flip).view(np.uint64).byteswap())
-        return U.view(np.dtype((np.void, U.shape[1] * 8))).ravel()
-
-    if any(
-        abs(x) >= limit for flat, num, den in seed_rows for x in (*flat, num, den)
-    ) or any(abs(x) >= limit for rows in mats_int for r in rows for ab in r for x in ab):
+    if i64 and (
+        any(abs(x) >= limit for flat, num, den in seed_rows for x in (*flat, num, den))
+        or any(abs(x) >= limit for rows in mats_int for r in rows for ab in r for x in ab)
+    ):
         raise _NeedsBigInts
-
-    store = _Store("i64", m, nb)
-    P0 = np.array([flat for flat, _, _ in seed_rows], dtype=np.int64)
-    num0 = np.array([num for _, num, _ in seed_rows], dtype=np.int64)
-    den0 = np.array([den for _, _, den in seed_rows], dtype=np.int64)
-    keys0 = pack(P0, num0, den0)
-    _, first = np.unique(keys0, return_index=True)
-    sel = np.sort(first)
-    store.order.extend(np.argsort(keys0[sel]).tolist())
-    store.close_level(
-        {
-            "n": int(sel.size),
-            "A": P0[sel, :nb],
-            "B": P0[sel, nb:],
-            "num": num0[sel],
-            "den": den0[sel],
-            "gen": np.full(sel.size, -1, dtype=np.int64),
-            "parent": np.full(sel.size, -1, dtype=np.int64),
-            "orbit": sel.astype(np.int64),
-            "group": np.zeros(sel.size, dtype=np.int64),
-        }
-    )
-    seen = np.sort(keys0[sel])
-
-    Ma = [np.array([[a for a, _ in r] for r in rows], dtype=np.int64) for rows in mats_int]
-    Mb = [np.array([[b for _, b in r] for r in rows], dtype=np.int64) for rows in mats_int]
-    dg_arr = np.array(den_gens, dtype=np.int64)
+    P0 = np.array([flat for flat, _, _ in seed_rows], dtype=dtype)
+    rows0 = {
+        "A": P0[:, :nb],
+        "B": P0[:, nb:],
+        "num": np.array([num for _, num, _ in seed_rows], dtype=dtype),
+        "den": np.array([den for _, _, den in seed_rows], dtype=dtype),
+    }
+    Ma = [np.array([[a for a, _ in r] for r in rows], dtype=dtype) for rows in mats_int]
+    Mb = [np.array([[b for _, b in r] for r in rows], dtype=dtype) for rows in mats_int]
+    dg_arr = np.array(den_gens, dtype=dtype)
     G = len(mats_int)
 
-    for k in range(1, depth + 1):
-        prev = store.levels[k - 1]
-        n = prev["n"]
-        if n == 0:
-            break
-        max_p = max(int(np.abs(prev["A"]).max()), int(np.abs(prev["B"]).max()), 1)
-        if (
-            max_p * factor >= limit
-            or int(prev["num"].max()) * max_p * factor >= limit
-            or int(prev["den"].max()) * max(den_gens) >= limit
-        ):
-            raise _NeedsBigInts
+    def expand(prev):
+        A, B, n = prev["A"], prev["B"], prev["n"]
+        if i64:
+            max_p = max(int(np.abs(A).max()), int(np.abs(B).max()), 1)
+            if (
+                max_p * factor >= limit
+                or int(prev["num"].max()) * max_p * factor >= limit
+                or int(prev["den"].max()) * max(den_gens) >= limit
+            ):
+                raise _NeedsBigInts
         Acat = np.concatenate(
-            [
-                prev["A"] @ Ma[g].T + (m * (prev["B"] @ Mb[g].T) if m else 0)
-                for g in range(G)
-            ],
-            axis=0,
+            [A @ Ma[g].T + (m * (B @ Mb[g].T) if m else 0) for g in range(G)], axis=0
         )
-        Bcat = np.concatenate(
-            [prev["A"] @ Mb[g].T + prev["B"] @ Ma[g].T for g in range(G)], axis=0
-        )
+        Bcat = np.concatenate([A @ Mb[g].T + B @ Ma[g].T for g in range(G)], axis=0)
         Y = np.concatenate([Acat, Bcat], axis=1)
         content = np.gcd.reduce(np.abs(Y), axis=1)
         P = Y // content[:, None]
         num = np.tile(prev["num"], G) * content
         den = np.tile(prev["den"], G) * np.repeat(dg_arr, n)
         shrink = np.gcd(num, den)
-        num //= shrink
-        den //= shrink
-        keys = pack(P, num, den)
-        gg = np.repeat(np.arange(G, dtype=np.int64), n)
-        pp = np.tile(np.arange(n, dtype=np.int64), G)
-        grp = np.tile(prev["group"], G)
-        order = np.lexsort((pp, gg, grp))  # production order: word group, gen, parent
-        order = order[np.tile(prev["gen"], G)[order] != gg[order]]  # prune g == last
-        if order.size == 0:
-            break
-        uniq, first = np.unique(keys[order], return_index=True)
-        pos = np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)
-        fresh = seen[pos] != uniq
-        first = np.sort(first[fresh])
-        if first.size == 0:
-            break
-        sel = order[first]
-        p_lv = sel % n
-        g_lv = sel // n
-        pair = prev["group"][p_lv] * G + g_lv  # nondecreasing along production order
-        group = np.cumsum(np.concatenate([[0], (np.diff(pair) != 0).astype(np.int64)]))
-        base = store.offsets[-1]
-        store.order.extend((base + np.argsort(keys[sel])).tolist())
-        store.close_level(
-            {
-                "n": int(sel.size),
-                "A": P[sel, :nb],
-                "B": P[sel, nb:],
-                "num": num[sel],
-                "den": den[sel],
-                "gen": g_lv,
-                "parent": store.offsets[k - 1] + p_lv,
-                "orbit": prev["orbit"][p_lv],
-                "group": group,
-            }
+        return {"A": P[:, :nb], "B": P[:, nb:], "num": num // shrink, "den": den // shrink}
+
+    def keys_of(rows):
+        K = np.concatenate(
+            [rows["A"], rows["B"], rows["num"][:, None], rows["den"][:, None]], axis=1
         )
-        seen = np.sort(np.concatenate([seen, keys[sel]]))
-    return store
+        if not i64:
+            return list(map(tuple, K.tolist()))
+        U = np.ascontiguousarray((K ^ np.int64(-limit)).view(np.uint64).byteswap())
+        return U.view(np.dtype((np.void, U.shape[1] * 8))).ravel()
+
+    store = _Store("i64" if i64 else "obj", m)
+    return _grow(store, rows0, expand, keys_of, depth, G)
 
 
-def _bfs_exact_obj(seed_rows, mats_int, den_gens, m, depth, nb) -> _Store:
-    """Arbitrary-precision fallback for the exact engine."""
-
-    def matvec(rows, flat):
-        out_a, out_b = [], []
-        for row in rows:
-            sa = 0
-            sb = 0
-            for (ma, mb), xa, xb in zip(row, flat[:nb], flat[nb:]):
-                sa += ma * xa + m * mb * xb
-                sb += ma * xb + mb * xa
-            out_a.append(sa)
-            out_b.append(sb)
-        return tuple(out_a) + tuple(out_b)
-
-    store = _Store("obj", m, nb)
-    index = set()
-    rows0, keys0, meta0 = [], [], []
-    for i, row in enumerate(seed_rows):
-        key = (row[0], row[1], row[2])
-        if key in index:
-            continue
-        index.add(key)
-        rows0.append(row)
-        keys0.append(key)
-        meta0.append(i)
-    level = {
-        "n": len(rows0),
-        "V": rows0,
-        "gen": [-1] * len(rows0),
-        "parent": [-1] * len(rows0),
-        "orbit": meta0,
-        "group": [0] * len(rows0),
-    }
-    _append_level_obj(store, level, keys0)
-    for k in range(1, depth + 1):
-        prev = store.levels[k - 1]
-        if prev["n"] == 0:
-            break
-        rows_l, keys_l, gen_l, parent_l, orbit_l, group_l = [], [], [], [], [], []
-        next_group = 0
-        for lo, hi in _group_ranges(prev["group"]):
-            for g, mrows in enumerate(mats_int):
-                assigned = -1
-                for p in range(lo, hi):
-                    if prev["gen"][p] == g:
-                        continue
-                    flat, num, den = prev["V"][p]
-                    row = _reduce_row(matvec(mrows, flat), num, den * den_gens[g])
-                    if row in index:
-                        continue
-                    if assigned < 0:
-                        assigned = next_group
-                        next_group += 1
-                    index.add(row)
-                    rows_l.append(row)
-                    keys_l.append(row)
-                    gen_l.append(g)
-                    parent_l.append(store.offsets[k - 1] + p)
-                    orbit_l.append(prev["orbit"][p])
-                    group_l.append(assigned)
-        if not rows_l:
-            break
-        level = {
-            "n": len(rows_l),
-            "V": rows_l,
-            "gen": gen_l,
-            "parent": parent_l,
-            "orbit": orbit_l,
-            "group": group_l,
-        }
-        _append_level_obj(store, level, keys_l)
-    return store
-
-
-def _append_level_obj(store: _Store, level, keys) -> None:
-    base = store.offsets[-1]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    store.order.extend(base + i for i in order)
-    store.close_level(level)
-
-
-def _bfs_float(seed: BallArrangement, mats, depth: int) -> _Store:
+def _float_cluster(seed: BallArrangement, mats, depth: int) -> _Store:
+    """Float closure; a key is the row rounded to 1e-7, as raw bytes."""
     import numpy as np
 
     nb = seed.dimension + 2
-    store = _Store("float", 0, nb)
-    index = {}
-
-    def canon(V):
-        R = np.round(V, 7) + 0.0
-        buf = R.tobytes()
-        stride = nb * 8
-        return [buf[i * stride : (i + 1) * stride] for i in range(V.shape[0])]
-
     V0 = np.array([[float(approx(x)) for x in b.v] for b in seed.balls], dtype=np.float64)
-    keys0 = canon(V0)
-    keep, kept_keys = [], []
-    for i, key in enumerate(keys0):
-        if key in index:
-            continue
-        index[key] = len(keep)
-        keep.append(i)
-        kept_keys.append(key)
-    level = {
-        "n": len(keep),
-        "V": V0[keep],
-        "gen": np.full(len(keep), -1, dtype=np.int64),
-        "parent": np.full(len(keep), -1, dtype=np.int64),
-        "orbit": np.array(keep, dtype=np.int64),
-        "group": np.zeros(len(keep), dtype=np.int64),
-    }
-    _append_level_float(store, level, kept_keys, np)
     M = [np.array([[float(approx(x)) for x in r] for r in mt], dtype=np.float64) for mt in mats]
-    for k in range(1, depth + 1):
-        prev = store.levels[k - 1]
-        n_prev = prev["n"]
-        if n_prev == 0:
-            break
-        keys_all, Y_all = [], []
-        for g in range(len(M)):
-            Y = prev["V"] @ M[g].T
-            keys_all.append(canon(Y))
-            Y_all.append(Y)
-        prev_gen = prev["gen"].tolist()
-        prev_orbit = prev["orbit"].tolist()
-        base = store.offsets[k]
-        picks, kept_keys = [], []
-        gen_l, parent_l, orbit_l, group_l = [], [], [], []
-        next_group = 0
-        for lo, hi in _group_ranges(prev["group"].tolist()):
-            for g, keys_g in enumerate(keys_all):
-                assigned = -1
-                for p in range(lo, hi):
-                    if prev_gen[p] == g:
-                        continue
-                    key = keys_g[p]
-                    if key in index:
-                        continue
-                    if assigned < 0:
-                        assigned = next_group
-                        next_group += 1
-                    index[key] = base + len(picks)
-                    picks.append(g * n_prev + p)
-                    kept_keys.append(key)
-                    gen_l.append(g)
-                    parent_l.append(store.offsets[k - 1] + p)
-                    orbit_l.append(prev_orbit[p])
-                    group_l.append(assigned)
-        if not picks:
-            break
-        pick_arr = np.array(picks, dtype=np.int64)
-        level = {
-            "n": len(picks),
-            "V": np.concatenate(Y_all, axis=0)[pick_arr],
-            "gen": np.array(gen_l, dtype=np.int64),
-            "parent": np.array(parent_l, dtype=np.int64),
-            "orbit": np.array(orbit_l, dtype=np.int64),
-            "group": np.array(group_l, dtype=np.int64),
-        }
-        _append_level_float(store, level, kept_keys, np)
-    return store
 
+    def expand(prev):
+        return {"V": np.concatenate([prev["V"] @ Mg.T for Mg in M], axis=0)}
 
-def _append_level_float(store: _Store, level, kept_keys, np) -> None:
-    base = store.offsets[-1]
-    if kept_keys:
-        stride = len(kept_keys[0])
-        void = np.frombuffer(b"".join(kept_keys), dtype=f"V{stride}")
-        order = np.argsort(void)
-        store.order.extend(int(base + i) for i in order)
-    store.close_level(level)
+    def keys_of(rows):
+        R = np.ascontiguousarray(np.round(rows["V"], 7) + 0.0)
+        return R.view(np.dtype((np.void, nb * 8))).ravel()
+
+    return _grow(_Store("float", 0), {"V": V0}, expand, keys_of, depth, len(M))
 
 
 # -- cluster predicates -----------------------------------------------------------
@@ -1081,16 +933,7 @@ def is_apollonian_packing(c: Cluster, tol: float = FLOAT_TOL) -> bool:
     Quadratic in the cluster size; meant for the shallow clusters where the
     question is interesting.
     """
-    balls = [e.ball for e in c]
-    n = len(balls)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if classify_pair(balls[i], balls[j], tol) not in (
-                EXTERNALLY_TANGENT,
-                DISJOINT,
-            ):
-                return False
-    return True
+    return first_overlap([e.ball for e in c], tol) is None
 
 
 def orbit_coloring(c: Cluster) -> dict:

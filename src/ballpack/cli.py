@@ -31,8 +31,8 @@ from .documents import (
     scalar_to_text,
     to_json,
 )
-from .exactnum import QuadScalar, RING_Z, RING_Z_PHI, approx
-from .lorentz import EXTERNALLY_TANGENT, DISJOINT, classify_pair
+from .exactnum import RING_Z, RING_Z_PHI, approx, phi, sqrt_rational
+from .lorentz import EXTERNALLY_TANGENT, classify_pair
 from .apollonian import (
     apollonian_group_from_packing,
     generate_cluster,
@@ -43,10 +43,11 @@ from .packings import (
     BallArrangement,
     centered_projection,
     dual,
+    first_overlap,
     grouped_spectra,
     project,
 )
-from .polytopes import Solid, flags, regular_edge_scribed, solid_from_name
+from .polytopes import Solid, dual_solid, flags, regular_edge_scribed, solid_from_name
 from .relations import (
     INTEGRAL,
     NOT_CERTIFIED,
@@ -61,39 +62,11 @@ from .svgout import RenderSpec, render_svg
 
 CENTER_RANKS = {"vertex": 0, "edge": 1, "face": 2}
 FLOAT_CHECK_TOL = 1e-9
-_DUAL_KIND = {
-    "simplex": "simplex",
-    "cube": "cross",
-    "cross": "cube",
-    "icosahedron": "dodecahedron",
-    "dodecahedron": "icosahedron",
-    "ngon": "ngon",
-    "cell24": "cell24",
-    "cell600": "cell120",
-    "cell120": "cell600",
-}
 
 
 # -- curvature tokens ---------------------------------------------------------
 
 _TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?(phi|sqrt(\d+))?$")
-_GOLDEN = QuadScalar(Fraction(1, 2), Fraction(1, 2), 5)
-
-
-def _sqrt_term(coef: Fraction, m: int):
-    """coef * sqrt(m) with the square part of m pulled into the coefficient."""
-    k, j = 1, 2
-    while j * j <= m:
-        while m % (j * j) == 0:
-            m //= j * j
-            k *= j
-        j += 1
-    coef = coef * k
-    if m == 0:
-        return Fraction(0)
-    if m == 1:
-        return coef
-    return QuadScalar(0, coef, m)
 
 
 def parse_exact_curvature(token: str):
@@ -112,9 +85,10 @@ def parse_exact_curvature(token: str):
         if mt[2] is None:
             val = coef
         elif mt[2] == "phi":
-            val = _GOLDEN * coef
+            val = phi() * coef
         else:
-            val = _sqrt_term(coef, int(mt[3]))
+            root = sqrt_rational(int(mt[3]))
+            val = coef * (root.a if root.is_rational else root)
         total = total + sign * val
     return total
 
@@ -200,7 +174,7 @@ def cmd_dual(args) -> int:
     else:
         arr = centered_projection(s, CENTER_RANKS[center])
     d_arr = dual(arr)
-    d_name = Solid(_DUAL_KIND[s.kind], s.n).name
+    d_name = dual_solid(s).name
     out = document_from_arrangement(
         d_arr,
         solid=d_name,
@@ -265,14 +239,12 @@ def cmd_squares(args) -> int:
     return 0
 
 
-def _check_packing(doc: PackingDocument):
-    balls = doc.balls()
+def _check_packing(doc: PackingDocument, balls: list):
+    bad = first_overlap(balls)
+    if bad is not None:
+        i, j, c = bad
+        return False, f"balls {i} and {j} are {c}"
     n = len(balls)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = classify_pair(balls[i], balls[j])
-            if c not in (EXTERNALLY_TANGENT, DISJOINT):
-                return False, f"balls {i} and {j} are {c}"
     return True, f"{n} balls, {n * (n - 1) // 2} pairs"
 
 
@@ -286,8 +258,7 @@ def _well_conditioned(window) -> bool:
     return bool(np.linalg.cond(g) < 1e6)
 
 
-def _check_descartes(doc: PackingDocument, budget: int = 200):
-    balls = doc.balls()
+def _check_descartes(doc: PackingDocument, balls: list, budget: int = 200):
     n = doc.dimension + 2
     worst = 0.0
     windows = 0
@@ -339,8 +310,7 @@ def _tangent_cliques(balls, size: int, node_budget: int = 48, clique_budget: int
     return out
 
 
-def _check_soddy(doc: PackingDocument):
-    balls = doc.balls()
+def _check_soddy(doc: PackingDocument, balls: list):
     size = doc.dimension + 2
     cliques = _tangent_cliques(balls, size)
     if not cliques:
@@ -357,13 +327,12 @@ def _check_soddy(doc: PackingDocument):
     return True, f"{len(cliques)} tangent tuples, max relative residual {worst:.3g}"
 
 
-def _check_flags(doc: PackingDocument):
+def _check_flags(doc: PackingDocument, balls: list):
     seed = doc.seed
     if seed.get("kind") != "projection":
         raise ValueError("flag check applies only to project documents")
     s = _solid(seed["solid"])
     p = regular_edge_scribed(s)
-    balls = doc.balls()
     if len(balls) != len(p.vertices):
         raise ValueError("document does not hold one ball per vertex")
     arr = BallArrangement(tuple(balls))
@@ -407,9 +376,10 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
     else:
         names = _applicable_checks(doc)
+    balls = doc.balls()  # validates every ball's norm, once for all checks
     failed = False
     for name in names:
-        ok, detail = _CHECKS[name](doc)
+        ok, detail = _CHECKS[name](doc, balls)
         _say(f"{name}: {'ok' if ok else 'FAILED'} ({detail})")
         failed = failed or not ok
     return 1 if failed else 0

@@ -2,7 +2,7 @@
 
 Matrices are tuples of row tuples; vectors are flat tuples.  Entries may be
 ints, Fractions, QuadScalars, or floats -- anything with ring operators.
-Exact Gaussian elimination (with division) backs solve/inverse/rank; float
+One exact Gauss-Jordan elimination (with division) backs solve and rank; float
 callers should prefer numpy and only come here for the generic plumbing.
 """
 
@@ -88,61 +88,39 @@ def _pick_pivot(rows, col: int, start: int, nrows: int, is_zero: Callable):
     return cand[0]
 
 
-def solve(a: Matrix, b: Vector, is_zero: Callable = _default_is_zero) -> Vector:
-    """Solve a x = b by Gaussian elimination; raises on singular a."""
-    n = len(a)
-    rows = [[_exactify(x) for x in r] + [_exactify(bv)] for r, bv in zip(a, b)]
-    for col in range(n):
-        piv = _pick_pivot(rows, col, col, n, is_zero)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(n):
-            if r != col and not is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
+def _eliminate(rows: list, ncols: int, is_zero: Callable) -> int:
+    """Gauss-Jordan elimination of the first ``ncols`` columns, in place.
 
-
-def inverse(a: Matrix, is_zero: Callable = _default_is_zero) -> Matrix:
-    n = len(a)
-    rows = [
-        [_exactify(x) for x in r] + [1 if i == j else 0 for j in range(n)]
-        for i, r in enumerate(a)
-    ]
-    for col in range(n):
-        piv = _pick_pivot(rows, col, col, n, is_zero)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(n):
-            if r != col and not is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def rank(a: Matrix, is_zero: Callable = _default_is_zero) -> int:
-    rows = [[_exactify(x) for x in r] for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    Pivot rows are scaled to 1 and moved to the top in column order; the
+    return value is the number of pivots found.
+    """
     rk = 0
     for col in range(ncols):
-        piv = _pick_pivot(rows, col, rk, nrows, is_zero)
+        if rk == len(rows):
+            break
+        piv = _pick_pivot(rows, col, rk, len(rows), is_zero)
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
         pv = rows[rk][col]
         rows[rk] = [x / pv for x in rows[rk]]
-        for r in range(nrows):
+        for r in range(len(rows)):
             if r != rk and not is_zero(rows[r][col]):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
         rk += 1
-        if rk == nrows:
-            break
     return rk
+
+
+def solve(a: Matrix, b: Vector, is_zero: Callable = _default_is_zero) -> Vector:
+    """Solve a x = b by Gaussian elimination; raises on singular a."""
+    n = len(a)
+    rows = [[_exactify(x) for x in r] + [_exactify(bv)] for r, bv in zip(a, b)]
+    if _eliminate(rows, n, is_zero) < n:
+        raise ValueError("singular matrix")
+    return tuple(rows[i][n] for i in range(n))
+
+
+def rank(a: Matrix, is_zero: Callable = _default_is_zero) -> int:
+    rows = [[_exactify(x) for x in r] for r in a]
+    return _eliminate(rows, len(rows[0]) if rows else 0, is_zero)

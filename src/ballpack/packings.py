@@ -98,17 +98,21 @@ def with_dual(a: BallArrangement) -> BallArrangement:
     return BallArrangement(a.balls, a.polytope, project(polar_dual(a.polytope)).balls)
 
 
-def is_packing(a: BallArrangement) -> bool:
-    """True iff all pairs are externally tangent or disjoint."""
-    n = len(a.balls)
+def first_overlap(balls, tol: float = FLOAT_TOL) -> Optional[tuple]:
+    """The first pair of balls, i < j in row-major order, that is neither
+    externally tangent nor disjoint, as (i, j, relation); None for a packing."""
+    n = len(balls)
     for i in range(n):
         for j in range(i + 1, n):
-            if classify_pair(a.balls[i], a.balls[j]) not in (
-                EXTERNALLY_TANGENT,
-                DISJOINT,
-            ):
-                return False
-    return True
+            c = classify_pair(balls[i], balls[j], tol)
+            if c not in (EXTERNALLY_TANGENT, DISJOINT):
+                return i, j, c
+    return None
+
+
+def is_packing(a: BallArrangement) -> bool:
+    """True iff all pairs are externally tangent or disjoint."""
+    return first_overlap(a.balls) is None
 
 
 def _rotation_to_north(direction, n: int):

@@ -549,6 +549,24 @@ def regular_edge_scribed(s: Solid) -> Polytope:
     raise ValueError(f"unknown solid kind {k!r}")
 
 
+_DUAL_KIND = {
+    "simplex": "simplex",
+    "cube": "cross",
+    "cross": "cube",
+    "icosahedron": "dodecahedron",
+    "dodecahedron": "icosahedron",
+    "ngon": "ngon",
+    "cell24": "cell24",
+    "cell600": "cell120",
+    "cell120": "cell600",
+}
+
+
+def dual_solid(s: Solid) -> Solid:
+    """The regular family member polar to s, in the same ambient dimension."""
+    return Solid(_DUAL_KIND[s.kind], s.n)
+
+
 def polar_dual(p: Polytope) -> Polytope:
     """The polar polytope: one vertex per facet f, at v_f with <u, v_f> = 1."""
     from . import linalg
@@ -580,16 +598,7 @@ def polar_dual(p: Polytope) -> Polytope:
             for g in src
         ]
         lattice[kk] = _sorted_faces(fs)
-    dual_family = None
-    if p.family is not None:
-        dual_family = {
-            "simplex": p.family,
-            "cube": Solid("cross", p.family.n),
-            "cross": Solid("cube", p.family.n),
-            "icosahedron": DODECAHEDRON,
-            "dodecahedron": ICOSAHEDRON,
-            "ngon": p.family,
-        }.get(p.family.kind)
+    dual_family = None if p.family is None else dual_solid(p.family)
     return Polytope(tuple(dual_verts), lattice, family=dual_family)
 
 

@@ -459,18 +459,28 @@ def test_cluster_integrality_rejects_non_integers():
     assert not c.curvatures_in_ring(RING_Z)
 
 
-def test_cluster_object_mode_agrees_with_vectorized(monkeypatch):
+README_SEEDS = {
+    "tetrahedron": (TETRAHEDRON, (-3, 5, 8)),
+    "octahedron": (OCTAHEDRON, (-2, 4, 5)),
+    "cube": (CUBE, (5, -3, 12)),
+    "icosahedron": (ICOSAHEDRON, (-4, 8, 9)),
+    "dodecahedron": (DODECAHEDRON, (1 + PHI, -1, 2 * PHI)),
+}
+
+
+@pytest.mark.parametrize("case", [*README_SEEDS, "cube-ssa"])
+def test_cluster_object_mode_agrees_with_vectorized(case):
     import ballpack.apollonian as mod
 
-    gens = platonic_generators(OCTAHEDRON)
-    ag = apollonian_group_from_packing(gens.seed)
-    fast = generate_cluster(gens.seed, ag, depth=2)
-
-    def refuse(*args, **kwargs):
-        raise mod._NeedsBigInts
-
-    monkeypatch.setattr(mod, "_bfs_exact_i64", refuse)
-    slow = generate_cluster(gens.seed, ag, depth=2)
+    if case == "cube-ssa":
+        gens, depth = platonic_generators(CUBE), 4
+        seed = gens.seed
+    else:
+        seed = packing_from_curvatures(*README_SEEDS[case])
+        gens, depth = apollonian_group_from_packing(seed), 2
+    fast = generate_cluster(seed, gens, depth)
+    store = mod._exact_cluster(seed, [g.map.mat for g in gens], depth, dtype=object)
+    slow = mod.Cluster(seed, gens.flavor, depth, gens.names, store)
     assert slow._store.mode == "obj" and fast._store.mode == "i64"
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
@@ -481,6 +491,29 @@ def test_cluster_object_mode_agrees_with_vectorized(monkeypatch):
             b.word,
             b.orbit,
         )
+
+
+def _curvatures_and_words_by_depth(c):
+    out = {}
+    for e in c:
+        ks, words = out.setdefault(e.depth, ([], []))
+        ks.append(e.curvature)
+        words.append(e.word)
+    return {k: (sorted(ks), sorted(words)) for k, (ks, words) in out.items()}
+
+
+@pytest.mark.parametrize("depth", [3, 6])
+def test_scaled_seed_takes_the_big_int_path_and_scales_exactly(depth):
+    small = packing_from_curvatures(TETRAHEDRON, (-3, 5, 8))
+    big = packing_from_curvatures(TETRAHEDRON, (-3000, 5000, 8000))
+    c_small = generate_cluster(small, apollonian_group_from_packing(small), depth)
+    c_big = generate_cluster(big, apollonian_group_from_packing(big), depth)
+    assert c_small._store.mode == "i64" and c_big._store.mode == "obj"
+    by_small = _curvatures_and_words_by_depth(c_small)
+    by_big = _curvatures_and_words_by_depth(c_big)
+    assert sorted(by_big) == sorted(by_small) == list(range(depth + 1))
+    for k, (ks, words) in by_small.items():
+        assert by_big[k] == ([1000 * x for x in ks], words)
 
 
 def test_cluster_float_mode():

@@ -12,6 +12,7 @@ from ballpack.polytopes import (
     PLATONIC,
     TETRAHEDRON,
     Solid,
+    dual_solid,
     face_barycenter,
     flags,
     graph_distance,
@@ -219,6 +220,16 @@ def test_polar_dual_icosahedron():
     assert len(dual.faces(2)) == 12
     # lattice reversal: dual faces of rank 0 correspond to icosa faces of rank 2
     assert all(len(f) == 5 for f in dual.faces(2))
+
+
+def test_dual_solid_pairs_every_family():
+    assert dual_solid(TETRAHEDRON) == TETRAHEDRON
+    assert dual_solid(OCTAHEDRON) == CUBE and dual_solid(CUBE) == OCTAHEDRON
+    assert dual_solid(ICOSAHEDRON) == DODECAHEDRON
+    assert dual_solid(Solid("ngon", 5)) == Solid("ngon", 5)
+    assert dual_solid(Solid("cell24", 4)) == Solid("cell24", 4)
+    assert dual_solid(Solid("cell600", 4)) == Solid("cell120", 4)
+    assert dual_solid(Solid("cell120", 4)) == Solid("cell600", 4)
 
 
 def test_polar_dual_reverses_incidence():

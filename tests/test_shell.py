@@ -286,10 +286,13 @@ def test_render_spec_validates_viewport_and_palette():
         ("3sqrt2-1", 3 * SQRT2 - 1),
         ("sqrt8", 2 * SQRT2),
         ("sqrt4", Fraction(2)),
+        ("sqrt0+1", Fraction(1)),
     ],
 )
 def test_curvature_tokens(token, value):
-    assert parse_exact_curvature(token) == value
+    got = parse_exact_curvature(token)
+    assert got == value
+    assert type(got) is type(value)
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1..2", "phi5", "sqrt", "1,2"])
@@ -496,6 +499,20 @@ def test_cli_verify_flags_failure_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(to_json(doc), encoding="utf-8")
     assert main(["verify", "--in", str(path), "--checks", "packing"]) == 1
+
+
+def test_cli_verify_checks_every_ball_norm_beyond_the_sampled_windows(tmp_path):
+    path = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", "--initial", "-3,5,8"]
+    assert main(argv + ["--depth", "5", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert len(payload["entries"]) > 248
+    last = payload["entries"][-1]
+    last["inversive"] = [
+        scalar_to_text(2 * scalar_from_text(x)) for x in last["inversive"]
+    ]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", "--in", str(path), "--checks", "descartes,soddy"]) == 2
 
 
 def test_cli_verify_rejects_inapplicable_or_unknown_checks(tmp_path):
