@@ -30,8 +30,10 @@ from typing import Iterator, Optional
 
 from . import linalg
 from .exactnum import (
+    FLOAT_REL,
     QuadScalar,
     approx,
+    compare,
     exact_sqrt,
     is_float_data,
     ratio,
@@ -39,12 +41,12 @@ from .exactnum import (
 )
 from .lorentz import (
     Ball,
-    FLOAT_TOL,
     MobiusMap,
     apply_map,
     ball_from_geometry,
     inversion_map,
     lorentz_product,
+    product_scale,
     x_north,
 )
 from .packings import (
@@ -87,8 +89,9 @@ _FLAVORS = (FLAVOR_DUAL, FLAVOR_PRIMAL, FLAVOR_SYMMETRIZED, FLAVOR_FULL)
 def scalar_key(x):
     """Hashable, orderable canonical form of one coordinate.
 
-    Floats are rounded to 1e-7 (with -0.0 normalized); exact values become
-    the tuple (a_num, a_den, b_num, b_den, m) of their field representation.
+    Floats are rounded to 1e-7 (with -0.0 normalized), an order only: float
+    equality is ``lorentz.same_vector``'s.  Exact values become the tuple
+    (a_num, a_den, b_num, b_den, m) of their field representation.
     """
     if isinstance(x, float):
         return round(x, 7) + 0.0
@@ -107,19 +110,14 @@ def canonical_ball_key(b: Ball) -> tuple:
 # -- generator sets -------------------------------------------------------------
 
 
-def _is_involution(m: MobiusMap, tol: float = FLOAT_TOL) -> bool:
+def _is_involution(m: MobiusMap) -> bool:
+    rows, cols = m.mat, tuple(zip(*m.mat))
     sq = (m @ m).mat
-    n = len(sq)
-    floaty = any(is_float_data(r) for r in sq)
-    for i in range(n):
-        for j in range(n):
-            want = 1 if i == j else 0
-            if floaty:
-                if abs(approx(sq[i][j]) - want) > tol:
-                    return False
-            elif sq[i][j] != want:
-                return False
-    return True
+    return all(
+        compare(sq[i][j], int(i == j), lambda: product_scale(rows[i], cols[j])) == 0
+        for i in range(len(sq))
+        for j in range(len(sq))
+    )
 
 
 @dataclass(frozen=True)
@@ -332,8 +330,10 @@ def _future_null_with_products(vectors, ks, exact: bool):
         qa = lorentz_product(yn, yn)
         qb = 2 * lorentz_product(y0, yn)
         qc = lorentz_product(y0, y0)
+        # the terms of qa, qb and qc are at most (|y0| + |yn|)^2 <= size() in size
+        size = lambda: 2 * (product_scale(y0, y0) + product_scale(yn, yn))
         try:
-            roots = _quadratic_roots(qa, qb, qc, exact)
+            roots = _quadratic_roots(qa, qb, qc, size)
         except ValueError as err:
             last_error = str(err)
             continue
@@ -355,38 +355,29 @@ def _future_null_with_products(vectors, ks, exact: bool):
     raise ValueError(last_error)
 
 
-def _quadratic_roots(qa, qb, qc, exact: bool) -> list:
-    """Real roots of qa t^2 + qb t + qc in a fixed order; exact when asked."""
-    if exact:
-        if scalar_sign(qa) == 0:
-            if scalar_sign(qb) == 0:
-                if scalar_sign(qc) != 0:
-                    raise ValueError("curvature triple is not realizable on this solid")
-                return [0]
-            return [ratio(-qc, qb)]
-        disc = qb * qb - 4 * qa * qc
-        if scalar_sign(disc) < 0:
-            raise ValueError("curvature triple is not realizable on this solid")
-        try:
-            rad = exact_sqrt(disc)
-        except ValueError:
-            raise ValueError(
-                "the normalizing square root is not expressible in the "
-                "hosting field; use float mode for this seed"
-            )
-        return [ratio(-qb + rad, 2 * qa), ratio(-qb - rad, 2 * qa)]
-    qa, qb, qc = approx(qa), approx(qb), approx(qc)
-    if abs(qa) <= 1e-12:
-        if abs(qb) <= 1e-12:
-            if abs(qc) > 1e-9:
+def _quadratic_roots(qa, qb, qc, size) -> list:
+    """Real roots of qa t^2 + qb t + qc in a fixed order, exact on exact
+    input; size() bounds the terms of qa, qb and qc."""
+    if compare(qa, 0, size) == 0:
+        if compare(qb, 0, size) == 0:
+            if compare(qc, 0, size) != 0:
                 raise ValueError("curvature triple is not realizable on this solid")
-            return [0.0]
-        return [-qc / qb]
+            return [0]
+        return [ratio(-qc, qb)]
     disc = qb * qb - 4 * qa * qc
-    if disc < -1e-9:
+    # disc's own terms, plus the first-order effect of rounding in qa, qb and qc
+    terms = lambda: qb * qb + 4 * abs(qa * qc) + 4 * size() * (abs(qa) + abs(qb) + abs(qc))
+    s = compare(disc, 0, terms)
+    if s < 0:
         raise ValueError("curvature triple is not realizable on this solid")
-    rad = math.sqrt(max(disc, 0.0))
-    return [(-qb + rad) / (2 * qa), (-qb - rad) / (2 * qa)]
+    try:
+        rad = exact_sqrt(disc if s > 0 else 0 * disc)  # a double root within rounding
+    except ValueError:
+        raise ValueError(
+            "the normalizing square root is not expressible in the "
+            "hosting field; use float mode for this seed"
+        )
+    return [ratio(-qb + rad, 2 * qa), ratio(-qb - rad, 2 * qa)]
 
 
 def _map_null_to_north(y, d: int) -> MobiusMap:
@@ -441,11 +432,10 @@ def packing_from_curvatures(s: Solid, triple, *, exact: bool = True) -> BallArra
     out = arr.transformed(m)
     for v, k in zip(anchors, triple):
         got = out.balls[v].curvature
-        if exact:
-            if got != k:  # pragma: no cover - internal consistency
-                raise RuntimeError(f"seed curvature drifted: {got} != {k}")
-        elif abs(got - k) > 1e-6:  # pragma: no cover
-            raise RuntimeError(f"seed curvature drifted: {got} != {k}")
+        # the map is built from y, so its rounding scales with y's terms; only
+        # an ill-conditioned float seed drifts, so this is an input error
+        if compare(got, k, lambda: sum(x * x for x in y)) != 0:
+            raise ValueError(f"seed curvature drifted: {got} != {k}")
     return out
 
 
@@ -675,9 +665,10 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
     """Breadth-first closure of the seed balls under the generators.
 
     Words grow on the left (a child is g applied to its parent), repeats of
-    the generator just applied are pruned, and balls are deduplicated by
-    canonical key: the normalized coordinate tuple in exact mode, the
-    coordinates rounded to 1e-7 in float mode.
+    the generator just applied are pruned, and balls are deduplicated: in
+    exact mode by the normalized coordinate tuple, in float mode when every
+    coordinate agrees within FLOAT_REL * max(1, |row|inf), FLOAT_REL = 1e-10
+    (the policy of exactnum.compare).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -694,7 +685,7 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
     return Cluster(seed, gens.flavor, depth, gens.names, store)
 
 
-def _grow(store: _Store, rows: dict, expand, keys_of, depth: int, n_gens: int) -> _Store:
+def _grow(store: _Store, rows: dict, expand, keys_of, first_fresh, depth: int, n_gens: int):
     """The level loop shared by the int64, big-int and float backends.
 
     ``rows`` holds the seed rows as named arrays, ``expand(level)`` returns
@@ -702,16 +693,16 @@ def _grow(store: _Store, rows: dict, expand, keys_of, depth: int, n_gens: int) -
     and ``keys_of(rows)`` their canonical keys: a sorted-comparable void
     array, or a list of tuples for python-int rows.  Candidates are visited
     in production order (parent's word group, then generator, then parent),
-    a child repeating its parent's generator is pruned, and the first
-    candidate of each unseen key is kept.  Kept children of one parent
-    group and generator form one group of the next level; within a level,
-    entries are exposed in key order.
+    a child repeating its parent's generator is pruned, and
+    ``first_fresh(rows, keys, order, seen)`` keeps the first candidate of
+    each ball not seen before.  Kept children of one parent group and
+    generator form one group of the next level; within a level, entries are
+    exposed in key order.
     """
     import numpy as np
 
     keys = keys_of(rows)
-    seen = set() if isinstance(keys, list) else keys[:0]
-    sel, seen = _first_fresh(keys, np.arange(len(keys)), seen)
+    sel, seen = first_fresh(rows, keys, np.arange(len(keys)), None)
     none = np.full(sel.size, -1, dtype=np.int64)
     meta = {"gen": none, "parent": none, "orbit": sel, "group": np.zeros_like(sel)}
     _close_level(store, rows, keys, sel, meta)
@@ -724,7 +715,7 @@ def _grow(store: _Store, rows: dict, expand, keys_of, depth: int, n_gens: int) -
         pp = np.tile(np.arange(n, dtype=np.int64), n_gens)
         order = np.lexsort((pp, gg, np.tile(prev["group"], n_gens)))
         order = order[np.tile(prev["gen"], n_gens)[order] != gg[order]]
-        first, seen = _first_fresh(keys, order, seen)
+        first, seen = first_fresh(rows, keys, order, seen)
         if first.size == 0:
             break
         sel = order[first]
@@ -742,11 +733,14 @@ def _grow(store: _Store, rows: dict, expand, keys_of, depth: int, n_gens: int) -
     return store
 
 
-def _first_fresh(keys, order, seen):
+def _first_fresh(rows, keys, order, seen):
     """Ascending positions in ``order`` of the first candidate of each key
-    not in ``seen``, and ``seen`` grown by those keys."""
+    not in ``seen`` (None before the seed level), and ``seen`` grown by
+    those keys.  Exact rows are equal exactly when their keys are."""
     import numpy as np
 
+    if seen is None:
+        seen = set() if isinstance(keys, list) else keys[:0]
     if isinstance(keys, list):
         first = []
         for pos, c in enumerate(order.tolist()):
@@ -903,11 +897,12 @@ def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _
         return U.view(np.dtype((np.void, U.shape[1] * 8))).ravel()
 
     store = _Store("i64" if i64 else "obj", m)
-    return _grow(store, rows0, expand, keys_of, depth, G)
+    return _grow(store, rows0, expand, keys_of, _first_fresh, depth, G)
 
 
 def _float_cluster(seed: BallArrangement, mats, depth: int) -> _Store:
-    """Float closure; a key is the row rounded to 1e-7, as raw bytes."""
+    """Float closure, deduplicated by _window_fresh; the key, the row rounded
+    to 1e-7 as raw bytes, only orders the entries of a level."""
     import numpy as np
 
     nb = seed.dimension + 2
@@ -921,19 +916,57 @@ def _float_cluster(seed: BallArrangement, mats, depth: int) -> _Store:
         R = np.ascontiguousarray(np.round(rows["V"], 7) + 0.0)
         return R.view(np.dtype((np.void, nb * 8))).ravel()
 
-    return _grow(_Store("float", 0), {"V": V0}, expand, keys_of, depth, len(M))
+    return _grow(_Store("float", 0), {"V": V0}, expand, keys_of, _window_fresh, depth, len(M))
+
+
+def _window_fresh(rows, keys, order, seen):
+    """_first_fresh for float rows: two rows are one ball when every
+    coordinate agrees within FLOAT_REL * max(1, |row|inf), as in
+    lorentz.same_vector.  Such rows have values under the fixed generic
+    functional f within sum|w| times that (doubled for slack), so only rows
+    inside that window are compared.  ``seen`` holds the kept rows so far,
+    their f values sorted, and the rows' indices in that order.
+    """
+    import numpy as np
+
+    cand = rows["V"][order]
+    w = np.sqrt(np.arange(2, cand.shape[1] + 2))  # fixed, with irrational ratios
+    f = cand @ w
+    tol = FLOAT_REL * np.maximum(1.0, np.abs(cand).max(axis=1))
+    s = np.argsort(f, kind="stable")  # only candidates are sorted; seen is merged
+    reach = 2 * w.sum() * tol[s]
+    seen_v, seen_f, seen_i = seen if seen is not None else (cand[:0], f[:0], s[:0])
+
+    def same(f_sorted, lo, row_at):  # (candidate, position) of equal rows in f_sorted[lo:]
+        n = np.searchsorted(f_sorted, f[s] + reach, "right") - lo
+        c, p = s.repeat(n), (lo - n.cumsum() + n).repeat(n) + np.arange(n.sum())
+        other = row_at(p)
+        t = np.maximum(tol[c], FLOAT_REL * np.abs(other).max(axis=1))
+        eq = (np.abs(cand[c] - other) <= t[:, None]).all(1)
+        return c[eq], p[eq]
+
+    dup = np.zeros(len(cand), dtype=bool)
+    c, p = same(f[s], np.arange(1, s.size + 1), lambda p: cand[s[p]])  # later in f order
+    dup[np.maximum(c, s[p])] = True
+    lo = np.searchsorted(seen_f, f[s] - reach, "left")
+    dup[same(seen_f, lo, lambda p: seen_v[seen_i[p]])[0]] = True
+    kept = s[~dup[s]]  # in f order: the merge joins two sorted runs
+    all_f = np.concatenate([seen_f, f[kept]])
+    m = np.argsort(all_f, kind="stable")
+    all_i = np.concatenate([seen_i, len(seen_v) + np.arange(kept.size)])
+    return np.nonzero(~dup)[0], (np.concatenate([seen_v, cand[kept]]), all_f[m], all_i[m])
 
 
 # -- cluster predicates -----------------------------------------------------------
 
 
-def is_apollonian_packing(c: Cluster, tol: float = FLOAT_TOL) -> bool:
+def is_apollonian_packing(c: Cluster) -> bool:
     """True iff all cluster balls are pairwise tangent or disjoint.
 
     Quadratic in the cluster size; meant for the shallow clusters where the
     question is interesting.
     """
-    return first_overlap([e.ball for e in c], tol) is None
+    return first_overlap([e.ball for e in c]) is None
 
 
 def orbit_coloring(c: Cluster) -> dict:

@@ -62,6 +62,7 @@ from .svgout import RenderSpec, render_svg
 
 CENTER_RANKS = {"vertex": 0, "edge": 1, "face": 2}
 FLOAT_CHECK_TOL = 1e-9
+TANGENT_NODES = 48  # the soddy check looks for tangent tuples among this many balls
 
 
 # -- curvature tokens ---------------------------------------------------------
@@ -258,34 +259,53 @@ def _well_conditioned(window) -> bool:
     return bool(np.linalg.cond(g) < 1e6)
 
 
+def _residual_check(cases, unit: str, empty: str, sampled: str = ""):
+    """The loop shared by the curvature-relation checks.
+
+    ``cases`` yields (label, residual, curvatures).  The check fails at the
+    first residual above FLOAT_CHECK_TOL relative to max |k|^2; otherwise it
+    reports how many cases it checked, the worst residual and, when the
+    caller looked at only part of the document, what it ``sampled``.
+    """
+    worst = 0.0
+    count = 0
+    for label, res, ks in cases:
+        rel = relative_residual(res, max(abs(approx(k)) for k in ks) ** 2)
+        if rel > FLOAT_CHECK_TOL:
+            return False, f"{label} has relative residual {rel:.3g}"
+        worst = max(worst, rel)
+        count += 1
+    note = f", {sampled}" if sampled else ""
+    if not count:
+        return True, f"{empty} (vacuous{note})"
+    return True, f"{count} {unit}, max relative residual {worst:.3g}{note}"
+
+
 def _check_descartes(doc: PackingDocument, balls: list, budget: int = 200):
     n = doc.dimension + 2
-    worst = 0.0
-    windows = 0
-    for i in range(min(len(balls) - n + 1, budget)):
-        window = balls[i : i + n]
-        # float solves on nearly dependent quadruples only amplify roundoff,
-        # so they are skipped just like exactly singular ones
-        if doc.is_float and not _well_conditioned(window):
-            continue
-        try:
-            res = gram_curvature_identity(window)
-        except ValueError:
-            continue
-        windows += 1
-        ref = max(abs(approx(b.curvature)) for b in window) ** 2
-        rel = relative_residual(res, ref)
-        worst = max(worst, rel)
-        if rel > FLOAT_CHECK_TOL:
-            return False, f"window at {i} has relative residual {rel:.3g}"
-    if not windows:
-        return True, "no invertible windows (vacuous)"
-    return True, f"{windows} windows, max relative residual {worst:.3g}"
+    total = max(len(balls) - n + 1, 0)
+
+    def cases():
+        for i in range(min(total, budget)):
+            window = balls[i : i + n]
+            # float solves on nearly dependent quadruples only amplify
+            # roundoff, so they are skipped just like exactly singular ones
+            if doc.is_float and not _well_conditioned(window):
+                continue
+            try:
+                res = gram_curvature_identity(window)
+            except ValueError:
+                continue
+            yield f"window at {i}", res, [b.curvature for b in window]
+
+    sampled = f"first {budget} of {total} windows" if total > budget else ""
+    return _residual_check(cases(), "windows", "no invertible windows", sampled)
 
 
-def _tangent_cliques(balls, size: int, node_budget: int = 48, clique_budget: int = 200):
-    """Deterministic batch of mutually tangent ``size``-tuples (by index)."""
-    m = min(len(balls), node_budget)
+def _tangent_cliques(balls, size: int, clique_budget: int = 200):
+    """Deterministic batch of mutually tangent ``size``-tuples (by index)
+    among the first TANGENT_NODES balls."""
+    m = min(len(balls), TANGENT_NODES)
     adj = [[False] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -311,20 +331,14 @@ def _tangent_cliques(balls, size: int, node_budget: int = 48, clique_budget: int
 
 
 def _check_soddy(doc: PackingDocument, balls: list):
-    size = doc.dimension + 2
-    cliques = _tangent_cliques(balls, size)
-    if not cliques:
-        return True, "no mutually tangent tuples found (vacuous)"
-    worst = 0.0
-    for idx in cliques:
-        ks = [balls[i].curvature for i in idx]
-        res = soddy_gosset_residual(ks)
-        ref = max(abs(approx(k)) for k in ks) ** 2
-        rel = relative_residual(res, ref)
-        worst = max(worst, rel)
-        if rel > FLOAT_CHECK_TOL:
-            return False, f"tuple {idx} has relative residual {rel:.3g}"
-    return True, f"{len(cliques)} tangent tuples, max relative residual {worst:.3g}"
+    cases = (
+        (f"tuple {idx}", soddy_gosset_residual(ks), ks)
+        for idx in _tangent_cliques(balls, doc.dimension + 2)
+        for ks in [[balls[i].curvature for i in idx]]
+    )
+    n = len(balls)
+    sampled = f"among the first {TANGENT_NODES} of {n} balls" if n > TANGENT_NODES else ""
+    return _residual_check(cases, "tangent tuples", "no mutually tangent tuples found", sampled)
 
 
 def _check_flags(doc: PackingDocument, balls: list):
@@ -336,18 +350,12 @@ def _check_flags(doc: PackingDocument, balls: list):
     if len(balls) != len(p.vertices):
         raise ValueError("document does not hold one ball per vertex")
     arr = BallArrangement(tuple(balls))
-    worst = 0.0
-    count = 0
-    for flag in flags(p):
-        ks = flag_curvatures(arr, flag)
-        res = verify_flag_relation(s, ks)
-        ref = max(abs(approx(k)) for k in ks) ** 2
-        rel = relative_residual(res, ref)
-        worst = max(worst, rel)
-        count += 1
-        if rel > FLOAT_CHECK_TOL:
-            return False, f"flag {flag} has relative residual {rel:.3g}"
-    return True, f"{count} flags, max relative residual {worst:.3g}"
+    cases = (
+        (f"flag {flag}", verify_flag_relation(s, ks), ks)
+        for flag in flags(p)
+        for ks in [flag_curvatures(arr, flag)]
+    )
+    return _residual_check(cases, "flags", "no flags")
 
 
 _CHECKS = {

@@ -8,7 +8,10 @@ callers should prefer numpy and only come here for the generic plumbing.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
+
+from .exactnum import compare
 
 Vector = tuple
 Matrix = tuple
@@ -39,17 +42,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_pow(a: Matrix, n: int) -> Matrix:
-    out = identity(len(a))
-    base = a
-    while n:
-        if n & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return out
-
-
 def scale(a: Matrix, s) -> Matrix:
     return tuple(tuple(s * x for x in row) for row in a)
 
@@ -66,10 +58,6 @@ def outer(u: Vector, v: Vector) -> Matrix:
     return tuple(tuple(x * y for y in v) for x in u)
 
 
-def _default_is_zero(x) -> bool:
-    return not x
-
-
 def _exactify(x):
     # int/int division yields float; promote ints so elimination stays exact
     from fractions import Fraction
@@ -77,10 +65,10 @@ def _exactify(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def _pick_pivot(rows, col: int, start: int, nrows: int, is_zero: Callable):
+def _pick_pivot(rows, col: int, start: int, nrows: int, size):
     # exact scalars: any nonzero pivot works; floats: take the largest so
     # elimination residues of earlier columns never get promoted to pivots
-    cand = [r for r in range(start, nrows) if not is_zero(rows[r][col])]
+    cand = [r for r in range(start, nrows) if compare(rows[r][col], 0, size) != 0]
     if not cand:
         return None
     if any(isinstance(rows[r][col], float) for r in cand):
@@ -88,39 +76,41 @@ def _pick_pivot(rows, col: int, start: int, nrows: int, is_zero: Callable):
     return cand[0]
 
 
-def _eliminate(rows: list, ncols: int, is_zero: Callable) -> int:
+def _eliminate(rows: list, ncols: int, a: Matrix) -> int:
     """Gauss-Jordan elimination of the first ``ncols`` columns, in place.
 
     Pivot rows are scaled to 1 and moved to the top in column order; the
-    return value is the number of pivots found.
+    return value is the number of pivots found.  Float zero tests are scaled
+    by the largest |entry| of the original matrix ``a``, computed once.
     """
+    size = lru_cache(maxsize=None)(lambda: max((abs(x) for r in a for x in r), default=0))
     rk = 0
     for col in range(ncols):
         if rk == len(rows):
             break
-        piv = _pick_pivot(rows, col, rk, len(rows), is_zero)
+        piv = _pick_pivot(rows, col, rk, len(rows), size)
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
         pv = rows[rk][col]
         rows[rk] = [x / pv for x in rows[rk]]
         for r in range(len(rows)):
-            if r != rk and not is_zero(rows[r][col]):
+            if r != rk and compare(rows[r][col], 0, size) != 0:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
         rk += 1
     return rk
 
 
-def solve(a: Matrix, b: Vector, is_zero: Callable = _default_is_zero) -> Vector:
+def solve(a: Matrix, b: Vector) -> Vector:
     """Solve a x = b by Gaussian elimination; raises on singular a."""
     n = len(a)
     rows = [[_exactify(x) for x in r] + [_exactify(bv)] for r, bv in zip(a, b)]
-    if _eliminate(rows, n, is_zero) < n:
+    if _eliminate(rows, n, a) < n:
         raise ValueError("singular matrix")
     return tuple(rows[i][n] for i in range(n))
 
 
-def rank(a: Matrix, is_zero: Callable = _default_is_zero) -> int:
+def rank(a: Matrix) -> int:
     rows = [[_exactify(x) for x in r] for r in a]
-    return _eliminate(rows, len(rows[0]) if rows else 0, is_zero)
+    return _eliminate(rows, len(rows[0]) if rows else 0, a)

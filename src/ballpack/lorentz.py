@@ -6,7 +6,12 @@ with x.x = 1; its curvature is -<e_{d+1}+e_{d+2}, x>.  Inversions in balls
 generate the Mobius maps used everywhere else: s_b = I - 2 x xT Q.
 
 All functions run in either exact mode (int/Fraction/QuadScalar entries) or
-float mode; the two never mix inside one vector.
+float mode; the two never mix inside one vector.  Every test of a Lorentz
+product x.y against -1, 0 or 1 goes through :func:`exactnum.compare`: exact
+in exact mode, and in float mode within FLOAT_REL = 1e-10 times the size of
+its terms, sum |x_i y_i|, which grows with the coordinates of deep balls.
+Where that window reaches 1/2, -1, 0 and 1 are no longer apart, and
+:func:`classify_pair` refuses the float pair instead of guessing.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ from typing import Optional, Sequence, Union
 
 from . import linalg
 from .exactnum import (
+    FLOAT_REL,
     QuadScalar,
     approx,
+    compare,
     exact_sqrt,
     is_float_data,
     ratio,
@@ -29,15 +36,24 @@ from .exactnum import (
 Scalar = Union[int, Fraction, QuadScalar, float]
 LVector = tuple
 
-FLOAT_TOL = 1e-9
-DRIFT_LIMIT = 1e-6
-
 
 def lorentz_product(x: LVector, y: LVector) -> Scalar:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     s = sum(a * b for a, b in zip(x[:-1], y[:-1]))
     return s - x[-1] * y[-1]
+
+
+def product_scale(x: LVector, y: LVector) -> float:
+    """sum |x_i y_i|: the size of the terms of the Lorentz product x.y."""
+    return sum(abs(a * b) for a, b in zip(x, y))
+
+
+def same_vector(u: LVector, v: LVector) -> bool:
+    """Coordinatewise equality: exact, or for floats within
+    FLOAT_REL * max(1, |u|inf, |v|inf) in every coordinate."""
+    size = lambda: max(abs(x) for x in (*u, *v))
+    return all(compare(x, y, size) == 0 for x, y in zip(u, v))
 
 
 def curvature(x: LVector) -> Scalar:
@@ -59,10 +75,7 @@ class Ball:
         v = tuple(v)
         if not _checked:
             n = lorentz_product(v, v)
-            if is_float_data(v):
-                if abs(n - 1.0) > FLOAT_TOL:
-                    raise ValueError(f"vector has Lorentz norm {n}, not 1")
-            elif n != 1:
+            if compare(n, 1, lambda: product_scale(v, v)) != 0:
                 raise ValueError(f"vector has Lorentz norm {n}, not 1")
         object.__setattr__(self, "v", v)
 
@@ -134,11 +147,7 @@ def ball_from_geometry(
         raise ValueError(f"normal must have {d} coordinates")
     if curvature is not None and scalar_sign(curvature) != 0:
         raise ValueError("half-space form requires zero curvature")
-    n2 = sum(x * x for x in normal)
-    if is_float_data(normal):
-        if abs(n2 - 1.0) > FLOAT_TOL:
-            raise ValueError("normal must be a unit vector")
-    elif n2 != 1:
+    if compare(sum(x * x for x in normal), 1) != 0:
         raise ValueError("normal must be a unit vector")
     return Ball(tuple(normal) + (offset, offset))
 
@@ -169,41 +178,29 @@ def _is_past_directed(b: Ball) -> bool:
     return scalar_sign(b.v[-1]) < 0
 
 
-def classify_pair(b1: Ball, b2: Ball, tol: float = FLOAT_TOL) -> str:
-    """Relative position of two balls from their Lorentz product."""
+def classify_pair(b1: Ball, b2: Ball) -> str:
+    """Relative position of two balls from their Lorentz product p.  Float
+    pairs whose window around -1, 0 and 1 reaches 1/2 (curvature ~1e5) are
+    refused, as no float answer is sound there."""
     if _is_past_directed(b1) and _is_past_directed(b2):
         raise ValueError("cannot classify a pair of past-directed balls")
-    floaty = is_float_data(b1.v) or is_float_data(b2.v)
-    if floaty:
-        if all(abs(x - y) <= tol for x, y in zip(b1.v, b2.v)):
+    x, y = b1.v, b2.v
+    p = lorentz_product(x, y)
+    scale = lambda: product_scale(x, y)
+    if isinstance(p, float):
+        if same_vector(x, y):
             return EQUAL
-    elif b1.v == b2.v:
-        return EQUAL
-    p = lorentz_product(b1.v, b2.v)
-    if floaty:
-        if abs(p + 1) <= tol:
-            return EXTERNALLY_TANGENT
-        if abs(p) <= tol:
-            return ORTHOGONAL
-        if abs(p - 1) <= tol:
-            return INTERNALLY_TANGENT
-        if p < -1:
-            return DISJOINT
-        if p > 1:
-            return NESTED
-        return OVERLAPPING
-    if p == -1:
-        return EXTERNALLY_TANGENT
-    if p == 0:
+        if FLOAT_REL * scale() >= 0.5:
+            raise ValueError(f"float balls too large to classify (scale {scale():.3g})")
+    s = compare(p, -1, scale)
+    if s <= 0:
+        return EXTERNALLY_TANGENT if s == 0 else DISJOINT
+    if compare(p, 0, scale) == 0:
         return ORTHOGONAL
-    if p == 1:
-        return INTERNALLY_TANGENT
-    s = scalar_sign(p + 1)
-    if s < 0:
-        return DISJOINT
-    if scalar_sign(p - 1) > 0:
-        return NESTED
-    return OVERLAPPING
+    s = compare(p, 1, scale)
+    if s == 0:  # equal exact vectors have p = 1; equal float ones returned above
+        return EQUAL if x == y else INTERNALLY_TANGENT
+    return NESTED if s > 0 else OVERLAPPING
 
 
 # -- Mobius maps --------------------------------------------------------------
@@ -261,17 +258,13 @@ def _validate_lorentz(mat) -> None:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("matrix must be square")
-    floaty = any(is_float_data(r) for r in mat)
+    cols = tuple(zip(*mat))
     # M^T Q M == Q, checked column by column
     for i in range(n):
         for j in range(i, n):
-            s = sum(mat[k][i] * mat[k][j] for k in range(n - 1))
-            s -= mat[n - 1][i] * mat[n - 1][j]
             want = 0 if i != j else (1 if i < n - 1 else -1)
-            if floaty:
-                if abs(s - want) > FLOAT_TOL:
-                    raise ValueError("matrix does not preserve the Lorentz form")
-            elif s != want:
+            s = lorentz_product(cols[i], cols[j])
+            if compare(s, want, lambda: product_scale(cols[i], cols[j])) != 0:
                 raise ValueError("matrix does not preserve the Lorentz form")
     if scalar_sign(mat[n - 1][n - 1]) <= 0:
         raise ValueError("matrix is not orthochronous")
@@ -293,16 +286,19 @@ def inversion_map(b: Ball) -> MobiusMap:
 
 
 def apply_map(m: MobiusMap, b: Ball) -> Ball:
+    """The image ball m(b); a float image is renormalized onto the unit shell.
+
+    The float drift allowed is the rounding of w = M b, whose norm's terms
+    have size sum_i (sum_k |M_ik b_k|)^2.
+    """
     w = linalg.mat_vec(m.mat, b.v)
     if is_float_data(w):
         n = lorentz_product(w, w)
-        drift = abs(n - 1.0)
-        if drift > DRIFT_LIMIT:
-            raise ValueError(f"map output drifted off the unit shell by {drift}")
-        if drift > 0:
-            r = math.sqrt(n)
-            w = tuple(x / r for x in w)
-        return Ball(w, _checked=True)
+        terms = lambda: sum(product_scale(r, b.v) ** 2 for r in m.mat)
+        if n <= 0 or compare(n, 1, terms) != 0:
+            raise ValueError(f"map output drifted off the unit shell by {abs(n - 1)}")
+        r = math.sqrt(n)
+        w = tuple(x / r for x in w)
     return Ball(w, _checked=True)
 
 
@@ -320,9 +316,9 @@ def light_source(b: Ball) -> tuple:
 def ball_from_light_source(u: Sequence[Scalar]) -> Ball:
     """Ball whose boundary is the horizon of a light source u, |u| > 1."""
     u = tuple(u)
-    t = sum(x * x for x in u) - 1
-    if (isinstance(t, float) and t <= FLOAT_TOL) or scalar_sign(t) <= 0:
+    u2 = sum(x * x for x in u)
+    if compare(u2, 1) <= 0:
         raise ValueError("light source must lie strictly outside the unit sphere")
-    s = exact_sqrt(t)
+    s = exact_sqrt(u2 - 1)
     v = tuple(ratio(x, s) for x in u) + (ratio(1, s),)
     return Ball(v)

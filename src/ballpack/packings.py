@@ -13,21 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from . import linalg
-from .exactnum import approx, is_float_data, ratio, scalar_sign
+from .exactnum import approx, compare, is_float_data, ratio, scalar_sign
 from .lorentz import (
     Ball,
     DISJOINT,
-    EQUAL,
     EXTERNALLY_TANGENT,
-    FLOAT_TOL,
     MobiusMap,
     apply_map,
     ball_from_light_source,
     classify_pair,
     lorentz_product,
+    product_scale,
+    same_vector,
 )
 from .polytopes import Polytope, Solid, face_barycenter, polar_dual, regular_edge_scribed
 
@@ -98,13 +99,13 @@ def with_dual(a: BallArrangement) -> BallArrangement:
     return BallArrangement(a.balls, a.polytope, project(polar_dual(a.polytope)).balls)
 
 
-def first_overlap(balls, tol: float = FLOAT_TOL) -> Optional[tuple]:
+def first_overlap(balls) -> Optional[tuple]:
     """The first pair of balls, i < j in row-major order, that is neither
     externally tangent nor disjoint, as (i, j, relation); None for a packing."""
     n = len(balls)
     for i in range(n):
         for j in range(i + 1, n):
-            c = classify_pair(balls[i], balls[j], tol)
+            c = classify_pair(balls[i], balls[j])
             if c not in (EXTERNALLY_TANGENT, DISJOINT):
                 return i, j, c
     return None
@@ -217,7 +218,7 @@ def _reflection_swapping(x, t, d: int) -> Optional[MobiusMap]:
     """Lorentz reflection exchanging unit space-like vectors x and t, if sound."""
     n = tuple(a - b for a, b in zip(x, t))
     nn = lorentz_product(n, n)
-    if scalar_sign(nn) <= 0 or (is_float_data(n) and abs(nn) < 1e-12):
+    if compare(nn, 0, lambda: sum((abs(a) + abs(b)) ** 2 for a, b in zip(x, t))) <= 0:
         return None
     size = d + 2
     rows = []
@@ -231,29 +232,23 @@ def _reflection_swapping(x, t, d: int) -> Optional[MobiusMap]:
     return MobiusMap(rows, check=False)
 
 
-def _vec_close(u, v) -> bool:
-    if is_float_data(u) or is_float_data(v):
-        return all(abs(approx(x) - approx(y)) <= FLOAT_TOL for x, y in zip(u, v))
-    return tuple(u) == tuple(v)
-
-
 def _two_reflections(x_i, x_j, t_i, t_j, d: int) -> Optional[MobiusMap]:
     """Map with x_i -> t_i and x_j -> t_j, as at most two reflections."""
-    if _vec_close(x_i, t_i):
+    if same_vector(x_i, t_i):
         m1 = MobiusMap.identity(d)
     else:
         m1 = _reflection_swapping(x_i, t_i, d)
         if m1 is None:
             return None
     moved = linalg.mat_vec(m1.mat, x_j)
-    if _vec_close(moved, t_j):
+    if same_vector(moved, t_j):
         return m1
     m2 = _reflection_swapping(moved, t_j, d)
     if m2 is None:
         return None
     m = m2 @ m1
     # the second reflection fixes t_i when <moved - t_j, t_i> = 0; verify
-    if not _vec_close(linalg.mat_vec(m.mat, x_i), t_i):
+    if not same_vector(linalg.mat_vec(m.mat, x_i), t_i):
         return None
     return m
 
@@ -326,33 +321,22 @@ def standard_form(a: BallArrangement, i: int, j: int):
 # -- Mobius equivalence and spectra ---------------------------------------------
 
 
-def _gram_rank(g) -> int:
-    if any(is_float_data(row) for row in g):
-        import numpy as np
-
-        return int(np.linalg.matrix_rank(np.array([[approx(x) for x in r] for r in g]), tol=1e-8))
-    return linalg.rank(g)
-
-
 def mobius_equivalent(a: BallArrangement, a2: BallArrangement) -> bool:
     """Gram-matrix test under the given orderings (packings of maximal rank)."""
     if len(a.balls) != len(a2.balls) or a.dimension != a2.dimension:
         return False
     if not (is_packing(a) and is_packing(a2)):
         raise ValueError("Gram comparison needs packings")
+    if any(is_float_data(b.v) for b in a.balls + a2.balls):
+        a, a2 = a.approx(), a2.approx()
     d = a.dimension
     g1, g2 = gram(a), gram(a2)
-    if _gram_rank(g1) != d + 2 or _gram_rank(g2) != d + 2:
+    if linalg.rank(g1) != d + 2 or linalg.rank(g2) != d + 2:
         raise ValueError("Gram comparison needs maximal rank d+2")
-    floaty = any(is_float_data(r) for r in g1) or any(is_float_data(r) for r in g2)
-    for r1, r2 in zip(g1, g2):
-        for x, y in zip(r1, r2):
-            if floaty:
-                if abs(approx(x) - approx(y)) > FLOAT_TOL:
-                    return False
-            elif x != y:
-                return False
-    return True
+    u, v = [b.v for b in a.balls], [b.v for b in a2.balls]
+    size = lambda i, j: max(product_scale(u[i], u[j]), product_scale(v[i], v[j]))
+    pairs = product(range(len(u)), repeat=2)
+    return all(compare(g1[i][j], g2[i][j], lambda: size(i, j)) == 0 for i, j in pairs)
 
 
 def mobius_spectra(s: Solid) -> tuple:

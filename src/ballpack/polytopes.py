@@ -15,16 +15,14 @@ along the dual solid's directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactnum import (
     QuadScalar,
-    approx,
-    exact_sqrt,
-    is_float_data,
+    compare,
     phi,
     ratio,
     sqrt_int,
@@ -414,10 +412,7 @@ def _min_distance_edges(verts) -> tuple:
         diff = [x - y for x, y in zip(verts[i], verts[j])]
         d2[(i, j)] = sum(x * x for x in diff)
     lo = min(d2.values())
-    if is_float_data(d2.values()):
-        pairs = [ij for ij, v in d2.items() if v < lo * (1 + 1e-9)]
-    else:
-        pairs = [ij for ij, v in d2.items() if v == lo]
+    pairs = [ij for ij, v in d2.items() if compare(v, lo, lambda: lo) == 0]
     return _sorted_faces(frozenset(ij) for ij in pairs)
 
 
@@ -427,11 +422,8 @@ def _supported_faces(verts, directions) -> tuple:
     for w in directions:
         dots = [sum(x * y for x, y in zip(v, w)) for v in verts]
         m = max(dots)
-        if is_float_data(dots):
-            members = [i for i, t in enumerate(dots) if t > m - 1e-9]
-        else:
-            members = [i for i, t in enumerate(dots) if t == m]
-        fs.append(frozenset(members))
+        scale = lambda: max(sum(abs(x * y) for x, y in zip(v, w)) for v in verts)
+        fs.append(frozenset(i for i, t in enumerate(dots) if compare(t, m, scale) == 0))
     return _sorted_faces(fs)
 
 
@@ -582,13 +574,13 @@ def polar_dual(p: Polytope) -> Polytope:
         chosen: list = []
         for r in rows:
             trial = chosen + [r]
-            if linalg.rank(linalg.mat(trial), is_zero=_near_zero) == len(trial):
+            if linalg.rank(linalg.mat(trial)) == len(trial):
                 chosen = trial
             if len(chosen) == n:
                 break
         if len(chosen) < n:
             raise ValueError("facet does not span; origin may not be interior")
-        v = linalg.solve(linalg.mat(chosen), tuple([1] * n), is_zero=_near_zero)
+        v = linalg.solve(linalg.mat(chosen), tuple([1] * n))
         dual_verts.append(tuple(v))
     lattice: dict = {}
     for kk in range(d + 1):
@@ -600,9 +592,3 @@ def polar_dual(p: Polytope) -> Polytope:
         lattice[kk] = _sorted_faces(fs)
     dual_family = None if p.family is None else dual_solid(p.family)
     return Polytope(tuple(dual_verts), lattice, family=dual_family)
-
-
-def _near_zero(x) -> bool:
-    if isinstance(x, float):
-        return abs(x) < 1e-12
-    return not x

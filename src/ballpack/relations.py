@@ -20,14 +20,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .exactnum import (
     RING_Z,
     RING_Z_PHI,
     QuadScalar,
     approx,
+    compare,
     exact_sqrt,
     is_float_data,
     is_ring_integer,
@@ -131,12 +130,6 @@ def gram_curvature_identity(vectors):
     vs = [v.v if isinstance(v, Ball) else tuple(v) for v in vectors]
     ks = [curvature(v) for v in vs]
     g = [[lorentz_product(u, w) for w in vs] for u in vs]
-    if is_float_data(ks) or is_float_data([x for row in g for x in row]):
-        try:
-            sol = np.linalg.solve(np.array(g, dtype=float), np.array(ks, dtype=float))
-        except np.linalg.LinAlgError:
-            raise ValueError("gram matrix is singular") from None
-        return float(np.dot(ks, sol))
     sol = linalg.solve(tuple(tuple(r) for r in g), tuple(ks))
     return sum(k * x for k, x in zip(ks, sol))
 
@@ -168,8 +161,7 @@ def simplex_flag_residual(kappas):
     for i in range(d + 1):
         diff = ks[i] - ks[i + 1]
         rhs = rhs + math.comb(i + 2, 2) * diff * diff
-    scale = ratio(d, d + 2) if not is_float_data(ks) else d / (d + 2)
-    return ks[-1] * ks[-1] - scale * rhs
+    return ks[-1] * ks[-1] - ratio(d, d + 2) * rhs
 
 
 def cube_flag_residual(kappas):
@@ -286,14 +278,7 @@ def solve_next_polyhedron(p: int, q: int, triple):
     c2p = _cos2(p, exact)
     c2q = _cos2(q, exact)
     disc = (1 - 4 * c2p) * k_mid * k_mid + k_mid * k_next + k_mid * k_prev + k_next * k_prev
-    if exact:
-        if scalar_sign(disc) < 0:
-            raise ValueError("negative discriminant: not packing data")
-        rad = exact_sqrt(c2q * disc)
-    else:
-        if disc < -1e-9:
-            raise ValueError("negative discriminant: not packing data")
-        rad = math.sqrt(c2q * max(disc, 0.0))
+    rad = _any_sqrt(c2q * disc, triple)
     base = (1 - 2 * c2p) * k_mid + ratio(k_next + k_prev, 2)
     den = 2 * (1 - c2q - c2p)
     return (ratio(base + rad, den), ratio(base - rad, den))
@@ -306,7 +291,7 @@ def octahedral_next(triple):
     """k1+k2+k3 +- sqrt(2(k1k2+k1k3+k2k3)): the two octahedra over a triangle."""
     k1, k2, k3 = triple
     disc = 2 * (k1 * k2 + k1 * k3 + k2 * k3)
-    rad = _any_sqrt(disc)
+    rad = _any_sqrt(disc, triple)
     s = k1 + k2 + k3
     return (s + rad, s - rad)
 
@@ -315,7 +300,7 @@ def cubical_next(triple):
     """Two cubes over a square face, from three consecutive vertex curvatures."""
     k_prev, k_mid, k_next = triple
     disc = -k_mid * k_mid + k_mid * k_next + k_mid * k_prev + k_next * k_prev
-    rad = _any_sqrt(disc)
+    rad = _any_sqrt(disc, triple)
     return (k_prev + k_next + rad, k_prev + k_next - rad)
 
 
@@ -325,7 +310,7 @@ def icosahedral_next(triple):
     exact = not is_float_data(triple)
     phi1 = PHI if exact else approx(PHI)
     disc = k1 * k2 + k1 * k3 + k2 * k3
-    rad = _any_sqrt(disc)
+    rad = _any_sqrt(disc, triple)
     s = phi1 * phi1 * (k1 + k2 + k3)
     return (s + phi1 ** 3 * rad, s - phi1 ** 3 * rad)
 
@@ -336,7 +321,7 @@ def dodecahedral_next(triple):
     exact = not is_float_data(triple)
     phi1 = PHI if exact else approx(PHI)
     disc = -phi1 * k_mid * k_mid + k_mid * k_next + k_mid * k_prev + k_next * k_prev
-    rad = _any_sqrt(disc)
+    rad = _any_sqrt(disc, triple)
     base = -phi1 * k_mid
     return (
         base + phi1 * phi1 * (k_next + k_prev + rad),
@@ -393,15 +378,13 @@ def solid_recurrences(s: Solid, relation: str, values):
     return _RECURRENCES[key](tuple(values))
 
 
-def _any_sqrt(disc):
-    """Square root of a discriminant: float or exact; refuses negatives."""
-    if isinstance(disc, float):
-        if disc < -1e-9:
-            raise ValueError("negative discriminant: not packing data")
-        return math.sqrt(max(disc, 0.0))
-    if scalar_sign(disc) < 0:
+def _any_sqrt(disc, ks):
+    """Square root of a discriminant quadratic in the curvatures ks: float or
+    exact; refuses negatives.  (sum |k|)^2 bounds its terms' size."""
+    s = compare(disc, 0, lambda: sum(abs(k) for k in ks) ** 2)
+    if s < 0:
         raise ValueError("negative discriminant: not packing data")
-    return exact_sqrt(disc)
+    return exact_sqrt(disc if s > 0 else 0 * disc)  # a double root within rounding
 
 
 # -- integrality certificates -------------------------------------------------------

@@ -528,6 +528,35 @@ def test_cluster_float_mode():
         c.curvatures_in_ring(RING_Z)
 
 
+# float curvature error relative to max(1, |exact|) at depth 3: measured at
+# most 1e-10, except 2.6e-6 on the icosahedron, whose generator entries
+# reach 3.4e5
+FLOAT_CURVATURE_REL = {"icosahedron": 1e-5}
+
+
+@pytest.mark.parametrize("case", README_SEEDS)
+def test_float_cluster_matches_the_exact_one(case):
+    solid, triple = README_SEEDS[case]
+    clusters = []
+    for exact in (True, False):
+        seed = packing_from_curvatures(solid, triple, exact=exact)
+        clusters.append(generate_cluster(seed, apollonian_group_from_packing(seed), 3))
+    ex, fl = clusters
+    assert fl._store.mode == "float"
+    # the same number of balls at every depth 0..3
+    assert fl._store.offsets == ex._store.offsets and len(ex._store.offsets) == 5
+    bound = FLOAT_CURVATURE_REL.get(case, 1e-9)
+    for k_ex, k_fl in zip(sorted(map(approx, ex.curvatures())), sorted(fl.curvatures())):
+        assert abs(k_fl - k_ex) <= bound * max(1.0, abs(k_ex))
+
+
+def test_float_seed_discriminant_is_judged_by_its_own_rounding():
+    # qa = 4, qb ~ 0 and qc = 324 carry terms near 1e8 (y0 and yn are large),
+    # but disc = -5184 is far outside the rounding those terms leave in it
+    with pytest.raises(ValueError, match="not realizable"):
+        packing_from_curvatures(TETRAHEDRON, (18.0, -18.0, 7348.396471738055), exact=False)
+
+
 def test_cluster_validation():
     gens = platonic_generators(TETRAHEDRON)
     ag = apollonian_group_from_packing(gens.seed)
@@ -669,3 +698,11 @@ def test_cluster_generators_and_level_minima_stay_positive(solid, triple, depth)
     # level never decreases
     for a, b in zip(mins, mins[1:]):
         assert a <= b
+
+
+def test_float_seed_quadratic_keeps_its_double_root():
+    from ballpack.apollonian import _quadratic_roots
+
+    # disc = -4e-13 is rounding: one double root, not a split pair
+    assert _quadratic_roots(1.0, 2.0, 1.0 + 1e-13, lambda: 4.0) == [-1.0, -1.0]
+    assert _quadratic_roots(1, 2, 1, None) == [-1, -1]

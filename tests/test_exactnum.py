@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ballpack.exactnum import (
+    FLOAT_REL,
     RING_Z,
     RING_Z_PHI,
     RING_Z_SQRT2,
     QuadScalar,
     approx,
+    compare,
     is_ring_integer,
     phi,
     sqrt_if_expressible,
     sqrt_int,
+    sqrt_rational,
 )
 
 SQRT2 = sqrt_int(2)
@@ -142,3 +145,32 @@ def test_sign_consistent_with_float(x, y):
     fd = approx(x) - approx(y)
     if abs(fd) > 1e-9:
         assert d == (1 if fd > 0 else -1)
+
+
+def test_sqrt_int_and_sqrt_rational_take_out_the_square_part():
+    assert sqrt_int(12) == 2 * sqrt_int(3)
+    assert sqrt_int(9) == 3 and sqrt_int(0) == 0
+    assert sqrt_rational(Fraction(8, 3)) == QuadScalar(0, Fraction(2, 3), 6)
+    with pytest.raises(ValueError, match="square-free"):
+        QuadScalar(1, 1, 12)
+
+
+def _no_scale():
+    raise AssertionError("the exact path must compute no scale")
+
+
+def test_compare_is_exact_on_exact_values():
+    tiny = Fraction(1, 10**30)
+    assert compare(1 + tiny, 1, _no_scale) == 1
+    assert compare(QuadScalar(-1, tiny, 2), -1, _no_scale) == 1
+    assert compare(SQRT2 * SQRT2, 2, _no_scale) == 0
+    assert compare(Fraction(-1, 3), 0, _no_scale) == -1
+
+
+def test_compare_scales_the_float_tolerance_with_the_terms():
+    assert compare(1.0 + 0.5 * FLOAT_REL, 1) == 0
+    assert compare(1.0 + 2 * FLOAT_REL, 1) == 1
+    assert compare(-1.0 - 2 * FLOAT_REL, -1) == -1
+    # the same absolute error is rounding when the terms were 1e6 in size
+    assert compare(1.0 + 2 * FLOAT_REL, 1, lambda: 1e6) == 0
+    assert compare(1.0 + 1e-3, 1, lambda: 1e6) == 1

@@ -226,3 +226,56 @@ def test_exact_sqrt_field_extension():
     b = ball_from_light_source((half, half, Fraction(1, 1)))
     assert lorentz_product(b.v, b.v) == 1
     assert isinstance(b.v[-1], QuadScalar) and b.v[-1].m == 2
+
+
+def _disks_at_curvature(k, gap):
+    """A disk of curvature k and a second one whose center is gap/k away."""
+    c = (Fraction(1, 3), Fraction(1, 7))
+    a = ball_from_geometry(2, center=c, curvature=k)
+    return a, ball_from_geometry(2, center=(c[0] + Fraction(gap, k), c[1]), curvature=k)
+
+
+@pytest.mark.parametrize("k", [10**4, 3 * 10**4])
+def test_float_tangency_tolerance_scales_with_the_coordinates(k):
+    # the float Lorentz product's terms are about k^2 / 2, so p + 1 rounds to
+    # 4e-9 (k = 1e4) or -6e-8 (k = 3e4); an absolute tolerance of 1e-9
+    # called these tangent pairs overlapping and disjoint
+    a, b = _disks_at_curvature(k, 2)
+    assert classify_pair(a, b) == "externally_tangent"
+    assert lorentz_product(a.approx().v, b.approx().v) != -1
+    assert classify_pair(a.approx(), b.approx()) == "externally_tangent"
+    a, o = _disks_at_curvature(k, 1)
+    assert classify_pair(a.approx(), o.approx()) == "overlapping"
+
+
+def test_float_pairs_too_large_to_classify_are_refused():
+    # at curvature 1e7 the window FLOAT_REL * sum |x_i y_i| is about 6e3,
+    # wider than the gaps between -1, 0 and 1: no float answer is sound
+    a, b = _disks_at_curvature(10**7, 2)
+    a, o = _disks_at_curvature(10**7, 1)
+    assert classify_pair(a.approx(), a.approx()) == "equal"
+    for other in (b, o):
+        with pytest.raises(ValueError, match="too large to classify"):
+            classify_pair(a.approx(), other.approx())
+    assert classify_pair(a, o) == "overlapping"
+
+
+def test_float_checks_keep_their_teeth_at_unit_scale():
+    with pytest.raises(ValueError, match="norm"):
+        Ball((0.0, math.sqrt(1.001), 0.0, 0.0))
+    assert Ball((0.0, 1.0 + 1e-12, 0.0, 0.0)).v[1] > 1
+    # a unit disk centered at distance sqrt(4.002): p = -1.001 with UNIT_DISK
+    far = ball_from_geometry(2, center=(math.sqrt(4.002), 0.0), curvature=1.0)
+    assert lorentz_product(far.v, UNIT_DISK.v) == pytest.approx(-1.001)
+    assert classify_pair(UNIT_DISK.approx(), far) == "disjoint"
+    assert classify_pair(UNIT_DISK.approx(), UNIT_DISK.approx()) == "equal"
+
+
+def test_float_elimination_scales_its_zero_test_with_the_entries():
+    # the second row is sqrt(2) times the first; with entries near 1e6 the
+    # elimination leaves a residue above 1e-10, which a unit-scale zero test
+    # counted as a second pivot
+    x = (123456.7, 765432.1, 333333.3)
+    assert linalg.rank((x, tuple(v * math.sqrt(2) for v in x))) == 1
+    bent = tuple(v * math.sqrt(2) for v in x[:2]) + (x[2] * math.sqrt(2) + 1e-3,)
+    assert linalg.rank((x, bent)) == 2

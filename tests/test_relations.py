@@ -593,3 +593,10 @@ def test_integrality_rejects_floats_and_other_solids():
 def test_relative_residual():
     assert rel.relative_residual(Fraction(1, 100), 0) == 0.01
     assert rel.relative_residual(1.0, 200.0) == 0.005
+
+
+def test_float_discriminant_within_rounding_is_a_double_root():
+    assert rel._any_sqrt(-1e-12, (1.0, 2.0, 3.0)) == 0.0
+    assert rel._any_sqrt(4.0, (1.0, 2.0, 3.0)) == 2.0
+    with pytest.raises(ValueError, match="negative discriminant"):
+        rel._any_sqrt(-1e-6, (1.0, 2.0, 3.0))

@@ -515,6 +515,67 @@ def test_cli_verify_checks_every_ball_norm_beyond_the_sampled_windows(tmp_path):
     assert main(["verify", "--in", str(path), "--checks", "descartes,soddy"]) == 2
 
 
+README_CLI_SEEDS = (
+    ("tetrahedron", "-3,5,8"),
+    ("octahedron", "-2,4,5"),
+    ("cube", "5,-3,12"),
+    ("icosahedron", "-4,8,9"),
+    ("dodecahedron", "1+phi,-1,2phi"),
+)
+
+
+@pytest.mark.parametrize("solid,initial", README_CLI_SEEDS)
+def test_cli_float_cluster_round_trips_through_verify(solid, initial, tmp_path):
+    path = tmp_path / "f.json"
+    argv = ["cluster", "--solid", solid, f"--initial={initial}", "--mode", "float"]
+    assert main(argv + ["--depth", "1", "--out", str(path)]) == 0
+    assert main(["verify", "--in", str(path)]) == 0
+    assert main(argv + ["--depth", "2", "--out", str(path)]) == 0
+    assert main(["verify", "--in", str(path), "--checks", "descartes,soddy"]) == 0
+
+
+@pytest.mark.parametrize(
+    "solid,initial,codes",
+    [
+        # float rounding of a seed grows with its curvatures
+        ("tetrahedron", "5516.752999199303,-2.505939589967195,16", (0,)),
+        # ill-conditioned: the seed drifts by about 3.6e-7 of its curvature
+        ("dodecahedron", "-23,2674.385223998608,7894.719427611508", (0, 2)),
+    ],
+)
+def test_cli_float_seeds_with_large_curvatures_exit_cleanly(solid, initial, codes, tmp_path):
+    argv = ["cluster", "--solid", solid, f"--initial={initial}", "--mode", "float"]
+    assert main(argv + ["--depth", "1", "--out", str(tmp_path / "s.json")]) in codes
+
+
+@pytest.mark.parametrize(
+    "check,line",
+    [
+        ("descartes", "descartes: ok (115 windows, max relative residual 0, first 200 of 485 windows)"),
+        ("soddy", "soddy: ok (45 tangent tuples, max relative residual 0, among the first 48 of 488 balls)"),
+    ],
+    ids=["descartes", "soddy"],
+)
+def test_cli_verify_says_what_it_sampled(check, line, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", "--initial=-3,5,8", "--depth", "5"]
+    assert main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--checks", check]) == 0
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_cli_verify_adds_no_sampling_note_when_it_saw_everything(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    assert main(["project", "--solid", "tetrahedron", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--checks", "descartes,soddy"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "descartes: ok (1 windows, max relative residual 0)",
+        "soddy: ok (1 tangent tuples, max relative residual 0)",
+    ]
+
+
 def test_cli_verify_rejects_inapplicable_or_unknown_checks(tmp_path):
     doc = tmp_path / "c.json"
     main(
