@@ -44,6 +44,7 @@ from .lorentz import (
     MobiusMap,
     apply_map,
     ball_from_geometry,
+    geometry_from_ball,
     inversion_map,
     lorentz_product,
     product_scale,
@@ -223,7 +224,7 @@ def _normalized_triangular_packing(q: int) -> BallArrangement:
     face = next(f for f in poly.faces(2) if {i, j} <= f)
     (w,) = sorted(face - {i, j})
     b = arr.balls[w]
-    cx = ratio(b.v[0], b.curvature)
+    cx = geometry_from_ball(b).center[0]
     if scalar_sign(cx) != 0:
         arr = arr.transformed(_translation_map((-cx, 0), 2))
     mirror = _mirror_x(-_COS_DOUBLE[q])
@@ -606,10 +607,9 @@ class Cluster:
             kb = lv["B"][:, -1] - lv["B"][:, -2]
             num, den = lv["num"], lv["den"]
             big = 4 * int(abs(ka).max(initial=0) + abs(kb).max(initial=0) + 1)
-            if big * int(num.max(initial=1)) >= 2**63:
-                rows = zip(ka.tolist(), kb.tolist(), num.tolist(), den.tolist())
-                ok = _ring_rows_ok(rows, ring, st.m)
-            elif ring == RING_Z_SQRT2 and st.m == 2:
+            if big * int(num.max(initial=1)) >= 2**63:  # int64 products could overflow
+                ka, kb, num, den = (a.astype(object, copy=False) for a in (ka, kb, num, den))
+            if ring == RING_Z_SQRT2 and st.m == 2:
                 ok = bool(
                     ((ka * num) % den == 0).all() and ((kb * num) % den == 0).all()
                 )
@@ -623,21 +623,6 @@ class Cluster:
             if not ok:
                 return False
         return True
-
-
-def _ring_rows_ok(rows, ring: str, m: int) -> bool:
-    from .exactnum import RING_Z_PHI, RING_Z_SQRT2
-
-    if ring == RING_Z_SQRT2 and m == 2:
-        return all(
-            (ka * num) % den == 0 and (kb * num) % den == 0 for ka, kb, num, den in rows
-        )
-    if ring == RING_Z_PHI and m == 5:
-        return all(
-            (2 * kb * num) % den == 0 and ((ka - kb) * num) % den == 0
-            for ka, kb, num, den in rows
-        )
-    return all(kb == 0 and (ka * num) % den == 0 for ka, kb, num, den in rows)
 
 
 def _exact_parts(x):
@@ -781,30 +766,13 @@ def _exact_cluster(seed: BallArrangement, mats, depth: int, dtype=None) -> _Stor
     m = 0
     seed_rows = []
     for b in seed.balls:
-        parts = []
-        den = 1
-        for x in b.v:
-            a, bb, mm = _exact_parts(x)
-            m = _merge_modulus(m, mm)
-            den = _lcm(den, _lcm(a.denominator, bb.denominator))
-            parts.append((a, bb))
-        flat = tuple(int(a * den) for a, _ in parts) + tuple(
-            int(bb * den) for _, bb in parts
-        )
+        pairs, den, m = _integer_pairs(b.v, m)
+        flat = tuple(a for a, _ in pairs) + tuple(bb for _, bb in pairs)
         seed_rows.append(_reduce_row(flat, 1, den))
     mats_int, den_gens = [], []
     for mt in mats:
-        rows_p = []
-        dg = 1
-        for r in mt:
-            row = []
-            for x in r:
-                a, bb, mm = _exact_parts(x)
-                m = _merge_modulus(m, mm)
-                dg = _lcm(dg, _lcm(a.denominator, bb.denominator))
-                row.append((a, bb))
-            rows_p.append(row)
-        mats_int.append([[(int(a * dg), int(bb * dg)) for a, bb in row] for row in rows_p])
+        pairs, dg, m = _integer_pairs([x for r in mt for x in r], m)
+        mats_int.append([pairs[i : i + nb] for i in range(0, len(pairs), nb)])
         den_gens.append(dg)
 
     # worst growth of any coordinate across one application of any generator
@@ -821,6 +789,18 @@ def _exact_cluster(seed: BallArrangement, mats, depth: int, dtype=None) -> _Stor
         except (_NeedsBigInts, OverflowError):
             dtype = object
     return _exact_rows(*args, dtype)
+
+
+def _integer_pairs(xs, m: int):
+    """Exact scalars a + b sqrt m as integer pairs over one common
+    denominator: (pairs, den, m), with the field modulus m merged in."""
+    parts, den = [], 1
+    for x in xs:
+        a, b, mx = _exact_parts(x)
+        m = _merge_modulus(m, mx)
+        den = _lcm(den, _lcm(a.denominator, b.denominator))
+        parts.append((a, b))
+    return [(int(a * den), int(b * den)) for a, b in parts], den, m
 
 
 def _merge_modulus(m1: int, m2: int) -> int:

@@ -63,6 +63,8 @@ from .svgout import RenderSpec, render_svg
 CENTER_RANKS = {"vertex": 0, "edge": 1, "face": 2}
 FLOAT_CHECK_TOL = 1e-9
 TANGENT_NODES = 48  # the soddy check looks for tangent tuples among this many balls
+TANGENT_TUPLES = 200  # ... and checks at most this many of them
+DESCARTES_WINDOWS = 200  # the descartes check looks at this many leading windows
 
 
 # -- curvature tokens ---------------------------------------------------------
@@ -281,12 +283,12 @@ def _residual_check(cases, unit: str, empty: str, sampled: str = ""):
     return True, f"{count} {unit}, max relative residual {worst:.3g}{note}"
 
 
-def _check_descartes(doc: PackingDocument, balls: list, budget: int = 200):
+def _check_descartes(doc: PackingDocument, balls: list):
     n = doc.dimension + 2
     total = max(len(balls) - n + 1, 0)
 
     def cases():
-        for i in range(min(total, budget)):
+        for i in range(min(total, DESCARTES_WINDOWS)):
             window = balls[i : i + n]
             # float solves on nearly dependent quadruples only amplify
             # roundoff, so they are skipped just like exactly singular ones
@@ -298,13 +300,13 @@ def _check_descartes(doc: PackingDocument, balls: list, budget: int = 200):
                 continue
             yield f"window at {i}", res, [b.curvature for b in window]
 
-    sampled = f"first {budget} of {total} windows" if total > budget else ""
+    sampled = f"first {DESCARTES_WINDOWS} of {total} windows" if total > DESCARTES_WINDOWS else ""
     return _residual_check(cases(), "windows", "no invertible windows", sampled)
 
 
-def _tangent_cliques(balls, size: int, clique_budget: int = 200):
-    """Deterministic batch of mutually tangent ``size``-tuples (by index)
-    among the first TANGENT_NODES balls."""
+def _tangent_cliques(balls, size: int):
+    """Deterministic batch of at most TANGENT_TUPLES mutually tangent
+    ``size``-tuples (by index) among the first TANGENT_NODES balls."""
     m = min(len(balls), TANGENT_NODES)
     adj = [[False] * m for _ in range(m)]
     for i in range(m):
@@ -315,7 +317,7 @@ def _tangent_cliques(balls, size: int, clique_budget: int = 200):
     out = []
 
     def grow(clique, start):
-        if len(out) >= clique_budget:
+        if len(out) >= TANGENT_TUPLES:
             return
         if len(clique) == size:
             out.append(tuple(clique))
@@ -323,7 +325,7 @@ def _tangent_cliques(balls, size: int, clique_budget: int = 200):
         for k in range(start, m):
             if all(adj[c][k] for c in clique):
                 grow(clique + [k], k + 1)
-                if len(out) >= clique_budget:
+                if len(out) >= TANGENT_TUPLES:
                     return
 
     grow([], 0)

@@ -2,11 +2,16 @@
 
 A document is a flat, diffable description of one arrangement: global
 metadata (dimension, numeric mode, solid tag, seed description) plus one
-entry per ball carrying its inversive coordinates, curvature, Euclidean
-geometry, and cluster provenance (depth, word, orbit).  Float documents
-store plain JSON numbers, which round-trip bit-exactly through the shortest
-decimal representation; exact documents store every scalar as a string
-"a/b" or "a/b+c/d√m" in lowest terms.
+entry per ball.  An entry is the ball's inversive coordinates and its
+cluster provenance (depth, word, orbit); the vector is the ball.  The
+writer adds its curvature and Euclidean geometry (``center``/``radius``, or
+a ``halfspace`` normal and offset) for readers of the file.  The loader
+requires those fields to be present and well-formed but never reads their
+values: every consumer derives them from ``inversive`` through
+:func:`lorentz.geometry_from_ball`.  Float documents store plain JSON
+numbers, which round-trip bit-exactly through the shortest decimal
+representation; exact documents store every scalar as a string "a/b" or
+"a/b+c/d√m" in lowest terms.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import QuadScalar, is_float_data
-from .lorentz import Ball, geometry_from_ball
+from . import lorentz
+from .lorentz import Ball, BallGeometry, geometry_from_ball
 
 RADICAL = "√"
 
@@ -49,13 +55,18 @@ _SCALAR_RE = re.compile(
 )
 
 
-def scalar_from_text(s: str):
-    """Inverse of scalar_to_text; returns a Fraction or a QuadScalar."""
+def _scalar_match(s: str):
     mt = _SCALAR_RE.match(s)
     if not mt:
         raise ValueError(f"malformed exact scalar {s!r}")
     if mt["ad"] == "0" or mt["bd"] == "0":
         raise ValueError(f"zero denominator in {s!r}")
+    return mt
+
+
+def scalar_from_text(s: str):
+    """Inverse of scalar_to_text; returns a Fraction or a QuadScalar."""
+    mt = _scalar_match(s)
     a = Fraction(int(mt["an"]), int(mt["ad"] or 1))
     if mt["m"] is None:
         return a
@@ -71,32 +82,42 @@ def _dump_scalar(x, floaty: bool):
     return scalar_to_text(x)
 
 
-def _load_scalar(x, floaty: bool):
+def _load_scalar(x, floaty: bool, read: bool = True):
+    """The value of a stored scalar; with ``read=False`` it is only checked
+    to be well-formed."""
     if floaty:
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ValueError(f"float document holds a non-number {x!r}")
         return float(x)
     if not isinstance(x, str):
         raise ValueError(f"exact document holds a non-string scalar {x!r}")
-    return scalar_from_text(x)
+    return scalar_from_text(x) if read else _scalar_match(x)
 
 
 @dataclass(frozen=True)
 class DocumentEntry:
-    """One ball of a document with its geometry and cluster provenance."""
+    """One ball of a document: its inversive vector and cluster provenance.
+
+    The vector is the ball; its curvature and Euclidean geometry are
+    derived from it on demand.
+    """
 
     inversive: tuple
-    curvature: object
     depth: int = 0
     word: tuple = ()
     orbit: int = 0
-    center: Optional[tuple] = None
-    radius: object = None
-    halfspace: Optional[dict] = None
 
     @property
     def ball(self) -> Ball:
         return Ball(self.inversive)
+
+    @property
+    def curvature(self):
+        return lorentz.curvature(self.inversive)
+
+    @property
+    def geometry(self) -> BallGeometry:
+        return geometry_from_ball(Ball(self.inversive, _checked=True))
 
 
 @dataclass(frozen=True)
@@ -129,71 +150,45 @@ def _mode_of(values) -> str:
     return f"Q({RADICAL}{m})" if m else "Q"
 
 
-def _entry_from_ball(b: Ball, depth: int, word: tuple, orbit: int) -> DocumentEntry:
-    geo = geometry_from_ball(b)
-    if geo.kind == "halfspace":
-        return DocumentEntry(
-            inversive=tuple(b.v),
-            curvature=b.curvature,
-            depth=depth,
-            word=tuple(word),
-            orbit=orbit,
-            halfspace={"normal": tuple(geo.normal), "offset": geo.offset},
-        )
-    return DocumentEntry(
-        inversive=tuple(b.v),
-        curvature=b.curvature,
-        depth=depth,
-        word=tuple(word),
-        orbit=orbit,
-        center=tuple(geo.center),
-        radius=geo.radius,
+def _document(dimension: int, rows, solid, seed) -> PackingDocument:
+    """The document of (ball, depth, word, orbit) rows, one entry per row."""
+    entries = tuple(
+        DocumentEntry(tuple(b.v), depth, tuple(word), orbit)
+        for b, depth, word, orbit in rows
+    )
+    return PackingDocument(
+        dimension=dimension,
+        mode=_mode_of([x for e in entries for x in e.inversive]),
+        solid=solid,
+        seed=dict(seed or {}),
+        entries=entries,
     )
 
 
 def document_from_arrangement(arr, *, solid=None, seed=None) -> PackingDocument:
     """Depth-0 document of an arrangement, one entry per ball in order."""
-    entries = tuple(
-        _entry_from_ball(b, 0, (), i) for i, b in enumerate(arr.balls)
-    )
-    scalars = [x for e in entries for x in e.inversive]
-    return PackingDocument(
-        dimension=arr.dimension,
-        mode=_mode_of(scalars),
-        solid=solid,
-        seed=dict(seed or {}),
-        entries=entries,
-    )
+    rows = ((b, 0, (), i) for i, b in enumerate(arr.balls))
+    return _document(arr.dimension, rows, solid, seed)
 
 
 def document_from_cluster(cluster, *, solid=None, seed=None) -> PackingDocument:
     """Document of a cluster in its deterministic entry order."""
-    entries = tuple(
-        _entry_from_ball(e.ball, e.depth, e.word, e.orbit) for e in cluster
-    )
-    scalars = [x for e in entries for x in e.inversive]
-    return PackingDocument(
-        dimension=cluster.seed.dimension,
-        mode=_mode_of(scalars),
-        solid=solid,
-        seed=dict(seed or {}),
-        entries=entries,
-    )
+    rows = ((e.ball, e.depth, e.word, e.orbit) for e in cluster)
+    return _document(cluster.seed.dimension, rows, solid, seed)
 
 
 def _entry_dict(e: DocumentEntry, floaty: bool) -> dict:
-    out = {
-        "inversive": [_dump_scalar(x, floaty) for x in e.inversive],
-        "curvature": _dump_scalar(e.curvature, floaty),
-    }
-    if e.halfspace is not None:
+    dump = lambda xs: [_dump_scalar(x, floaty) for x in xs]
+    geo = e.geometry
+    out = {"inversive": dump(e.inversive), "curvature": _dump_scalar(e.curvature, floaty)}
+    if geo.kind == "halfspace":
         out["halfspace"] = {
-            "normal": [_dump_scalar(x, floaty) for x in e.halfspace["normal"]],
-            "offset": _dump_scalar(e.halfspace["offset"], floaty),
+            "normal": dump(geo.normal),
+            "offset": _dump_scalar(geo.offset, floaty),
         }
     else:
-        out["center"] = [_dump_scalar(x, floaty) for x in e.center]
-        out["radius"] = _dump_scalar(e.radius, floaty)
+        out["center"] = dump(geo.center)
+        out["radius"] = _dump_scalar(geo.radius, floaty)
     out["depth"] = e.depth
     out["word"] = list(e.word)
     out["orbit"] = e.orbit
@@ -212,28 +207,28 @@ def to_json(doc: PackingDocument) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
-def _entry_from_dict(raw: dict, floaty: bool) -> DocumentEntry:
-    inversive = tuple(_load_scalar(x, floaty) for x in raw["inversive"])
-    curvature = _load_scalar(raw["curvature"], floaty)
-    center = radius = halfspace = None
+def _typed(x, kind: type, what: str):
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} is not a JSON {'list' if kind is list else 'object'}")
+    return x
+
+
+def _entry_from_dict(raw, floaty: bool) -> DocumentEntry:
+    _typed(raw, dict, "entry")
     if "halfspace" in raw:
-        hs = raw["halfspace"]
-        halfspace = {
-            "normal": tuple(_load_scalar(x, floaty) for x in hs["normal"]),
-            "offset": _load_scalar(hs["offset"], floaty),
-        }
+        hs = _typed(raw["halfspace"], dict, "'halfspace'")
+        derived = [*_typed(hs["normal"], list, "'normal'"), hs["offset"]]
     else:
-        center = tuple(_load_scalar(x, floaty) for x in raw["center"])
-        radius = _load_scalar(raw["radius"], floaty)
+        derived = [*_typed(raw["center"], list, "'center'"), raw["radius"]]
+    for x in (raw["curvature"], *derived):
+        _load_scalar(x, floaty, read=False)  # written for readers, never read
     return DocumentEntry(
-        inversive=inversive,
-        curvature=curvature,
+        inversive=tuple(
+            _load_scalar(x, floaty) for x in _typed(raw["inversive"], list, "'inversive'")
+        ),
         depth=int(raw.get("depth", 0)),
         word=tuple(raw.get("word", ())),
         orbit=int(raw.get("orbit", 0)),
-        center=center,
-        radius=radius,
-        halfspace=halfspace,
     )
 
 
@@ -242,12 +237,14 @@ def from_json(text: str) -> PackingDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"not a JSON document: {err}")
+    _typed(payload, dict, "document")
     for key in ("dimension", "mode", "entries"):
         if key not in payload:
             raise ValueError(f"document is missing {key!r}")
     mode = payload["mode"]
     floaty = mode == MODE_FLOAT
-    entries = tuple(_entry_from_dict(raw, floaty) for raw in payload["entries"])
+    raw_entries = _typed(payload["entries"], list, "'entries'")
+    entries = tuple(_entry_from_dict(raw, floaty) for raw in raw_entries)
     doc = PackingDocument(
         dimension=int(payload["dimension"]),
         mode=mode,

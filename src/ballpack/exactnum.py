@@ -151,9 +151,10 @@ class QuadScalar:
         m = self._join(o)
         if o.b == 0:
             return QuadScalar(self.a / o.a, self.b / o.a, m)
-        norm = o.a * o.a - o.b * o.b * m
-        num = self * o.conjugate()
-        return QuadScalar(num.a / norm, num.b / norm, m)
+        # (a + b sqrt m) / (c + d sqrt m) = ((ac - bdm) + (bc - ad) sqrt m) / (c^2 - d^2 m)
+        a, b, c, d = self.a, self.b, o.a, o.b
+        norm = c * c - d * d * m
+        return QuadScalar((a * c - b * d * m) / norm, (b * c - a * d) / norm, m)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -26,6 +26,7 @@ from .lorentz import (
     apply_map,
     ball_from_light_source,
     classify_pair,
+    geometry_from_ball,
     lorentz_product,
     product_scale,
     same_vector,
@@ -306,12 +307,10 @@ def standard_form(a: BallArrangement, i: int, j: int):
     for k in range(len(a.balls)):
         if k in (i, j):
             continue
-        b = apply_map(m, a.balls[k])
-        kap = b.curvature
-        if scalar_sign(kap) == 0:
+        geo = geometry_from_ball(apply_map(m, a.balls[k]))
+        if geo.kind == "halfspace":
             continue
-        center = tuple(ratio(x, kap) for x in b.v[:d])
-        shift = tuple(-x for x in center[: d - 1]) + (0,)
+        shift = tuple(-x for x in geo.center[: d - 1]) + (0,)
         break
     if shift is not None and any(scalar_sign(x) != 0 for x in shift):
         m = _translation_map(shift, d) @ m
@@ -339,6 +338,9 @@ def mobius_equivalent(a: BallArrangement, a2: BallArrangement) -> bool:
     return all(compare(g1[i][j], g2[i][j], lambda: size(i, j)) == 0 for i, j in pairs)
 
 
+EIGEN_GAP = 1e-6  # float eigenvalues closer than this are one eigenvalue
+
+
 def mobius_spectra(s: Solid) -> tuple:
     """Eigenvalues (sorted, with multiplicity) of the solid's projection Gramian."""
     import numpy as np
@@ -348,13 +350,13 @@ def mobius_spectra(s: Solid) -> tuple:
     return tuple(float(x) for x in np.linalg.eigvalsh(arr))
 
 
-def grouped_spectra(s: Solid, tol: float = 1e-6):
-    """Spectra as (eigenvalue, multiplicity) pairs, clustering within tol."""
-    eigs = mobius_spectra(s)
+def grouped_spectra(s: Solid):
+    """Spectra as (eigenvalue, multiplicity) pairs; an eigenvalue within
+    EIGEN_GAP of the one before it joins that one's group."""
     groups = []
-    for e in eigs:
-        if groups and abs(groups[-1][0][-1] - e) <= tol:
-            groups[-1][0].append(e)
+    for e in mobius_spectra(s):
+        if groups and abs(groups[-1][-1] - e) <= EIGEN_GAP:
+            groups[-1].append(e)
         else:
-            groups.append(([e],))
-    return [(sum(g[0]) / len(g[0]), len(g[0])) for g in groups]
+            groups.append([e])
+    return [(sum(g) / len(g), len(g)) for g in groups]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactnum import approx, scalar_sign
+from .exactnum import approx
 from .documents import PackingDocument
 
 DEFAULT_PALETTE = (
@@ -116,20 +116,21 @@ def render_svg(doc: PackingDocument, spec: Optional[RenderSpec] = None) -> str:
     style = f'stroke="{spec.stroke}" stroke-width="{_fmt(spec.stroke_width)}"'
     for e in doc.entries:
         fill = spec.palette[e.orbit % npal]
-        if e.halfspace is not None:
-            nx, ny = (approx(v) for v in e.halfspace["normal"])
-            t = approx(e.halfspace["offset"])
+        geo = e.geometry
+        if geo.kind == "halfspace":
+            nx, ny = (approx(v) for v in geo.normal)
+            t = approx(geo.offset)
             poly = _clip_halfplane(box, nx, ny, t)
             if len(poly) < 3:
                 continue
             pts = " ".join(f"{_fmt(px)},{_fmt(-py)}" for px, py in poly)
             parts.append(f'<polygon points="{pts}" fill="{fill}" {style}/>')
             continue
-        cx, cy = (approx(v) for v in e.center)
-        r = approx(e.radius)
+        cx, cy = (approx(v) for v in geo.center)
+        r = approx(geo.radius)
         if spec.max_radius_clip is not None and r > spec.max_radius_clip:
             continue
-        if scalar_sign(e.curvature) < 0:
+        if geo.orientation < 0:
             d_attr = _box_path(bx0, by0, bx1, by1) + " " + _circle_subpath(cx, cy, r)
             parts.append(
                 f'<path fill-rule="evenodd" d="{d_attr}" fill="{fill}" {style}/>'

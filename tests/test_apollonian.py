@@ -453,6 +453,28 @@ def test_cluster_integrality_certificates():
         c.curvatures_in_ring("Z[i]")
 
 
+G = 10**9  # scales seeds so that every level's ring products pass 2^63
+
+
+@pytest.mark.parametrize(
+    "solid,initial,depth,ring,expected",
+    [
+        (TETRAHEDRON, (-3 * G, 5 * G, 8 * G), 2, RING_Z, True),
+        (TETRAHEDRON, tuple(Fraction(k * G, 7) for k in (-3, 5, 8)), 2, RING_Z, False),
+        (DODECAHEDRON, (G + G * PHI, -G, 2 * G * PHI), 1, RING_Z_PHI, True),
+        (DODECAHEDRON, (G + G * PHI, -G, 2 * G * PHI), 1, RING_Z, False),
+    ],
+    ids=["tetrahedron-Z", "tetrahedron-sevenths", "dodecahedron-Zphi", "dodecahedron-Z"],
+)
+def test_ring_test_beyond_int64_products_agrees_with_each_curvature(
+    solid, initial, depth, ring, expected
+):
+    seed = packing_from_curvatures(solid, initial)
+    c = generate_cluster(seed, apollonian_group_from_packing(seed), depth)
+    assert c.curvatures_in_ring(ring) is expected
+    assert all(is_ring_integer(k, ring) for k in c.curvatures()) is expected
+
+
 def test_cluster_integrality_rejects_non_integers():
     scaled = packing_from_curvatures(TETRAHEDRON, (0, 0, Fraction(1, 3)))
     c = generate_cluster(scaled, apollonian_group_from_packing(scaled), depth=1)

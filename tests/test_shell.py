@@ -25,7 +25,7 @@ from ballpack.apollonian import (
     packing_from_curvatures,
 )
 from ballpack.packings import BallArrangement, project
-from ballpack.polytopes import CUBE, TETRAHEDRON, regular_edge_scribed
+from ballpack.polytopes import CUBE, TETRAHEDRON, regular_edge_scribed, solid_from_name
 from ballpack.svgout import DEFAULT_PALETTE, RenderSpec, render_svg
 
 PHI = phi()
@@ -88,10 +88,19 @@ def tetra_doc():
     )
 
 
-def cluster_doc(initial, depth, exact=True):
-    seed = packing_from_curvatures(TETRAHEDRON, initial, exact=exact)
+def cluster_doc(initial, depth, exact=True, solid=TETRAHEDRON):
+    seed = packing_from_curvatures(solid, initial, exact=exact)
     c = generate_cluster(seed, apollonian_group_from_packing(seed), depth)
-    return document_from_cluster(c, solid="tetrahedron")
+    return document_from_cluster(c, solid=solid.name)
+
+
+README_CLI_SEEDS = (
+    ("tetrahedron", "-3,5,8"),
+    ("octahedron", "-2,4,5"),
+    ("cube", "5,-3,12"),
+    ("icosahedron", "-4,8,9"),
+    ("dodecahedron", "1+phi,-1,2phi"),
+)
 
 
 def test_projection_document_fields():
@@ -103,7 +112,8 @@ def test_projection_document_fields():
     assert [e.orbit for e in doc.entries] == [0, 1, 2, 3]
     assert all(e.depth == 0 and e.word == () for e in doc.entries)
     for e in doc.entries:
-        assert (e.center is None) == (e.halfspace is not None)
+        geo = e.geometry
+        assert (geo.center is None) == (geo.normal is not None)
     # the rebuilt balls match the stored coordinates exactly
     arr = project(regular_edge_scribed(TETRAHEDRON))
     assert [e.ball.v for e in doc.entries] == [b.v for b in arr.balls]
@@ -149,12 +159,14 @@ def test_halfspace_entries_store_normal_and_offset():
         )
     )
     doc = document_from_arrangement(arr)
-    assert doc.entries[0].halfspace == {"normal": (0, 1), "offset": Fraction(1)}
-    assert doc.entries[0].center is None
-    assert doc.entries[1].center == (0, 0)
-    assert doc.entries[1].radius == 1
+    half, disk = (e.geometry for e in doc.entries)
+    assert (half.normal, half.offset) == ((0, 1), Fraction(1))
+    assert half.center is None
+    assert disk.center == (0, 0)
+    assert disk.radius == 1
     text = to_json(doc)
-    assert from_json(text).entries[0].halfspace["offset"] == Fraction(1)
+    assert from_json(text).entries[0].geometry.offset == Fraction(1)
+    assert json.loads(text)["entries"][0]["halfspace"] == {"normal": ["0", "1"], "offset": "1"}
 
 
 @pytest.mark.parametrize(
@@ -164,12 +176,41 @@ def test_halfspace_entries_store_normal_and_offset():
         lambda p: "not json at all {",
         lambda p: p.replace('"dimension": 2', '"dimension": 3'),
         lambda p: p.replace('"1"', '"1.5"', 1),
+        lambda p: "[]",
+        lambda p: edited(p, lambda d: d.update(entries=5)),
+        lambda p: edited(p, lambda d: d["entries"].append(5)),
+        lambda p: edited(p, lambda d: d["entries"][0].update(inversive=5)),
+        lambda p: edited(p, lambda d: first_with(d, "center").update(center=5)),
+        lambda p: edited(p, lambda d: first_with(d, "halfspace")["halfspace"].update(normal=5)),
+        lambda p: edited(p, lambda d: first_with(d, "radius").update(radius="7.0")),
     ],
 )
 def test_from_json_rejects_malformed_documents(mangle):
     text = to_json(cluster_doc((0, 0, 1), 1))
     with pytest.raises(ValueError):
         from_json(mangle(text))
+
+
+def edited(text, change) -> str:
+    """The JSON text after ``change`` has edited its parsed payload."""
+    payload = json.loads(text)
+    change(payload)
+    return json.dumps(payload)
+
+
+def first_with(payload, key) -> dict:
+    return next(e for e in payload["entries"] if key in e)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("solid,initial", README_CLI_SEEDS)
+def test_document_round_trip_keeps_json_and_svg(solid, initial, mode):
+    ks = parse_initial(initial, mode)
+    doc = cluster_doc(ks, 1, exact=mode == "exact", solid=solid_from_name(solid))
+    text = to_json(doc)
+    again = from_json(text)
+    assert to_json(again) == text
+    assert render_svg(again) == render_svg(doc)
 
 
 def test_float_documents_must_hold_numbers():
@@ -233,7 +274,7 @@ def test_render_element_count_and_order_match_the_document():
     lines = svg.splitlines()
     assert len(lines) == len(doc.entries) + 2
     for e, line in zip(doc.entries, lines[1:-1]):
-        if e.halfspace is not None:
+        if e.geometry.kind == "halfspace":
             assert line.startswith("<polygon")
         elif approx(e.curvature) < 0:
             assert line.startswith("<path")
@@ -501,6 +542,41 @@ def test_cli_verify_flags_failure_exit_code(tmp_path):
     assert main(["verify", "--in", str(path), "--checks", "packing"]) == 1
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda e: e.update(radius="7"),
+        lambda e: e["center"].__setitem__(0, "3/2"),
+    ],
+    ids=["radius", "center"],
+)
+def test_cli_verify_and_render_derive_geometry_from_inversive(edit, tmp_path, capsys):
+    path, edited_path = tmp_path / "o.json", tmp_path / "e.json"
+    argv = ["cluster", "--solid", "octahedron", "--initial=-2,4,5", "--depth", "1"]
+    assert main(argv + ["--out", str(path)]) == 0
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(first_with(payload, "radius"))
+    edited_path.write_text(json.dumps(payload), encoding="utf-8")
+
+    def outputs(doc):
+        capsys.readouterr()
+        assert main(["verify", "--in", str(doc)]) == 0
+        verified = capsys.readouterr().out
+        svg = tmp_path / "out.svg"
+        assert main(["render", "--in", str(doc), "--out", str(svg)]) == 0
+        return verified, svg.read_bytes()
+
+    assert outputs(edited_path) == outputs(path)
+
+
+def test_cli_malformed_documents_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dimension": 2, "mode": "Q", "entries": [5]}', encoding="utf-8")
+    assert main(["verify", "--in", str(path)]) == 2
+    assert main(["render", "--in", str(path), "--out", str(tmp_path / "bad.svg")]) == 2
+    assert "error: entry is not a JSON object" in capsys.readouterr().err
+
+
 def test_cli_verify_checks_every_ball_norm_beyond_the_sampled_windows(tmp_path):
     path = tmp_path / "c.json"
     argv = ["cluster", "--solid", "tetrahedron", "--initial", "-3,5,8"]
@@ -513,15 +589,6 @@ def test_cli_verify_checks_every_ball_norm_beyond_the_sampled_windows(tmp_path):
     ]
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["verify", "--in", str(path), "--checks", "descartes,soddy"]) == 2
-
-
-README_CLI_SEEDS = (
-    ("tetrahedron", "-3,5,8"),
-    ("octahedron", "-2,4,5"),
-    ("cube", "5,-3,12"),
-    ("icosahedron", "-4,8,9"),
-    ("dodecahedron", "1+phi,-1,2phi"),
-)
 
 
 @pytest.mark.parametrize("solid,initial", README_CLI_SEEDS)
