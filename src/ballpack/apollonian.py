@@ -18,7 +18,9 @@ Only the deduplication key differs between them.  Generation is
 deterministic: entries are ordered by depth and then by a canonical key of
 the stored row data (the same for int64 and python-int rows), and each entry
 records the first shortest generator word that produces it (ties broken by
-generator position).
+generator position).  A cluster hands out its balls as :class:`lorentz.Entry`
+objects, the inversive vector plus that word, depth and seed orbit: the same
+entries that a document stores.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .exactnum import (
 )
 from .lorentz import (
     Ball,
+    Entry,
     MobiusMap,
     apply_map,
     ball_from_geometry,
@@ -407,7 +410,7 @@ def _map_null_to_north(y, d: int) -> MobiusMap:
     return MobiusMap(rows, check=False)
 
 
-def packing_from_curvatures(s: Solid, triple, *, exact: bool = True) -> BallArrangement:
+def packing_from_curvatures(s: Solid, triple) -> BallArrangement:
     """A Mobius image of the projected solid realizing three given curvatures.
 
     The curvatures are assigned, in order, to the first three vertices in
@@ -415,15 +418,17 @@ def packing_from_curvatures(s: Solid, triple, *, exact: bool = True) -> BallArra
     tangent to the next).  The image is pinned by a future light-like vector
     reproducing the curvature functional, so all remaining curvatures follow
     from the solid's own relations.  Facet balls are attached and ride along.
+    The packing is exact unless a curvature is a float.
     """
     triple = tuple(triple)
     if len(triple) != 3:
         raise ValueError("need exactly three consecutive curvatures")
     poly = regular_edge_scribed(s)
     arr = with_dual(project(poly))
+    exact = not is_float_data(triple)
     if not exact:
         arr = arr.approx()
-        triple = tuple(float(approx(k)) for k in triple)
+        triple = tuple(approx(k) for k in triple)
     cyc = face_cycle(poly, poly.faces(2)[0])
     anchors = cyc[:3]
     rest = [v for v in range(len(arr.balls)) if v not in anchors]
@@ -441,17 +446,6 @@ def packing_from_curvatures(s: Solid, triple, *, exact: bool = True) -> BallArra
 
 
 # -- clusters ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClusterEntry:
-    """One deduplicated ball of a cluster with its provenance."""
-
-    ball: Ball
-    curvature: object
-    depth: int
-    word: tuple
-    orbit: int
 
 
 class _Store:
@@ -520,11 +514,13 @@ class Cluster:
 
     Entries are ordered by depth and then by the canonical key of the
     stored row, so the order is reproducible across runs and across int64
-    and python-int rows; materializing entries is lazy, so very large exact
-    clusters can still stream curvatures without building Ball objects.
+    and python-int rows.  ``entry(i)`` and iteration build each
+    :class:`lorentz.Entry` (the type documents store) from its row on
+    demand and keep none of them, so very large exact clusters can still
+    stream curvatures from the rows without building entries.
     """
 
-    __slots__ = ("seed", "flavor", "depth", "generator_names", "_store", "_entries")
+    __slots__ = ("seed", "flavor", "depth", "generator_names", "_store")
 
     def __init__(self, seed, flavor, depth, generator_names, store):
         self.seed = seed
@@ -532,7 +528,6 @@ class Cluster:
         self.depth = depth
         self.generator_names = generator_names
         self._store = store
-        self._entries = None
 
     def __len__(self):
         return self._store.count
@@ -554,30 +549,15 @@ class Cluster:
             gidx = parent
         return tuple(reversed(out))
 
-    def entry(self, i: int) -> ClusterEntry:
+    def entry(self, i: int) -> Entry:
         st = self._store
         gidx = st.order[i]
         k, li = st.locate(gidx)
         _, _, orbit = st.row_meta(k, li)
-        vec = st.vector(k, li)
-        return ClusterEntry(
-            ball=Ball(vec, _checked=True),
-            curvature=st.curvature(k, li),
-            depth=k,
-            word=self._word(gidx),
-            orbit=orbit,
-        )
+        return Entry(st.vector(k, li), depth=k, word=self._word(gidx), orbit=orbit)
 
-    def __iter__(self) -> Iterator[ClusterEntry]:
-        if self._entries is not None:
-            return iter(self._entries)
+    def __iter__(self) -> Iterator[Entry]:
         return (self.entry(i) for i in range(len(self)))
-
-    @property
-    def entries(self) -> tuple:
-        if self._entries is None:
-            self._entries = tuple(self.entry(i) for i in range(len(self)))
-        return self._entries
 
     def curvatures(self) -> Iterator:
         st = self._store

@@ -210,7 +210,7 @@ def cmd_spectra(args) -> int:
 def cmd_cluster(args) -> int:
     s = _solid(args.solid)
     initial = parse_initial(args.initial, args.mode)
-    seed = packing_from_curvatures(s, initial, exact=args.mode == "exact")
+    seed = packing_from_curvatures(s, initial)
     gens = apollonian_group_from_packing(seed)
     cluster = generate_cluster(seed, gens, args.depth)
     doc = document_from_cluster(
@@ -403,7 +403,7 @@ def cmd_integrality(args) -> int:
     if cert == NOT_CERTIFIED:
         return 1
     if args.certify_depth is not None:
-        seed = packing_from_curvatures(s, initial, exact=True)
+        seed = packing_from_curvatures(s, initial)
         gens = apollonian_group_from_packing(seed)
         cluster = generate_cluster(seed, gens, args.certify_depth)
         ring = RING_Z if cert == INTEGRAL else RING_Z_PHI

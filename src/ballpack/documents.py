@@ -2,13 +2,16 @@
 
 A document is a flat, diffable description of one arrangement: global
 metadata (dimension, numeric mode, solid tag, seed description) plus one
-entry per ball.  An entry is the ball's inversive coordinates and its
-cluster provenance (depth, word, orbit); the vector is the ball.  The
-writer adds its curvature and Euclidean geometry (``center``/``radius``, or
-a ``halfspace`` normal and offset) for readers of the file.  The loader
-requires those fields to be present and well-formed but never reads their
-values: every consumer derives them from ``inversive`` through
-:func:`lorentz.geometry_from_ball`.  Float documents store plain JSON
+entry per ball.  An entry is a :class:`lorentz.Entry`, the same object a
+cluster hands out: the ball's inversive coordinates and its cluster
+provenance (depth, word, orbit); the vector is the ball.  The writer adds
+its curvature and Euclidean geometry (``center``/``radius``, or a
+``halfspace`` normal and offset) for readers of the file.  The loader
+checks the JSON type of every field, and requires the derived ones to be
+present and well-formed, but never reads their values: every consumer
+derives them from ``inversive`` through :func:`lorentz.geometry_from_ball`.
+A loaded vector's Lorentz norm is checked in one place,
+:meth:`PackingDocument.balls`.  Float documents store plain JSON
 numbers, which round-trip bit-exactly through the shortest decimal
 representation; exact documents store every scalar as a string "a/b" or
 "a/b+c/d√m" in lowest terms.
@@ -23,8 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import QuadScalar, is_float_data
-from . import lorentz
-from .lorentz import Ball, BallGeometry, geometry_from_ball
+from .lorentz import Ball, Entry
 
 RADICAL = "√"
 
@@ -95,32 +97,6 @@ def _load_scalar(x, floaty: bool, read: bool = True):
 
 
 @dataclass(frozen=True)
-class DocumentEntry:
-    """One ball of a document: its inversive vector and cluster provenance.
-
-    The vector is the ball; its curvature and Euclidean geometry are
-    derived from it on demand.
-    """
-
-    inversive: tuple
-    depth: int = 0
-    word: tuple = ()
-    orbit: int = 0
-
-    @property
-    def ball(self) -> Ball:
-        return Ball(self.inversive)
-
-    @property
-    def curvature(self):
-        return lorentz.curvature(self.inversive)
-
-    @property
-    def geometry(self) -> BallGeometry:
-        return geometry_from_ball(Ball(self.inversive, _checked=True))
-
-
-@dataclass(frozen=True)
 class PackingDocument:
     """Serializable snapshot of a ball arrangement or cluster."""
 
@@ -135,7 +111,8 @@ class PackingDocument:
         return self.mode == MODE_FLOAT
 
     def balls(self) -> list:
-        return [e.ball for e in self.entries]
+        """The entries' balls, each vector checked to have Lorentz norm 1."""
+        return [Ball(e.inversive) for e in self.entries]
 
 
 def _mode_of(values) -> str:
@@ -150,12 +127,7 @@ def _mode_of(values) -> str:
     return f"Q({RADICAL}{m})" if m else "Q"
 
 
-def _document(dimension: int, rows, solid, seed) -> PackingDocument:
-    """The document of (ball, depth, word, orbit) rows, one entry per row."""
-    entries = tuple(
-        DocumentEntry(tuple(b.v), depth, tuple(word), orbit)
-        for b, depth, word, orbit in rows
-    )
+def _document(dimension: int, entries: tuple, solid, seed) -> PackingDocument:
     return PackingDocument(
         dimension=dimension,
         mode=_mode_of([x for e in entries for x in e.inversive]),
@@ -167,17 +139,16 @@ def _document(dimension: int, rows, solid, seed) -> PackingDocument:
 
 def document_from_arrangement(arr, *, solid=None, seed=None) -> PackingDocument:
     """Depth-0 document of an arrangement, one entry per ball in order."""
-    rows = ((b, 0, (), i) for i, b in enumerate(arr.balls))
-    return _document(arr.dimension, rows, solid, seed)
+    entries = tuple(Entry(b.v, orbit=i) for i, b in enumerate(arr.balls))
+    return _document(arr.dimension, entries, solid, seed)
 
 
 def document_from_cluster(cluster, *, solid=None, seed=None) -> PackingDocument:
-    """Document of a cluster in its deterministic entry order."""
-    rows = ((e.ball, e.depth, e.word, e.orbit) for e in cluster)
-    return _document(cluster.seed.dimension, rows, solid, seed)
+    """Document of a cluster: its entries, in their deterministic order."""
+    return _document(cluster.seed.dimension, tuple(cluster), solid, seed)
 
 
-def _entry_dict(e: DocumentEntry, floaty: bool) -> dict:
+def _entry_dict(e: Entry, floaty: bool) -> dict:
     dump = lambda xs: [_dump_scalar(x, floaty) for x in xs]
     geo = e.geometry
     out = {"inversive": dump(e.inversive), "curvature": _dump_scalar(e.curvature, floaty)}
@@ -207,28 +178,47 @@ def to_json(doc: PackingDocument) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
-def _typed(x, kind: type, what: str):
-    if not isinstance(x, kind):
-        raise ValueError(f"{what} is not a JSON {'list' if kind is list else 'object'}")
-    return x
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
+_REQUIRED = object()
 
 
-def _entry_from_dict(raw, floaty: bool) -> DocumentEntry:
+def _typed(x, kind: type, what: str, nullable: bool = False):
+    """x, checked to be a JSON value of ``kind`` (or null when ``nullable``).
+
+    Every JSON type in a document is checked here, so each wrong one is a
+    ValueError that names its field.
+    """
+    if (x is None and nullable) or (
+        isinstance(x, kind) and not (kind is int and isinstance(x, bool))
+    ):
+        return x
+    raise ValueError(f"{what} is not a JSON {_JSON_TYPES[kind]}")
+
+
+def _field(raw: dict, key: str, kind: type, default=_REQUIRED, nullable=False):
+    """raw[key] checked by :func:`_typed`; a missing key takes ``default``,
+    and is an error when there is none."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ValueError(f"field {key!r} is missing")
+        return default
+    return _typed(raw[key], kind, repr(key), nullable)
+
+
+def _entry_from_dict(raw, floaty: bool) -> Entry:
     _typed(raw, dict, "entry")
     if "halfspace" in raw:
-        hs = _typed(raw["halfspace"], dict, "'halfspace'")
-        derived = [*_typed(hs["normal"], list, "'normal'"), hs["offset"]]
+        hs = _field(raw, "halfspace", dict)
+        derived = [*_field(hs, "normal", list), _field(hs, "offset", object)]
     else:
-        derived = [*_typed(raw["center"], list, "'center'"), raw["radius"]]
-    for x in (raw["curvature"], *derived):
+        derived = [*_field(raw, "center", list), _field(raw, "radius", object)]
+    for x in (_field(raw, "curvature", object), *derived):
         _load_scalar(x, floaty, read=False)  # written for readers, never read
-    return DocumentEntry(
-        inversive=tuple(
-            _load_scalar(x, floaty) for x in _typed(raw["inversive"], list, "'inversive'")
-        ),
-        depth=int(raw.get("depth", 0)),
-        word=tuple(raw.get("word", ())),
-        orbit=int(raw.get("orbit", 0)),
+    return Entry(
+        inversive=tuple(_load_scalar(x, floaty) for x in _field(raw, "inversive", list)),
+        depth=_field(raw, "depth", int, 0),
+        word=tuple(_typed(w, str, "'word' letter") for w in _field(raw, "word", list, ())),
+        orbit=_field(raw, "orbit", int, 0),
     )
 
 
@@ -238,18 +228,16 @@ def from_json(text: str) -> PackingDocument:
     except json.JSONDecodeError as err:
         raise ValueError(f"not a JSON document: {err}")
     _typed(payload, dict, "document")
-    for key in ("dimension", "mode", "entries"):
-        if key not in payload:
-            raise ValueError(f"document is missing {key!r}")
-    mode = payload["mode"]
+    dimension = _field(payload, "dimension", int)
+    mode = _field(payload, "mode", str)
+    raw_entries = _field(payload, "entries", list)
     floaty = mode == MODE_FLOAT
-    raw_entries = _typed(payload["entries"], list, "'entries'")
     entries = tuple(_entry_from_dict(raw, floaty) for raw in raw_entries)
     doc = PackingDocument(
-        dimension=int(payload["dimension"]),
+        dimension=dimension,
         mode=mode,
-        solid=payload.get("solid"),
-        seed=dict(payload.get("seed") or {}),
+        solid=_field(payload, "solid", str, None, nullable=True),
+        seed=_field(payload, "seed", dict, None, nullable=True) or {},
         entries=entries,
     )
     if entries:

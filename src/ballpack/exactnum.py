@@ -93,9 +93,6 @@ class QuadScalar:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.m)
-
     # -- coercion ----------------------------------------------------------
 
     @staticmethod

@@ -17,10 +17,6 @@ Vector = tuple
 Matrix = tuple
 
 
-def vec(entries: Sequence) -> Vector:
-    return tuple(entries)
-
-
 def mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
@@ -40,22 +36,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def scale(a: Matrix, s) -> Matrix:
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def outer(u: Vector, v: Vector) -> Matrix:
-    return tuple(tuple(x * y for y in v) for x in u)
 
 
 def _exactify(x):

@@ -3,7 +3,9 @@
 The bilinear form is x.y = x_1 y_1 + ... + x_{d+1} y_{d+1} - x_{d+2} y_{d+2}.
 A ball (disk, disk complement, or half-space of R^d + infinity) is a vector x
 with x.x = 1; its curvature is -<e_{d+1}+e_{d+2}, x>.  Inversions in balls
-generate the Mobius maps used everywhere else: s_b = I - 2 x xT Q.
+generate the Mobius maps used everywhere else: s_b = I - 2 x xT Q.  An
+:class:`Entry` is one ball of a cluster or a document: the vector plus the
+word that produced it, with everything else derived from the vector.
 
 All functions run in either exact mode (int/Fraction/QuadScalar entries) or
 float mode; the two never mix inside one vector.  Every test of a Lorentz
@@ -161,6 +163,35 @@ def geometry_from_ball(b: Ball) -> BallGeometry:
     return BallGeometry(
         kind="sphere", center=center, radius=ratio(1, abs(k)), orientation=scalar_sign(k)
     )
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One ball of a cluster or a document: its inversive vector and the
+    provenance of that vector (BFS depth, generator word, seed orbit).
+
+    The vector is the ball; its curvature and Euclidean geometry are derived
+    from it on demand.  ``ball`` trusts the vector's norm: clusters make unit
+    vectors, and a loaded document checks its vectors once, in
+    ``PackingDocument.balls``.
+    """
+
+    inversive: tuple
+    depth: int = 0
+    word: tuple = ()
+    orbit: int = 0
+
+    @property
+    def ball(self) -> Ball:
+        return Ball(self.inversive, _checked=True)
+
+    @property
+    def curvature(self) -> Scalar:
+        return curvature(self.inversive)
+
+    @property
+    def geometry(self) -> BallGeometry:
+        return geometry_from_ball(self.ball)
 
 
 # -- pair classification -----------------------------------------------------

@@ -287,10 +287,6 @@ class Polytope:
         return adj
 
 
-def faces(p: Polytope, k: int):
-    return p.faces(k)
-
-
 def face_barycenter(p: Polytope, f) -> tuple:
     """Coordinate mean of a face's vertices (a frozenset of vertex indices)."""
     idx = sorted(f)

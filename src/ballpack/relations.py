@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .exactnum import (
@@ -62,8 +63,10 @@ def lorentzian_barycenter(arrangement: BallArrangement, face=None) -> tuple:
 
 
 def lorentzian_curvature(arrangement: BallArrangement, face=None):
-    """Curvature of the Lorentzian barycenter (= mean of vertex curvatures)."""
-    return curvature(lorentzian_barycenter(arrangement, face))
+    """Curvature of the Lorentzian barycenter: curvature is linear, so this
+    is the mean of the vertex curvatures over ``face`` (all if None)."""
+    idx = sorted(face) if face is not None else range(len(arrangement))
+    return ratio(sum(arrangement[i].curvature for i in idx), len(idx))
 
 
 def flag_curvatures(arrangement: BallArrangement, flag) -> tuple:
@@ -76,6 +79,7 @@ def flag_curvatures(arrangement: BallArrangement, flag) -> tuple:
 # -- the L ladder ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def L_value(s: Solid, i: int):
     """Inverse squared half edge-length of the rank-i face (-1 at 0, 0 at 1)."""
     top = s.dimension + 1

@@ -274,9 +274,7 @@ def test_criterion_07_descartes_and_soddy_gosset():
         ks = [balls[i].curvature for i in idx]
         assert soddy_gosset_residual(ks) == 0, idx
 
-    fseed = packing_from_curvatures(
-        TETRAHEDRON, (-3.0, 5.0, 8.0), exact=False
-    )
+    fseed = packing_from_curvatures(TETRAHEDRON, (-3.0, 5.0, 8.0))
     fcluster = generate_cluster(fseed, apollonian_group_from_packing(fseed), 4)
     fballs = [e.ball for e in fcluster]
     fquads = tangent_quadruples(fballs)

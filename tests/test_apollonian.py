@@ -322,7 +322,7 @@ def test_seed_from_curvatures_rejects_bad_input():
 def test_seed_from_curvatures_float_fallback():
     with pytest.raises(ValueError, match="float mode"):
         packing_from_curvatures(TETRAHEDRON, (1, 2, 3))
-    arr = packing_from_curvatures(TETRAHEDRON, (1, 2, 3), exact=False)
+    arr = packing_from_curvatures(TETRAHEDRON, (1.0, 2.0, 3.0))
     assert is_packing(arr)
     ks = [b.curvature for b in arr.balls]
     for want in (1, 2, 3):
@@ -436,8 +436,8 @@ def test_cluster_streaming_matches_entries():
     gens = platonic_generators(TETRAHEDRON)
     ag = apollonian_group_from_packing(gens.seed)
     c = generate_cluster(gens.seed, ag, depth=2)
-    assert list(c.curvatures()) == [e.curvature for e in c.entries]
-    assert len(c.entries) == len(c)
+    assert list(c.curvatures()) == [e.curvature for e in c]
+    assert len(list(c)) == len(c)
     assert repr(c).startswith("Cluster(")
 
 
@@ -560,8 +560,8 @@ FLOAT_CURVATURE_REL = {"icosahedron": 1e-5}
 def test_float_cluster_matches_the_exact_one(case):
     solid, triple = README_SEEDS[case]
     clusters = []
-    for exact in (True, False):
-        seed = packing_from_curvatures(solid, triple, exact=exact)
+    for ks in (triple, tuple(map(approx, triple))):
+        seed = packing_from_curvatures(solid, ks)
         clusters.append(generate_cluster(seed, apollonian_group_from_packing(seed), 3))
     ex, fl = clusters
     assert fl._store.mode == "float"
@@ -576,7 +576,7 @@ def test_float_seed_discriminant_is_judged_by_its_own_rounding():
     # qa = 4, qb ~ 0 and qc = 324 carry terms near 1e8 (y0 and yn are large),
     # but disc = -5184 is far outside the rounding those terms leave in it
     with pytest.raises(ValueError, match="not realizable"):
-        packing_from_curvatures(TETRAHEDRON, (18.0, -18.0, 7348.396471738055), exact=False)
+        packing_from_curvatures(TETRAHEDRON, (18.0, -18.0, 7348.396471738055))
 
 
 def test_cluster_validation():

@@ -88,8 +88,8 @@ def tetra_doc():
     )
 
 
-def cluster_doc(initial, depth, exact=True, solid=TETRAHEDRON):
-    seed = packing_from_curvatures(solid, initial, exact=exact)
+def cluster_doc(initial, depth, solid=TETRAHEDRON):
+    seed = packing_from_curvatures(solid, initial)
     c = generate_cluster(seed, apollonian_group_from_packing(seed), depth)
     return document_from_cluster(c, solid=solid.name)
 
@@ -132,7 +132,7 @@ def test_exact_document_round_trip_is_bit_exact():
 
 
 def test_float_document_round_trip_is_bit_exact():
-    doc = cluster_doc((1.0, 2.0, 3.0), 2, exact=False)
+    doc = cluster_doc((1.0, 2.0, 3.0), 2)
     assert doc.mode == "float"
     text = to_json(doc)
     again = from_json(text)
@@ -169,6 +169,22 @@ def test_halfspace_entries_store_normal_and_offset():
     assert json.loads(text)["entries"][0]["halfspace"] == {"normal": ["0", "1"], "offset": "1"}
 
 
+# a wrong JSON type or a missing field, with the field that its error names
+WRONG_FIELDS = [
+    ("dimension", lambda p: edited(p, lambda d: d.update(dimension=[2]))),
+    ("mode", lambda p: edited(p, lambda d: d.update(mode=["Q"]))),
+    ("seed", lambda p: edited(p, lambda d: d.update(seed=5))),
+    ("solid", lambda p: edited(p, lambda d: d.update(solid=3))),
+    ("word", lambda p: edited(p, lambda d: d["entries"][-1].update(word=5))),
+    ("word", lambda p: edited(p, lambda d: d["entries"][-1].update(word=[5]))),
+    ("depth", lambda p: edited(p, lambda d: d["entries"][-1].update(depth=[1]))),
+    ("orbit", lambda p: edited(p, lambda d: d["entries"][-1].update(orbit=[0]))),
+    ("inversive", lambda p: edited(p, lambda d: d["entries"][0].pop("inversive"))),
+    ("curvature", lambda p: edited(p, lambda d: d["entries"][0].pop("curvature"))),
+    ("center", lambda p: edited(p, lambda d: first_with(d, "center").pop("center"))),
+]
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -183,11 +199,19 @@ def test_halfspace_entries_store_normal_and_offset():
         lambda p: edited(p, lambda d: first_with(d, "center").update(center=5)),
         lambda p: edited(p, lambda d: first_with(d, "halfspace")["halfspace"].update(normal=5)),
         lambda p: edited(p, lambda d: first_with(d, "radius").update(radius="7.0")),
+        *(mangle for _, mangle in WRONG_FIELDS),
     ],
 )
 def test_from_json_rejects_malformed_documents(mangle):
     text = to_json(cluster_doc((0, 0, 1), 1))
     with pytest.raises(ValueError):
+        from_json(mangle(text))
+
+
+@pytest.mark.parametrize("field,mangle", WRONG_FIELDS)
+def test_from_json_names_the_malformed_field(field, mangle):
+    text = to_json(cluster_doc((0, 0, 1), 1))
+    with pytest.raises(ValueError, match=f"'{field}'"):
         from_json(mangle(text))
 
 
@@ -205,16 +229,19 @@ def first_with(payload, key) -> dict:
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("solid,initial", README_CLI_SEEDS)
 def test_document_round_trip_keeps_json_and_svg(solid, initial, mode):
-    ks = parse_initial(initial, mode)
-    doc = cluster_doc(ks, 1, exact=mode == "exact", solid=solid_from_name(solid))
+    seed = packing_from_curvatures(solid_from_name(solid), parse_initial(initial, mode))
+    cluster = generate_cluster(seed, apollonian_group_from_packing(seed), 1)
+    doc = document_from_cluster(cluster, solid=solid)
     text = to_json(doc)
     again = from_json(text)
     assert to_json(again) == text
     assert render_svg(again) == render_svg(doc)
+    # the cluster's entries are the document's, and survive the round trip
+    assert list(cluster) == list(doc.entries) == list(again.entries)
 
 
 def test_float_documents_must_hold_numbers():
-    doc = cluster_doc((1.0, 2.0, 3.0), 1, exact=False)
+    doc = cluster_doc((1.0, 2.0, 3.0), 1)
     text = to_json(doc).replace("\"mode\": \"float\"", "\"mode\": \"float\"")
     payload = json.loads(text)
     payload["entries"][0]["curvature"] = "3/2"
@@ -575,6 +602,10 @@ def test_cli_malformed_documents_exit_two(tmp_path, capsys):
     assert main(["verify", "--in", str(path)]) == 2
     assert main(["render", "--in", str(path), "--out", str(tmp_path / "bad.svg")]) == 2
     assert "error: entry is not a JSON object" in capsys.readouterr().err
+    path.write_text('{"dimension": [2], "mode": "Q", "entries": []}', encoding="utf-8")
+    assert main(["verify", "--in", str(path)]) == 2
+    assert main(["render", "--in", str(path), "--out", str(tmp_path / "bad.svg")]) == 2
+    assert "error: 'dimension' is not a JSON integer" in capsys.readouterr().err
 
 
 def test_cli_verify_checks_every_ball_norm_beyond_the_sampled_windows(tmp_path):
