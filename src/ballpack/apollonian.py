@@ -374,14 +374,22 @@ def _quadratic_roots(qa, qb, qc, size) -> list:
     s = compare(disc, 0, terms)
     if s < 0:
         raise ValueError("curvature triple is not realizable on this solid")
+    if s == 0:  # a double root, exactly or within rounding
+        root = ratio(-qb, 2 * qa)
+        return [root, root]
     try:
-        rad = exact_sqrt(disc if s > 0 else 0 * disc)  # a double root within rounding
+        rad = exact_sqrt(disc)
     except ValueError:
         raise ValueError(
             "the normalizing square root is not expressible in the "
             "hosting field; use float mode for this seed"
         )
-    return [ratio(-qb + rad, 2 * qa), ratio(-qb - rad, 2 * qa)]
+    # q adds qb and the root with one sign, so no float digits cancel; the
+    # roots are (-qb + rad) / 2qa and (-qb - rad) / 2qa, in that order
+    sign = 1 if scalar_sign(qb) >= 0 else -1
+    q = ratio(-(qb + sign * rad), 2)
+    far, near = ratio(q, qa), ratio(qc, q)
+    return [near, far] if sign > 0 else [far, near]
 
 
 def _map_null_to_north(y, d: int) -> MobiusMap:
@@ -923,8 +931,9 @@ def _window_fresh(rows, keys, order, seen):
 def is_apollonian_packing(c: Cluster) -> bool:
     """True iff all cluster balls are pairwise tangent or disjoint.
 
-    Quadratic in the cluster size; meant for the shallow clusters where the
-    question is interesting.
+    A float screen over all pairs (:func:`packings.pair_screen`) proves most
+    of them disjoint, and ``classify_pair`` decides the few near tangency,
+    about three per ball; the screen is still quadratic, in float products.
     """
     return first_overlap([e.ball for e in c]) is None
 

@@ -45,15 +45,16 @@ from .packings import (
     dual,
     first_overlap,
     grouped_spectra,
+    pair_screen,
     project,
 )
 from .polytopes import Solid, dual_solid, flags, regular_edge_scribed, solid_from_name
 from .relations import (
     INTEGRAL,
     NOT_CERTIFIED,
-    flag_curvatures,
     gram_curvature_identity,
     integrality_condition,
+    lorentzian_curvature,
     relative_residual,
     soddy_gosset_residual,
     verify_flag_relation,
@@ -309,11 +310,8 @@ def _tangent_cliques(balls, size: int):
     ``size``-tuples (by index) among the first TANGENT_NODES balls."""
     m = min(len(balls), TANGENT_NODES)
     adj = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            adj[i][j] = adj[j][i] = (
-                classify_pair(balls[i], balls[j]) == EXTERNALLY_TANGENT
-            )
+    for i, j in pair_screen(balls[:m]):  # the pairs it skips are disjoint
+        adj[i][j] = adj[j][i] = classify_pair(balls[i], balls[j]) == EXTERNALLY_TANGENT
     out = []
 
     def grow(clique, start):
@@ -352,10 +350,13 @@ def _check_flags(doc: PackingDocument, balls: list):
     if len(balls) != len(p.vertices):
         raise ValueError("document does not hold one ball per vertex")
     arr = BallArrangement(tuple(balls))
+    # each face's mean curvature once, however many flags pass through it
+    face_ks = {f: lorentzian_curvature(arr, f) for fs in p.faces_by_rank.values() for f in fs}
+    whole = lorentzian_curvature(arr)
     cases = (
         (f"flag {flag}", verify_flag_relation(s, ks), ks)
         for flag in flags(p)
-        for ks in [flag_curvatures(arr, flag)]
+        for ks in [(*(face_ks[f] for f in flag), whole)]
     )
     return _residual_check(cases, "flags", "no flags")
 

@@ -247,4 +247,7 @@ def from_json(text: str) -> PackingDocument:
                 raise ValueError(
                     f"entry has {len(e.inversive)} coordinates, wanted {n}"
                 )
+        found = _mode_of([x for e in entries for x in e.inversive])
+        if mode != found:  # an empty document keeps the mode it declares
+            raise ValueError(f"'mode' is {mode!r}, but the vectors are in {found}")
     return doc

@@ -215,6 +215,32 @@ def test_from_json_names_the_malformed_field(field, mangle):
         from_json(mangle(text))
 
 
+@pytest.mark.parametrize("mode", ["banana", "Q(√5)", "Q", "Q(√3)"])
+def test_from_json_rejects_a_mode_its_vectors_contradict(mode):
+    doc = document_from_arrangement(project(regular_edge_scribed(TETRAHEDRON)))
+    assert doc.mode == "Q(√2)"
+    text = edited(to_json(doc), lambda d: d.update(mode=mode))
+    with pytest.raises(ValueError, match=r"'mode' is .* but the vectors are in Q\(√2\)"):
+        from_json(text)
+
+
+def test_cli_verify_exits_two_on_a_wrong_mode(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    assert main(["project", "--solid", "tetrahedron", "--out", str(path)]) == 0
+    text = edited(path.read_text(encoding="utf-8"), lambda d: d.update(mode="banana"))
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", "--in", str(path)]) == 2
+    assert "error: 'mode' is 'banana', but the vectors are in Q(√2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["float", "Q", "Q(√5)"])
+def test_an_empty_document_keeps_its_declared_mode(mode):
+    text = json.dumps({"dimension": 2, "mode": mode, "entries": []})
+    doc = from_json(text)
+    assert doc.mode == mode and doc.entries == ()
+    assert from_json(to_json(doc)) == doc
+
+
 def edited(text, change) -> str:
     """The JSON text after ``change`` has edited its parsed payload."""
     payload = json.loads(text)
@@ -637,8 +663,9 @@ def test_cli_float_cluster_round_trips_through_verify(solid, initial, tmp_path):
     [
         # float rounding of a seed grows with its curvatures
         ("tetrahedron", "5516.752999199303,-2.505939589967195,16", (0,)),
-        # ill-conditioned: the seed drifts by about 3.6e-7 of its curvature
-        ("dodecahedron", "-23,2674.385223998608,7894.719427611508", (0, 2)),
+        # ill-conditioned: the seed keeps its curvatures to about 1.2e-7 of
+        # their size; with the cancelling root formula it drifted by 3.6e-7
+        ("dodecahedron", "-23,2674.385223998608,7894.719427611508", (0,)),
     ],
 )
 def test_cli_float_seeds_with_large_curvatures_exit_cleanly(solid, initial, codes, tmp_path):
