@@ -64,15 +64,13 @@ from .packings import (
     with_dual,
 )
 from .polytopes import (
-    ICOSAHEDRON,
-    OCTAHEDRON,
     PHI,
     PLATONIC,
     SQRT2,
-    TETRAHEDRON,
     Solid,
     face_cycle,
     regular_edge_scribed,
+    solid_from_schlafli,
 )
 
 FLAVOR_DUAL = "A"  # inversions in the facet balls
@@ -182,7 +180,6 @@ class GeneratorSet:
 
 # 2 cos(pi/q) for the three triangular-faced polyhedra, exactly
 _COS_DOUBLE = {3: 1, 4: SQRT2, 5: PHI}
-_TRIANGULAR = {3: TETRAHEDRON, 4: OCTAHEDRON, 5: ICOSAHEDRON}
 
 
 def _mirror_x(offset) -> MobiusMap:
@@ -220,7 +217,7 @@ def _normalized_triangular_packing(q: int) -> BallArrangement:
     origin, and the leftover mirror ambiguity is fixed so that the vertical
     symmetry line of the packing sits at x = -2cos(pi/q).
     """
-    poly = regular_edge_scribed(_TRIANGULAR[q])
+    poly = regular_edge_scribed(solid_from_schlafli((3, q)))
     arr = with_dual(project(poly))
     i, j = sorted(poly.edges[0])
     arr, _ = standard_form(arr, i, j)

@@ -17,6 +17,7 @@ Relative ``--out`` paths are placed under ``$BALLPACK_OUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -150,12 +151,16 @@ def _say(msg: str) -> None:
 # -- subcommands --------------------------------------------------------------
 
 
+def _projection(s: Solid, center: str) -> BallArrangement:
+    """The projection of s, with the face that ``center`` names at the origin."""
+    if center == "none":
+        return project(regular_edge_scribed(s))
+    return centered_projection(s, CENTER_RANKS[center])
+
+
 def cmd_project(args) -> int:
     s = _solid(args.solid)
-    if args.center == "none":
-        arr = project(regular_edge_scribed(s))
-    else:
-        arr = centered_projection(s, CENTER_RANKS[args.center])
+    arr = _projection(s, args.center)
     doc = document_from_arrangement(
         arr,
         solid=s.name,
@@ -173,11 +178,7 @@ def cmd_dual(args) -> int:
         raise ValueError("dual needs a document produced by the project command")
     s = _solid(seed["solid"])
     center = seed.get("center", "none")
-    if center == "none":
-        arr = project(regular_edge_scribed(s))
-    else:
-        arr = centered_projection(s, CENTER_RANKS[center])
-    d_arr = dual(arr)
+    d_arr = dual(_projection(s, center))
     d_name = dual_solid(s).name
     out = document_from_arrangement(
         d_arr,
@@ -427,15 +428,7 @@ def _render_spec_from_file(path: str) -> RenderSpec:
         raise ValueError(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
         raise ValueError(f"not a JSON render spec: {err}")
-    known = {
-        "viewport",
-        "stroke_width",
-        "stroke",
-        "palette",
-        "max_radius_clip",
-        "halfspace_margin",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(RenderSpec)}
     if unknown:
         raise ValueError(f"unknown render spec keys: {', '.join(sorted(unknown))}")
     if "viewport" in raw:

@@ -20,6 +20,7 @@ representation; exact documents store every scalar as a string "a/b" or
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,7 +91,13 @@ def _load_scalar(x, floaty: bool, read: bool = True):
     if floaty:
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ValueError(f"float document holds a non-number {x!r}")
-        return float(x)
+        try:
+            value = float(x)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf if x > 0 else -math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"float document holds a non-finite number {value!r}")
+        return value
     if not isinstance(x, str):
         raise ValueError(f"exact document holds a non-string scalar {x!r}")
     return scalar_from_text(x) if read else _scalar_match(x)

@@ -264,11 +264,16 @@ def compare(x, target=0, scale: Optional[Callable[[], float]] = None) -> int:
     the size of the terms that produced x, e.g. sum |x_i y_i| for a Lorentz
     product x.y (the standard rounding bound of a dot product); without it
     the terms are taken to be of unit size.  ``scale`` is called only for
-    floats, so the exact path computes none.
+    floats, so the exact path computes none.  A NaN difference, or terms of
+    infinite size, leave no sign to read and raise ValueError.
     """
     d = x if target == 0 else x - target
-    if isinstance(d, float) and abs(d) <= FLOAT_REL * max(1.0, scale() if scale else 1.0):
-        return 0
+    if isinstance(d, float):
+        tol = FLOAT_REL * max(1.0, scale() if scale else 1.0)
+        if math.isnan(d) or math.isinf(tol):
+            raise ValueError(f"cannot compare {x!r} with {target!r}: not finite")
+        if abs(d) <= tol:
+            return 0
     return scalar_sign(d)
 
 

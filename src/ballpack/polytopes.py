@@ -1,8 +1,15 @@
 """Regular polytopes: Schlafli data, edge-scribed coordinates, face lattices.
 
-An edge-scribed realization has every edge tangent to the unit sphere of
-E^{d+1}; all vertices then sit at norm sqrt(1 + l^2) where l is the half
-edge-length, a constant of the combinatorial type.  Canonical coordinates are
+A solid's metric constants come from its Schlafli symbol {p1, ..., pk}
+alone: its dimension is k, and its half edge-length l (every edge tangent
+to the unit sphere of E^{d+1}, every vertex at norm sqrt(1 + l^2)) is
+
+    l^2 = D(p1..pk) / (D(p2..pk) - D(p1..pk)),
+
+where D is the determinant of the Coxeter group's Gram matrix, 1 on the
+diagonal and -cos(pi/p_i) beside it, so D_k = D_{k-1} - cos^2(pi/p_k) D_{k-2}
+(the radius formulas of Coxeter, *Regular Polytopes*).  It is exact whenever
+every cos^2(pi/p_i) is, which :data:`COS2` lists.  Canonical coordinates are
 fixed per family so downstream fixtures are reproducible; where a single
 quadratic field hosts them they are exact, otherwise floats.
 
@@ -23,6 +30,7 @@ from typing import Optional
 from .exactnum import (
     QuadScalar,
     compare,
+    exact_sqrt,
     phi,
     ratio,
     sqrt_int,
@@ -33,6 +41,31 @@ PHI = phi()
 INV_PHI = PHI - 1  # 1/phi
 SQRT2 = sqrt_int(2)
 SQRT3 = sqrt_int(3)
+
+# cos^2(pi/p), exactly, for the p where it is quadratic
+COS2 = {
+    3: Fraction(1, 4),
+    4: Fraction(1, 2),
+    5: QuadScalar(Fraction(3, 8), Fraction(1, 8), 5),  # phi^2 / 4
+    6: Fraction(3, 4),
+}
+
+# the Schlafli symbols of the solids outside the three infinite families
+_EXCEPTIONAL = {
+    "icosahedron": (3, 5),
+    "dodecahedron": (5, 3),
+    "cell24": (3, 4, 3),
+    "cell600": (3, 3, 5),
+    "cell120": (5, 3, 3),
+}
+
+
+def cos2(p: int):
+    """cos^2(pi/p): exact for p in COS2, a float for any other p."""
+    if p in COS2:
+        return COS2[p]
+    c = math.cos(math.pi / p)
+    return c * c
 
 
 @dataclass(frozen=True)
@@ -47,36 +80,26 @@ class Solid:
             raise ValueError("polytope families need ambient dimension >= 2")
         if self.kind == "ngon" and self.n < 3:
             raise ValueError("a polygon needs at least 3 sides")
+        if self.kind not in ("simplex", "cube", "cross", "ngon", *_EXCEPTIONAL):
+            raise ValueError(f"unknown solid kind {self.kind!r}")
 
     @property
     def dimension(self) -> int:
         """d: the dimension of the balls the solid projects to."""
-        if self.kind == "ngon":
-            return 1
-        if self.kind in ("icosahedron", "dodecahedron"):
-            return 2
-        if self.kind in ("cell24", "cell600", "cell120"):
-            return 3
-        return self.n - 1
+        return len(self.schlafli)
 
     @property
     def schlafli(self) -> tuple:
-        k = self.kind
+        k, n = self.kind, self.n
         if k == "ngon":
-            return (self.n,)
+            return (n,)
         if k == "simplex":
-            return (3,) * (self.n - 1)
+            return (3,) * (n - 1)
         if k == "cube":
-            return (4,) + (3,) * (self.n - 2)
+            return (4,) + (3,) * (n - 2)
         if k == "cross":
-            return (3,) * (self.n - 2) + (4,)
-        return {
-            "icosahedron": (3, 5),
-            "dodecahedron": (5, 3),
-            "cell24": (3, 4, 3),
-            "cell600": (3, 3, 5),
-            "cell120": (5, 3, 3),
-        }[k]
+            return (3,) * (n - 2) + (4,)
+        return _EXCEPTIONAL[k]
 
     @property
     def name(self) -> str:
@@ -146,81 +169,37 @@ def solid_from_name(name: str) -> Solid:
 # -- half edge-lengths ---------------------------------------------------------
 
 
-def half_edge_length(s: Solid):
-    """Half the edge length of the edge-scribed realization (exact if quadratic)."""
-    k = s.kind
-    if k == "ngon":
-        p = s.n
-        if p == 3:
-            return SQRT3
-        if p == 4:
-            return 1
-        if p == 6:
-            return ratio(SQRT3, 3)
-        return math.tan(math.pi / p)
-    if k == "simplex":
-        if s.n == 2:
-            return SQRT3
-        d = s.n - 1
-        return sqrt_rational(Fraction(d + 2, d))
-    if k == "cross":
-        return 1  # any dimension; the square ({4}) included
-    if k == "cube":
-        if s.n == 2:
-            return 1
-        return sqrt_rational(Fraction(1, s.n - 1))
-    if k == "icosahedron":
-        return INV_PHI
-    if k == "dodecahedron":
-        return INV_PHI * INV_PHI
-    if k == "cell24":
-        return ratio(SQRT3, 3)
-    if k == "cell600":
-        return 5 ** (-0.25) * float(PHI) ** (-1.5)
-    if k == "cell120":
-        return float(INV_PHI) ** 3 / math.sqrt(3)
-    raise ValueError(f"unknown solid kind {k!r}")
+def _coxeter_det(symbol):
+    """D(p1..pk), by D_k = D_{k-1} - cos^2(pi/p_k) D_{k-2} from D_{-1} = D_0 = 1."""
+    before, det = 1, 1
+    for p in symbol:
+        before, det = det, det - cos2(p) * before
+    return det
 
 
-def half_edge_length_pq(p: int, q: int) -> float:
-    """The polyhedral half edge-length from the Schlafli symbol {p,q}."""
-    cp = math.cos(math.pi / p)
-    sq = math.sin(math.pi / q)
-    return math.sqrt((sq * sq - cp * cp)) / cp
+def _half_edge_length_squared(symbol):
+    """l^2 = D(p1..pk) / (D(p2..pk) - D(p1..pk)) for the symbol {p1..pk}."""
+    whole = _coxeter_det(symbol)
+    return ratio(whole, _coxeter_det(symbol[1:]) - whole)
 
 
 def half_edge_length_squared(s: Solid):
     """Squared half edge-length; exact even where the coordinates are floats."""
-    k = s.kind
-    if k == "ngon":
-        p = s.n
-        if p == 3:
-            return 3
-        if p == 4:
-            return 1
-        if p == 5:
-            return QuadScalar(5, -2, 5)  # tan^2(pi/5)
-        if p == 6:
-            return Fraction(1, 3)
-        t = math.tan(math.pi / p)
-        return t * t
-    if k == "simplex":
-        return Fraction(s.n + 1, s.n - 1)
-    if k == "cross":
-        return 1
-    if k == "cube":
-        return 1 if s.n == 2 else Fraction(1, s.n - 1)
-    if k == "icosahedron":
-        return INV_PHI ** 2
-    if k == "dodecahedron":
-        return INV_PHI ** 4
-    if k == "cell24":
-        return Fraction(1, 3)
-    if k == "cell600":
-        return ratio(INV_PHI ** 3, sqrt_int(5))
-    if k == "cell120":
-        return ratio(INV_PHI ** 6, 3)
-    raise ValueError(f"unknown solid kind {k!r}")
+    return _half_edge_length_squared(s.schlafli)
+
+
+def half_edge_length(s: Solid):
+    """Half the edge length: exact where the field of its square hosts it."""
+    ell2 = half_edge_length_squared(s)
+    try:
+        return exact_sqrt(ell2)
+    except ValueError:  # the root lies outside the field of ell2
+        return math.sqrt(ell2)
+
+
+def half_edge_length_pq(p: int, q: int) -> float:
+    """The polyhedral half edge-length from the Schlafli symbol {p,q}."""
+    return math.sqrt(_half_edge_length_squared((p, q)))
 
 
 def solid_from_schlafli(symbol) -> Solid:
@@ -230,22 +209,10 @@ def solid_from_schlafli(symbol) -> Solid:
         raise ValueError("empty Schlafli symbol")
     if len(sym) == 1:
         return Solid("ngon", sym[0])
-    exceptional = {
-        (3, 5): ICOSAHEDRON,
-        (5, 3): DODECAHEDRON,
-        (3, 4, 3): Solid("cell24", 4),
-        (3, 3, 5): Solid("cell600", 4),
-        (5, 3, 3): Solid("cell120", 4),
-    }
-    if sym in exceptional:
-        return exceptional[sym]
-    n = len(sym) + 1
-    if all(x == 3 for x in sym):
-        return Solid("simplex", n)
-    if sym[0] == 4 and all(x == 3 for x in sym[1:]):
-        return Solid("cube", n)
-    if sym[-1] == 4 and all(x == 3 for x in sym[:-1]):
-        return Solid("cross", n)
+    for kind in ("simplex", "cube", "cross", *_EXCEPTIONAL):
+        s = Solid(kind, len(sym) + 1)
+        if s.schlafli == sym:
+            return s
     raise ValueError(f"no regular solid with symbol {sym}")
 
 
@@ -487,11 +454,8 @@ def regular_edge_scribed(s: Solid) -> Polytope:
     k, n = s.kind, s.n
     if k in ("cell24", "cell600", "cell120"):
         raise ValueError(f"{s.name} is provided for constants only, not realized")
-    if k == "ngon" or (k == "cube" and n == 2) or (k == "cross" and n == 2) or (
-        k == "simplex" and n == 2
-    ):
-        p = {"ngon": n, "cube": 4, "cross": 4, "simplex": 3}[k]
-        verts = _ngon_vertices(p)
+    if len(s.schlafli) == 1:
+        verts = _ngon_vertices(s.schlafli[0])
         m = len(verts)
         lattice = {
             0: _sorted_faces(frozenset([i]) for i in range(m)),
@@ -534,7 +498,7 @@ def regular_edge_scribed(s: Solid) -> Polytope:
             2: _supported_faces(verts, _icosahedron_vertices()),
         }
         return Polytope(verts, lattice, family=s)
-    raise ValueError(f"unknown solid kind {k!r}")
+    raise ValueError(f"no coordinates for {s.name}")  # pragma: no cover
 
 
 _DUAL_KIND = {

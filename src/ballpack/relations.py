@@ -18,14 +18,12 @@ never mix silently.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .exactnum import (
     RING_Z,
     RING_Z_PHI,
-    QuadScalar,
     approx,
     compare,
     exact_sqrt,
@@ -40,6 +38,7 @@ from .lorentz import Ball, curvature, lorentz_product
 from .packings import BallArrangement
 from .polytopes import (
     Solid,
+    cos2,
     half_edge_length_squared,
     solid_from_schlafli,
 )
@@ -191,21 +190,14 @@ def relative_residual(residual, reference) -> float:
 
 # -- exact dihedral trigonometry ---------------------------------------------------
 
-_COS2 = {
-    3: Fraction(1, 4),
-    4: Fraction(1, 2),
-    5: QuadScalar(Fraction(3, 8), Fraction(1, 8), 5),  # cos^2(pi/5) = phi^2/4
-    6: Fraction(3, 4),
-}
-
 
 def _cos2(n: int, exact: bool):
-    if exact:
-        if n not in _COS2:
-            raise ValueError(f"no exact cos^2(pi/{n}); pass float curvatures")
-        return _COS2[n]
-    c = math.cos(math.pi / n)
-    return c * c
+    c2 = cos2(n)
+    if not exact:
+        return approx(c2)
+    if isinstance(c2, float):
+        raise ValueError(f"no exact cos^2(pi/{n}); pass float curvatures")
+    return c2
 
 
 def _sin2(n: int, exact: bool):

@@ -174,3 +174,18 @@ def test_compare_scales_the_float_tolerance_with_the_terms():
     # the same absolute error is rounding when the terms were 1e6 in size
     assert compare(1.0 + 2 * FLOAT_REL, 1, lambda: 1e6) == 0
     assert compare(1.0 + 1e-3, 1, lambda: 1e6) == 1
+
+
+@pytest.mark.parametrize(
+    "x,target",
+    [(math.nan, 0), (math.nan, 1), (math.inf, math.inf), (-math.inf, -math.inf)],
+)
+def test_compare_refuses_a_nan_difference(x, target):
+    with pytest.raises(ValueError, match="not finite"):
+        compare(x, target)
+
+
+def test_compare_refuses_terms_of_infinite_size():
+    with pytest.raises(ValueError, match="not finite"):
+        compare(math.inf, 1, lambda: math.inf)
+    assert compare(math.inf, 1) == 1

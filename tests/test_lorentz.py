@@ -41,6 +41,14 @@ def test_lorentz_product_examples():
         lorentz_product((1, 0, 0), (1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ball_refuses_a_non_finite_coordinate(bad):
+    with pytest.raises(ValueError):
+        Ball((bad, 0, 0, 1.0))
+    with pytest.raises(ValueError):
+        Ball((0.0, 0.0, bad, bad))
+
+
 def test_ball_from_geometry_spheres():
     assert ball_from_geometry(2, center=(0, 0), curvature=1) == UNIT_DISK
     assert ball_from_geometry(2, center=(2, 0), curvature=1) == Ball((2, 0, 1, 2))

@@ -5,6 +5,7 @@ import pytest
 
 from ballpack.exactnum import QuadScalar, approx, is_float_data, phi
 from ballpack.polytopes import (
+    COS2,
     CUBE,
     DODECAHEDRON,
     ICOSAHEDRON,
@@ -12,15 +13,18 @@ from ballpack.polytopes import (
     PLATONIC,
     TETRAHEDRON,
     Solid,
+    cos2,
     dual_solid,
     face_barycenter,
     flags,
     graph_distance,
     half_edge_length,
     half_edge_length_pq,
+    half_edge_length_squared,
     polar_dual,
     regular_edge_scribed,
     solid_from_name,
+    solid_from_schlafli,
 )
 
 PHI = phi()
@@ -75,17 +79,89 @@ def test_schlafli_symbols():
     assert Solid("cell24", 4).schlafli == (3, 4, 3)
 
 
-@pytest.mark.parametrize("solid", PLATONIC, ids=lambda s: s.name)
+# The squared half edge-lengths of the per-kind table that the Schlafli
+# symbol formula replaced, kept as the oracle for it.
+OLD_HALF_EDGE_LENGTH_SQUARED = {
+    **{Solid("simplex", n): Fraction(n + 1, n - 1) for n in range(2, 8)},
+    **{Solid("cube", n): Fraction(1, n - 1) for n in range(2, 8)},
+    **{Solid("cross", n): 1 for n in range(2, 8)},
+    Solid("ngon", 3): 3,
+    Solid("ngon", 4): 1,
+    Solid("ngon", 5): QuadScalar(5, -2, 5),
+    Solid("ngon", 6): Fraction(1, 3),
+    Solid("ngon", 7): 0.2319141134796165,
+    Solid("ngon", 8): 0.1715728752538099,
+    Solid("ngon", 9): 0.1324743314317942,
+    ICOSAHEDRON: QuadScalar(Fraction(3, 2), Fraction(-1, 2), 5),
+    DODECAHEDRON: QuadScalar(Fraction(7, 2), Fraction(-3, 2), 5),
+    Solid("cell24", 4): Fraction(1, 3),
+    Solid("cell600", 4): QuadScalar(1, Fraction(-2, 5), 5),
+    Solid("cell120", 4): QuadScalar(3, Fraction(-4, 3), 5),
+}
+
+
+def _solid_id(s):
+    return f"{s.kind}-{s.n}" if s.n == 2 else s.name
+
+
+@pytest.mark.parametrize("solid", OLD_HALF_EDGE_LENGTH_SQUARED, ids=_solid_id)
+def test_half_edge_length_squared_matches_the_old_table(solid):
+    want = OLD_HALF_EDGE_LENGTH_SQUARED[solid]
+    got = half_edge_length_squared(solid)
+    if isinstance(want, float):
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+    else:
+        assert not isinstance(got, float) and got == want
+
+
+def test_cos2_is_exact_where_it_is_quadratic():
+    for p in range(3, 13):
+        c2 = cos2(p)
+        assert isinstance(c2, float) == (p not in COS2)
+        assert approx(c2) == pytest.approx(math.cos(math.pi / p) ** 2, rel=1e-15)
+    assert cos2(5) == (PHI * PHI) / 4
+
+
+def test_solid_from_schlafli_inverts_schlafli():
+    for s in [*OLD_HALF_EDGE_LENGTH_SQUARED, Solid("cube", 9), Solid("ngon", 12)]:
+        back = solid_from_schlafli(s.schlafli)
+        assert back == s or (back.kind == "ngon" and s.n == 2)
+    with pytest.raises(ValueError):
+        solid_from_schlafli((4, 4))
+    with pytest.raises(ValueError):
+        Solid("rhombicuboctahedron")
+
+
+# every solid that regular_edge_scribed realizes
+REALIZABLE = tuple(
+    dict.fromkeys(
+        [
+            *PLATONIC,
+            *(Solid(k, n) for k in ("simplex", "cube", "cross") for n in range(2, 7)),
+            *(Solid("ngon", p) for p in range(3, 10)),
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize("solid", REALIZABLE, ids=_solid_id)
 def test_edge_scribed_platonic(solid):
     p = regular_edge_scribed(solid)
-    ell = half_edge_length(solid)
-    want_v2 = 1 + ell * ell
+    want_v2 = 1 + half_edge_length_squared(solid)
     exact = not any(is_float_data(v) for v in p.vertices)
-    assert exact  # all five Platonic solids are hosted exactly
+    if solid in PLATONIC:
+        assert exact  # all five Platonic solids are hosted exactly
+    if exact:
+        same = lambda x, want: x == want
+    else:
+        same = lambda x, want: approx(x) == pytest.approx(approx(want), rel=1e-12, abs=1e-12)
     for v in p.vertices:
-        assert _norm2(v) == want_v2
+        assert same(_norm2(v), want_v2)
     for e in p.edges:
-        assert _norm2(face_barycenter(p, e)) == 1
+        assert same(_norm2(face_barycenter(p, e)), 1)
+    ell = half_edge_length(solid)
+    assert same(ell * ell, want_v2 - 1)
 
 
 def test_edge_scribed_counts():

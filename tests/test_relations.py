@@ -327,6 +327,17 @@ def test_platonic_relation_float_fallback():
 # -- consecutive elements -----------------------------------------------------------
 
 
+def test_float_relations_read_the_exact_cos2_table():
+    # float data takes the float image of the exact cos^2(pi/p) where there is one
+    assert rel.consecutive("edge", 4, 3, vertex=1.0, edge=0.0, face=0.0) == 1.0
+    assert rel.face_from_three(4, (0.0, 1.0, 0.0)) == 0.0
+    with pytest.raises(ValueError, match="no exact cos"):
+        rel.face_from_three(7, (0, 1, 0))
+    assert rel.face_from_three(7, (0.0, 1.0, 0.0)) == pytest.approx(
+        1 - 1 / (2 * math.sin(math.pi / 7) ** 2)
+    )
+
+
 def test_consecutive_vertex():
     assert rel.consecutive("vertex", 3, 3, vertex=0, edge=Fraction(1, 2)) == 1
 

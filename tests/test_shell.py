@@ -1,6 +1,7 @@
 """Documents, SVG rendering, and the command-line front end."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -231,6 +232,33 @@ def test_cli_verify_exits_two_on_a_wrong_mode(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["verify", "--in", str(path)]) == 2
     assert "error: 'mode' is 'banana', but the vectors are in Q(√2)" in capsys.readouterr().err
+
+
+NON_FINITE = [
+    pytest.param(math.nan, "nan", id="nan"),
+    pytest.param(math.inf, "inf", id="inf"),
+    pytest.param(-math.inf, "-inf", id="-inf"),
+    pytest.param(-(10**400), "-inf", id="int-beyond-float-range"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("bad,name", NON_FINITE)
+def test_cli_exits_two_on_a_non_finite_number(tmp_path, capsys, bad, name, command):
+    # a float depth-1 tetrahedron document with one inversive coordinate set to ``bad``
+    path = tmp_path / "t.json"
+    argv = ["cluster", "--solid", "tetrahedron", "--initial=-3.0,5.0,8.0"]
+    assert main([*argv, "--depth", "1", "--mode", "float", "--out", str(path)]) == 0
+    set_bad = lambda d: d["entries"][1]["inversive"].__setitem__(0, bad)
+    path.write_text(edited(path.read_text(encoding="utf-8"), set_bad), encoding="utf-8")
+    capsys.readouterr()
+    out = str(tmp_path / "t.svg")
+    argv = [command, "--in", str(path)] + (["--out", out] if command == "render" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: float document holds a non-finite number {name}\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("mode", ["float", "Q", "Q(√5)"])
