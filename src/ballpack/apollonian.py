@@ -64,9 +64,8 @@ from .packings import (
     with_dual,
 )
 from .polytopes import (
-    PHI,
+    COS2,
     PLATONIC,
-    SQRT2,
     Solid,
     face_cycle,
     regular_edge_scribed,
@@ -178,9 +177,6 @@ class GeneratorSet:
 
 # -- the normalized Platonic frame ----------------------------------------------
 
-# 2 cos(pi/q) for the three triangular-faced polyhedra, exactly
-_COS_DOUBLE = {3: 1, 4: SQRT2, 5: PHI}
-
 
 def _mirror_x(offset) -> MobiusMap:
     """Reflection of the plane in the vertical line {x = offset}."""
@@ -197,9 +193,9 @@ def _coxeter_path_matrices(q: int) -> dict:
     (0, 1), the vertical mirror at x = -2cos(pi/q), and the vertical mirror
     at x = 0 (the inversion in the marked facet ball).
     """
-    if q not in _COS_DOUBLE:
+    if q not in (3, 4, 5):
         raise ValueError(f"no triangular-faced polyhedron with {q} faces at a vertex")
-    c = _COS_DOUBLE[q]
+    c = exact_sqrt(4 * COS2[q])  # 2cos(pi/q): 1, sqrt 2 or phi
     return {
         "s_v": inversion_map(Ball((0, 1, 1, 1))),
         "r_v": inversion_map(Ball((0, 1, 0, 0))),
@@ -227,7 +223,7 @@ def _normalized_triangular_packing(q: int) -> BallArrangement:
     cx = geometry_from_ball(b).center[0]
     if scalar_sign(cx) != 0:
         arr = arr.transformed(_translation_map((-cx, 0), 2))
-    mirror = _mirror_x(-_COS_DOUBLE[q])
+    mirror = _mirror_x(-exact_sqrt(4 * COS2[q]))
     keys = {canonical_ball_key(x) for x in arr.balls}
     if {canonical_ball_key(apply_map(mirror, x)) for x in arr.balls} != keys:
         arr = arr.transformed(inversion_map(Ball((1, 0, 0, 0))))
@@ -959,11 +955,11 @@ def perfect_square_sequence(p: int, n_max: int) -> list:
     circle then lands on a ball of curvature n^2; everything stays in the
     field hosting sqrt(lambda).
     """
-    if p not in _COS_DOUBLE:
+    if p not in (3, 4, 5):
         raise ValueError("p must be 3, 4 or 5")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    c = _COS_DOUBLE[p]
+    c = exact_sqrt(4 * COS2[p])  # 2cos(pi/p)
     lam = c * c
     edge = inversion_map(
         ball_from_geometry(2, center=(0, -lam), curvature=ratio(1, 2 * c))

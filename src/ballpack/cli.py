@@ -6,11 +6,14 @@ Subcommands produce and consume JSON packing documents:
 * ``spectra``             -- Mobius-invariant eigenvalue signature of a solid
 * ``cluster``             -- reflection-group closures of a seed packing
 * ``squares``             -- the curvature = n^2 walk inside one packing
-* ``verify``              -- residual checks on a document
+* ``verify``              -- checks on a document: overlaps (packing), its
+                             seed record and the Descartes flag relation
+                             (descartes), tangent tuples (soddy), flags
 * ``integrality``         -- certify integer (or golden-integer) curvatures
 * ``render``              -- deterministic SVG for planar documents
 
-Exit codes: 0 success, 1 failed verification, 2 usage or input errors.
+Exit codes: 0 success, 1 failed verification, 2 usage or input errors.  A
+check that found nothing to evaluate reports "vacuous" and fails nothing.
 Relative ``--out`` paths are placed under ``$BALLPACK_OUT_DIR`` when set.
 """
 
@@ -32,8 +35,8 @@ from .documents import (
     scalar_to_text,
     to_json,
 )
-from .exactnum import RING_Z, RING_Z_PHI, approx, phi, sqrt_rational
-from .lorentz import EXTERNALLY_TANGENT, classify_pair
+from .exactnum import RING_Z, RING_Z_PHI, approx, phi, scalar_sign, sqrt_rational
+from .lorentz import EXTERNALLY_TANGENT, classify_pair, same_vector
 from .apollonian import (
     apollonian_group_from_packing,
     generate_cluster,
@@ -49,11 +52,11 @@ from .packings import (
     pair_screen,
     project,
 )
-from .polytopes import Solid, dual_solid, flags, regular_edge_scribed, solid_from_name
+from .polytopes import dual_solid, flags, regular_edge_scribed, solid_from_name
 from .relations import (
     INTEGRAL,
     NOT_CERTIFIED,
-    gram_curvature_identity,
+    flag_curvatures,
     integrality_condition,
     lorentzian_curvature,
     relative_residual,
@@ -66,7 +69,6 @@ CENTER_RANKS = {"vertex": 0, "edge": 1, "face": 2}
 FLOAT_CHECK_TOL = 1e-9
 TANGENT_NODES = 48  # the soddy check looks for tangent tuples among this many balls
 TANGENT_TUPLES = 200  # ... and checks at most this many of them
-DESCARTES_WINDOWS = 200  # the descartes check looks at this many leading windows
 
 
 # -- curvature tokens ---------------------------------------------------------
@@ -140,58 +142,62 @@ def _read_doc(path: str) -> PackingDocument:
     return from_json(text)
 
 
-def _solid(name: str) -> Solid:
-    return solid_from_name(name)
-
-
-def _say(msg: str) -> None:
-    print(msg)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
-def _projection(s: Solid, center: str) -> BallArrangement:
-    """The projection of s, with the face that ``center`` names at the origin."""
-    if center == "none":
-        return project(regular_edge_scribed(s))
-    return centered_projection(s, CENTER_RANKS[center])
+def _recorded(record: dict, key: str, kind: type):
+    """record[key], checked to be a JSON value of ``kind``."""
+    if not isinstance(record.get(key), kind):
+        raise ValueError(f"seed record field {key!r} is missing or not a JSON {kind.__name__}")
+    return record[key]
+
+
+def _made_by(record: dict, mode: str = "exact"):
+    """What a seed record describes: the BallArrangement of a projection or
+    dual-projection record, with the face that its center names at the
+    origin, or the Cluster of a cluster record, grown in ``mode``.
+
+    ``project``, ``dual`` and ``cluster`` build what they write from the
+    record that they store with it, and the descartes check rebuilds a
+    document from its record.
+    """
+    kind = record.get("kind")
+    if kind in ("projection", "dual-projection"):
+        s = solid_from_name(_recorded(record, "solid" if kind == "projection" else "primal", str))
+        center = _recorded(record, "center", str)
+        if center == "none":
+            arr = project(regular_edge_scribed(s))
+        else:
+            arr = centered_projection(s, CENTER_RANKS[center])
+        return arr if kind == "projection" else dual(arr)
+    if kind == "cluster":
+        initial = parse_initial(",".join(map(str, _recorded(record, "initial", list))), mode)
+        seed = packing_from_curvatures(solid_from_name(_recorded(record, "solid", str)), initial)
+        gens = apollonian_group_from_packing(seed)
+        return generate_cluster(seed, gens, _recorded(record, "depth", int))
+    raise ValueError("the document has no projection, dual-projection or cluster record")
 
 
 def cmd_project(args) -> int:
-    s = _solid(args.solid)
-    arr = _projection(s, args.center)
-    doc = document_from_arrangement(
-        arr,
-        solid=s.name,
-        seed={"kind": "projection", "solid": s.name, "center": args.center},
-    )
+    s = solid_from_name(args.solid)
+    record = {"kind": "projection", "solid": s.name, "center": args.center}
+    doc = document_from_arrangement(_made_by(record), solid=s.name, seed=record)
     p = _write_text(args.out, to_json(doc))
-    _say(f"wrote {p} ({len(doc.entries)} balls, mode {doc.mode})")
+    print(f"wrote {p} ({len(doc.entries)} balls, mode {doc.mode})")
     return 0
 
 
 def cmd_dual(args) -> int:
-    doc = _read_doc(getattr(args, "in"))
-    seed = doc.seed
+    seed = _read_doc(getattr(args, "in")).seed
     if seed.get("kind") != "projection":
         raise ValueError("dual needs a document produced by the project command")
-    s = _solid(seed["solid"])
-    center = seed.get("center", "none")
-    d_arr = dual(_projection(s, center))
+    s = solid_from_name(_recorded(seed, "solid", str))
     d_name = dual_solid(s).name
-    out = document_from_arrangement(
-        d_arr,
-        solid=d_name,
-        seed={
-            "kind": "dual-projection",
-            "solid": d_name,
-            "primal": s.name,
-            "center": center,
-        },
-    )
+    center = seed.get("center", "none")
+    record = {"kind": "dual-projection", "solid": d_name, "primal": s.name, "center": center}
+    out = document_from_arrangement(_made_by(record), solid=d_name, seed=record)
     p = _write_text(args.out, to_json(out))
-    _say(f"wrote {p} ({len(out.entries)} balls, mode {out.mode})")
+    print(f"wrote {p} ({len(out.entries)} balls, mode {out.mode})")
     return 0
 
 
@@ -203,31 +209,21 @@ def _eig_text(v: float) -> str:
 
 
 def cmd_spectra(args) -> int:
-    s = _solid(args.solid)
+    s = solid_from_name(args.solid)
     groups = grouped_spectra(s)
-    _say(" ".join(f"{_eig_text(v)}:{mult}" for v, mult in groups))
+    print(" ".join(f"{_eig_text(v)}:{mult}" for v, mult in groups))
     return 0
 
 
 def cmd_cluster(args) -> int:
-    s = _solid(args.solid)
-    initial = parse_initial(args.initial, args.mode)
-    seed = packing_from_curvatures(s, initial)
-    gens = apollonian_group_from_packing(seed)
-    cluster = generate_cluster(seed, gens, args.depth)
-    doc = document_from_cluster(
-        cluster,
-        solid=s.name,
-        seed={
-            "kind": "cluster",
-            "solid": s.name,
-            "initial": [t.strip() for t in args.initial.split(",")],
-            "depth": args.depth,
-            "flavor": cluster.flavor,
-        },
-    )
+    s = solid_from_name(args.solid)
+    initial = [t.strip() for t in args.initial.split(",")]
+    record = {"kind": "cluster", "solid": s.name, "initial": initial, "depth": args.depth}
+    cluster = _made_by(record, args.mode)
+    record["flavor"] = cluster.flavor
+    doc = document_from_cluster(cluster, solid=s.name, seed=record)
     p = _write_text(args.out, to_json(doc))
-    _say(f"wrote {p} ({len(doc.entries)} balls, mode {doc.mode})")
+    print(f"wrote {p} ({len(doc.entries)} balls, mode {doc.mode})")
     return 0
 
 
@@ -235,7 +231,7 @@ def cmd_squares(args) -> int:
     bad = None
     for n, b in perfect_square_sequence(args.p, args.n_max):
         k = b.curvature
-        _say(f"{n} {scalar_to_text(k)}")
+        print(f"{n} {scalar_to_text(k)}")
         if bad is None and k != n * n:
             bad = n
     if bad is not None:
@@ -248,62 +244,61 @@ def _check_packing(doc: PackingDocument, balls: list):
     bad = first_overlap(balls)
     if bad is not None:
         i, j, c = bad
-        return False, f"balls {i} and {j} are {c}"
+        return "FAILED", f"balls {i} and {j} are {c}"
     n = len(balls)
-    return True, f"{n} balls, {n * (n - 1) // 2} pairs"
+    return "ok", f"{n} balls, {n * (n - 1) // 2} pairs"
 
 
-def _well_conditioned(window) -> bool:
-    import numpy as np
-    from .lorentz import lorentz_product
-
-    g = np.array(
-        [[approx(lorentz_product(u.v, w.v)) for w in window] for u in window]
-    )
-    return bool(np.linalg.cond(g) < 1e6)
-
-
-def _residual_check(cases, unit: str, empty: str, sampled: str = ""):
+def _residual_check(cases, unit: str, empty: str, note: str = ""):
     """The loop shared by the curvature-relation checks.
 
     ``cases`` yields (label, residual, curvatures).  The check fails at the
-    first residual above FLOAT_CHECK_TOL relative to max |k|^2; otherwise it
-    reports how many cases it checked, the worst residual and, when the
-    caller looked at only part of the document, what it ``sampled``.
+    first nonzero exact residual, or float one above FLOAT_CHECK_TOL relative
+    to max |k|^2.  Otherwise it reports how many cases it checked and the
+    worst residual, or "vacuous" if none, and then the caller's ``note``.
     """
     worst = 0.0
     count = 0
     for label, res, ks in cases:
         rel = relative_residual(res, max(abs(approx(k)) for k in ks) ** 2)
-        if rel > FLOAT_CHECK_TOL:
-            return False, f"{label} has relative residual {rel:.3g}"
+        if rel > FLOAT_CHECK_TOL or (not isinstance(res, float) and scalar_sign(res) != 0):
+            return "FAILED", f"{label} has relative residual {rel:.3g}"
         worst = max(worst, rel)
         count += 1
-    note = f", {sampled}" if sampled else ""
+    note = f", {note}" if note else ""
     if not count:
-        return True, f"{empty} (vacuous{note})"
-    return True, f"{count} {unit}, max relative residual {worst:.3g}{note}"
+        return "vacuous", f"{empty}{note}"
+    return "ok", f"{count} {unit}, max relative residual {worst:.3g}{note}"
 
 
 def _check_descartes(doc: PackingDocument, balls: list):
-    n = doc.dimension + 2
-    total = max(len(balls) - n + 1, 0)
-
-    def cases():
-        for i in range(min(total, DESCARTES_WINDOWS)):
-            window = balls[i : i + n]
-            # float solves on nearly dependent quadruples only amplify
-            # roundoff, so they are skipped just like exactly singular ones
-            if doc.is_float and not _well_conditioned(window):
-                continue
-            try:
-                res = gram_curvature_identity(window)
-            except ValueError:
-                continue
-            yield f"window at {i}", res, [b.curvature for b in window]
-
-    sampled = f"first {DESCARTES_WINDOWS} of {total} windows" if total > DESCARTES_WINDOWS else ""
-    return _residual_check(cases(), "windows", "no invertible windows", sampled)
+    """The document against what its seed record makes, entry by entry, then
+    the flag relation (the paper's Descartes relation) on one flag of the
+    seed image.  That image is the one window: a Mobius image of the solid."""
+    record, n = doc.seed, len(doc.entries)
+    depth, deepest = record.get("depth"), max((e.depth for e in doc.entries), default=0)
+    if record.get("kind") == "cluster" and depth != deepest:
+        # before rebuilding: each level multiplies the time a rebuild takes
+        return "FAILED", f"the record's depth is {depth!r}, the deepest entry's {deepest}"
+    made = _made_by(record, "float" if doc.is_float else "exact")
+    if isinstance(made, BallArrangement):
+        image, expected = made, document_from_arrangement(made).entries
+    elif made.flavor != record.get("flavor"):
+        return "FAILED", f"the record's flavor is {record.get('flavor')!r}, not {made.flavor!r}"
+    else:
+        image, expected = made.seed, made
+    if len(expected) != n:
+        return "FAILED", f"the record makes {len(expected)} balls, the document holds {n}"
+    for i, (got, want) in enumerate(zip(doc.entries, expected)):
+        if doc.is_float and same_vector(got.inversive, want.inversive):
+            got = dataclasses.replace(got, inversive=want.inversive)  # equal within the window
+        if got != want:
+            return "FAILED", f"entry {i} differs from what the record makes"
+    p = image.polytope
+    flag = flags(p)[0]
+    ks = flag_curvatures(image, flag)
+    case = (f"flag {flag} of the seed image", verify_flag_relation(p.family, ks), ks)
+    return _residual_check([case], "windows", "no flags", f"{n} balls match the record")
 
 
 def _tangent_cliques(balls, size: int):
@@ -346,7 +341,7 @@ def _check_flags(doc: PackingDocument, balls: list):
     seed = doc.seed
     if seed.get("kind") != "projection":
         raise ValueError("flag check applies only to project documents")
-    s = _solid(seed["solid"])
+    s = solid_from_name(seed["solid"])
     p = regular_edge_scribed(s)
     if len(balls) != len(p.vertices):
         raise ValueError("document does not hold one ball per vertex")
@@ -372,9 +367,12 @@ _CHECKS = {
 
 def _applicable_checks(doc: PackingDocument) -> list:
     names = ["packing"]
+    kind = doc.seed.get("kind")
+    if kind in ("projection", "dual-projection", "cluster"):
+        names.append("descartes")
     if len(doc.entries) >= doc.dimension + 2:
-        names += ["descartes", "soddy"]
-    if doc.seed.get("kind") == "projection":
+        names.append("soddy")
+    if kind == "projection":
         names.append("flags")
     return names
 
@@ -391,17 +389,17 @@ def cmd_verify(args) -> int:
     balls = doc.balls()  # validates every ball's norm, once for all checks
     failed = False
     for name in names:
-        ok, detail = _CHECKS[name](doc, balls)
-        _say(f"{name}: {'ok' if ok else 'FAILED'} ({detail})")
-        failed = failed or not ok
+        status, detail = _CHECKS[name](doc, balls)
+        print(f"{name}: {status} ({detail})")
+        failed = failed or status == "FAILED"
     return 1 if failed else 0
 
 
 def cmd_integrality(args) -> int:
-    s = _solid(args.solid)
+    s = solid_from_name(args.solid)
     initial = parse_initial(args.initial, "exact")
     cert = integrality_condition(s, initial)
-    _say(f"certificate: {cert}")
+    print(f"certificate: {cert}")
     if cert == NOT_CERTIFIED:
         return 1
     if args.certify_depth is not None:
@@ -410,7 +408,7 @@ def cmd_integrality(args) -> int:
         cluster = generate_cluster(seed, gens, args.certify_depth)
         ring = RING_Z if cert == INTEGRAL else RING_Z_PHI
         ok = cluster.curvatures_in_ring(ring)
-        _say(
+        print(
             f"depth-{args.certify_depth} curvatures in {ring}: "
             f"{'yes' if ok else 'NO'} ({len(cluster)} balls)"
         )
@@ -443,7 +441,7 @@ def cmd_render(args) -> int:
     spec = _render_spec_from_file(args.spec) if args.spec else RenderSpec()
     svg = render_svg(doc, spec)
     p = _write_text(args.out, svg)
-    _say(f"wrote {p} ({len(doc.entries)} elements)")
+    print(f"wrote {p} ({len(doc.entries)} elements)")
     return 0
 
 

@@ -150,10 +150,12 @@ _NAME_TABLE = {
 
 
 def solid_from_name(name: str) -> Solid:
-    """Parse names like "tetrahedron", "simplex-5", "cube-4", "ngon-7"."""
+    """Parse names like "tetrahedron", "simplex-5", "cube-4", "ngon-7", "7-gon"."""
     key = name.strip().lower()
     if key in _NAME_TABLE:
         return _NAME_TABLE[key]
+    if key.endswith("-gon"):
+        return Solid("ngon", int(key[: -len("-gon")]))
     for prefix, kind in (
         ("simplex-", "simplex"),
         ("cube-", "cube"),

@@ -325,8 +325,17 @@ def test_solid_from_name():
     assert solid_from_name("simplex-5") == Solid("simplex", 5)
     assert solid_from_name("cube-4") == Solid("cube", 4)
     assert solid_from_name("ngon-7") == Solid("ngon", 7)
+    assert solid_from_name("7-gon") == Solid("ngon", 7)
     with pytest.raises(ValueError):
         solid_from_name("rhombicuboctahedron")
+
+
+@pytest.mark.parametrize("solid", REALIZABLE, ids=_solid_id)
+def test_solid_from_name_reads_every_solid_name(solid):
+    back = solid_from_name(solid.name)
+    if back != solid:  # "square" names both cube-2 and orthoplex-2, realized alike
+        p, q = regular_edge_scribed(back), regular_edge_scribed(solid)
+        assert (p.vertices, p.faces_by_rank) == (q.vertices, q.faces_by_rank)
 
 
 def test_constants_only_not_realizable():

@@ -466,7 +466,9 @@ def test_cli_project_then_verify(tmp_path, capsys):
     assert loaded.seed["center"] == "none"
 
 
-@pytest.mark.parametrize("solid", ["octahedron", "icosahedron", "dodecahedron"])
+@pytest.mark.parametrize(
+    "solid", ["octahedron", "icosahedron", "dodecahedron", "ngon-5", "ngon-6", "ngon-7", "ngon-8", "ngon-9"]
+)
 def test_cli_verify_passes_on_every_projection(solid, tmp_path):
     doc = tmp_path / "s.json"
     assert main(["project", "--solid", solid, "--out", str(doc)]) == 0
@@ -704,7 +706,7 @@ def test_cli_float_seeds_with_large_curvatures_exit_cleanly(solid, initial, code
 @pytest.mark.parametrize(
     "check,line",
     [
-        ("descartes", "descartes: ok (115 windows, max relative residual 0, first 200 of 485 windows)"),
+        ("descartes", "descartes: ok (1 windows, max relative residual 0, 488 balls match the record)"),
         ("soddy", "soddy: ok (45 tangent tuples, max relative residual 0, among the first 48 of 488 balls)"),
     ],
     ids=["descartes", "soddy"],
@@ -724,7 +726,7 @@ def test_cli_verify_adds_no_sampling_note_when_it_saw_everything(tmp_path, capsy
     capsys.readouterr()
     assert main(["verify", "--in", str(path), "--checks", "descartes,soddy"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "descartes: ok (1 windows, max relative residual 0)",
+        "descartes: ok (1 windows, max relative residual 0, 4 balls match the record)",
         "soddy: ok (1 tangent tuples, max relative residual 0)",
     ]
 

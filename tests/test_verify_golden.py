@@ -2,9 +2,11 @@
 
 The set is that of the benchmark's `full_verify` workload: three exact
 clusters, six projections and one cluster with a planted overlapping ball.
-GOLDEN holds what `verify` printed before the pair loop was screened, so any
-change in what the packing, descartes, soddy or flags checks report shows
-here.
+GOLDEN's packing and flags lines are what `verify` printed before the pair
+loop was screened; its descartes lines are those of the check against the
+seed record, and its soddy lines say `vacuous` where no tuple was found.  So
+any change in what the packing, descartes, soddy or flags checks report
+shows here.
 """
 
 import contextlib
@@ -70,67 +72,67 @@ GOLDEN = {
     "cube-4-projection": (
         0,
         "packing: ok (16 balls, 120 pairs)\n"
-        "descartes: ok (no invertible windows (vacuous))\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous))\n"
+        "descartes: ok (1 windows, max relative residual 0, 16 balls match the record)\n"
+        "soddy: vacuous (no mutually tangent tuples found)\n"
         "flags: ok (384 flags, max relative residual 0)\n"
     ),
     "cube-5-projection": (
         0,
         "packing: ok (32 balls, 496 pairs)\n"
-        "descartes: ok (no invertible windows (vacuous))\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous))\n"
+        "descartes: ok (1 windows, max relative residual 0, 32 balls match the record)\n"
+        "soddy: vacuous (no mutually tangent tuples found)\n"
         "flags: ok (3840 flags, max relative residual 0)\n"
     ),
     "cube-d2": (
         0,
         "packing: ok (152 balls, 11476 pairs)\n"
-        "descartes: ok (142 windows, max relative residual 0)\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous, among the first 48 of 152 balls))\n"
+        "descartes: ok (1 windows, max relative residual 0, 152 balls match the record)\n"
+        "soddy: vacuous (no mutually tangent tuples found, among the first 48 of 152 balls)\n"
     ),
     "dodecahedron-projection": (
         0,
         "packing: ok (20 balls, 190 pairs)\n"
-        "descartes: ok (14 windows, max relative residual 0)\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous))\n"
+        "descartes: ok (1 windows, max relative residual 0, 20 balls match the record)\n"
+        "soddy: vacuous (no mutually tangent tuples found)\n"
         "flags: ok (120 flags, max relative residual 0)\n"
     ),
     "icosahedron-projection": (
         0,
         "packing: ok (12 balls, 66 pairs)\n"
-        "descartes: ok (8 windows, max relative residual 0)\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous))\n"
+        "descartes: ok (1 windows, max relative residual 0, 12 balls match the record)\n"
+        "soddy: vacuous (no mutually tangent tuples found)\n"
         "flags: ok (120 flags, max relative residual 0)\n"
     ),
     "octahedron-d2": (
         0,
         "packing: ok (198 balls, 19503 pairs)\n"
-        "descartes: ok (74 windows, max relative residual 0)\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous, among the first 48 of 198 balls))\n"
+        "descartes: ok (1 windows, max relative residual 0, 198 balls match the record)\n"
+        "soddy: vacuous (no mutually tangent tuples found, among the first 48 of 198 balls)\n"
     ),
     "orthoplex-4-projection": (
         0,
         "packing: ok (8 balls, 28 pairs)\n"
-        "descartes: ok (no invertible windows (vacuous))\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous))\n"
+        "descartes: ok (1 windows, max relative residual 0, 8 balls match the record)\n"
+        "soddy: vacuous (no mutually tangent tuples found)\n"
         "flags: ok (384 flags, max relative residual 0)\n"
     ),
     "planted": (
         1,
         "packing: FAILED (balls 1 and 11 are overlapping)\n"
-        "descartes: ok (15 windows, max relative residual 0)\n"
-        "soddy: ok (no mutually tangent tuples found (vacuous))\n"
+        "descartes: FAILED (the record makes 30 balls, the document holds 31)\n"
+        "soddy: vacuous (no mutually tangent tuples found)\n"
     ),
     "simplex-5-projection": (
         0,
         "packing: ok (6 balls, 15 pairs)\n"
-        "descartes: ok (1 windows, max relative residual 1.39e-16)\n"
+        "descartes: ok (1 windows, max relative residual 6.04e-16, 6 balls match the record)\n"
         "soddy: ok (1 tangent tuples, max relative residual 3.55e-15)\n"
         "flags: ok (720 flags, max relative residual 7.96e-16)\n"
     ),
     "tetrahedron-d4": (
         0,
         "packing: ok (164 balls, 13366 pairs)\n"
-        "descartes: ok (91 windows, max relative residual 0)\n"
+        "descartes: ok (1 windows, max relative residual 0, 164 balls match the record)\n"
         "soddy: ok (45 tangent tuples, max relative residual 0, among the first 48 of 164 balls)\n"
     ),
 }
