@@ -167,8 +167,10 @@ def _made_by(record: dict, mode: str = "exact"):
         center = _recorded(record, "center", str)
         if center == "none":
             arr = project(regular_edge_scribed(s))
-        else:
+        elif center in CENTER_RANKS:
             arr = centered_projection(s, CENTER_RANKS[center])
+        else:
+            raise ValueError(f"seed record field 'center' is {center!r}, not none, vertex, edge or face")
         return arr if kind == "projection" else dual(arr)
     if kind == "cluster":
         initial = parse_initial(",".join(map(str, _recorded(record, "initial", list))), mode)
@@ -403,9 +405,13 @@ def cmd_integrality(args) -> int:
     if cert == NOT_CERTIFIED:
         return 1
     if args.certify_depth is not None:
-        seed = packing_from_curvatures(s, initial)
-        gens = apollonian_group_from_packing(seed)
-        cluster = generate_cluster(seed, gens, args.certify_depth)
+        record = {
+            "kind": "cluster",
+            "solid": s.name,
+            "initial": args.initial.split(","),
+            "depth": args.certify_depth,
+        }
+        cluster = _made_by(record)
         ring = RING_Z if cert == INTEGRAL else RING_Z_PHI
         ok = cluster.curvatures_in_ring(ring)
         print(
@@ -417,6 +423,27 @@ def cmd_integrality(args) -> int:
     return 0
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# the JSON type of each RenderSpec field in a spec file
+_SPEC_KEYS = {
+    "viewport": (
+        "a list of 4 numbers",
+        lambda x: isinstance(x, list) and len(x) == 4 and all(map(_number, x)),
+    ),
+    "stroke_width": ("a number", _number),
+    "stroke": ("a string", lambda x: isinstance(x, str)),
+    "palette": (
+        "a list of strings",
+        lambda x: isinstance(x, list) and all(isinstance(c, str) for c in x),
+    ),
+    "max_radius_clip": ("a number or null", lambda x: x is None or _number(x)),
+    "halfspace_margin": ("a number", _number),
+}
+
+
 def _render_spec_from_file(path: str) -> RenderSpec:
     import json
 
@@ -426,14 +453,16 @@ def _render_spec_from_file(path: str) -> RenderSpec:
         raise ValueError(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
         raise ValueError(f"not a JSON render spec: {err}")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(RenderSpec)}
+    if not isinstance(raw, dict):
+        raise ValueError("the render spec is not a JSON object")
+    unknown = set(raw) - set(_SPEC_KEYS)
     if unknown:
         raise ValueError(f"unknown render spec keys: {', '.join(sorted(unknown))}")
-    if "viewport" in raw:
-        raw["viewport"] = tuple(raw["viewport"])
-    if "palette" in raw:
-        raw["palette"] = tuple(raw["palette"])
-    return RenderSpec(**raw)
+    for key, value in raw.items():
+        what, ok = _SPEC_KEYS[key]
+        if not ok(value):
+            raise ValueError(f"render spec key {key!r} is not {what}")
+    return RenderSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def cmd_render(args) -> int:

@@ -324,8 +324,15 @@ def dual(a: BallArrangement) -> BallArrangement:
 
     If the arrangement carries attached dual balls they are used directly
     (correct for transformed packings); otherwise the polar dual polytope is
-    projected, which is only faithful for unmoved projections.
+    projected, which is only faithful for unmoved projections.  Polygons
+    (d = 1) have no dual arrangement: an edge-scribed polygon's edges touch
+    the unit circle, so its polar's vertices are those touching points, on
+    the circle, and cast no ball.
     """
+    if a.dimension == 1:
+        raise ValueError(
+            "a polygon has no dual arrangement: its polar's vertices lie on the unit circle"
+        )
     if a.dual_balls is not None:
         dual_poly = polar_dual(a.polytope) if a.polytope is not None else None
         return BallArrangement(a.dual_balls, dual_poly, a.balls)

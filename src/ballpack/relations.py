@@ -7,9 +7,10 @@ middle is corner-matrix algebra -- the Gram matrix of a flag's barycenters is
 a "corner" matrix, whose explicit tridiagonal inverse turns the curvature
 null-identity into the quadratic flag relation.  The top is the family of
 small linear/quadratic consequences (consecutive-element relations, the
-two-root next-polyhedron solvers, square-face/pentagon/antipodal rules) that
-let clusters grow by curvature arithmetic alone, plus the ring certificates
-for integral and phi-integral packings.
+two-root next-polyhedron solver, the walk around a face, antipodal rules),
+each one law evaluated at the Schlafli symbol, that let clusters grow by
+curvature arithmetic alone, plus the ring certificates for integral and
+phi-integral packings.
 
 Every function is exact on exact input and float on float input; the two
 never mix silently.
@@ -17,7 +18,6 @@ never mix silently.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from . import linalg
@@ -156,27 +156,15 @@ def verify_flag_relation(s: Solid, kappas):
     return ks[-1] * ks[-1] - lv[-1] * rhs
 
 
-def simplex_flag_residual(kappas):
-    """Closed-form flag relation for simplices: prefactor d/(d+2), weights C(i+2,2)."""
-    ks = tuple(kappas)
-    d = len(ks) - 2
-    rhs = 0
-    for i in range(d + 1):
-        diff = ks[i] - ks[i + 1]
-        rhs = rhs + math.comb(i + 2, 2) * diff * diff
-    return ks[-1] * ks[-1] - ratio(d, d + 2) * rhs
-
-
-def cube_flag_residual(kappas):
-    """Closed-form flag relation for cubes: all weights 1, prefactor d."""
-    ks = tuple(kappas)
-    d = len(ks) - 2
-    rhs = sum((ks[i] - ks[i + 1]) * (ks[i] - ks[i + 1]) for i in range(d + 1))
-    return ks[-1] * ks[-1] - d * rhs
-
-
 def soddy_gosset_residual(kappas):
-    """(sum k)^2 - d sum k^2 for d+2 pairwise tangent d-ball curvatures."""
+    """(sum k)^2 - d sum k^2 for d+2 pairwise tangent d-ball curvatures.
+
+    For exact unit vectors with pairwise products exactly -1, the residual
+    is -2d<N, N> = 0, with N = e_{d+1} + e_{d+2} the null vector that reads
+    curvatures.  So on the tuples that ``classify_pair`` proved tangent, among
+    balls whose norms ``PackingDocument.balls()`` proved to be 1, the exact
+    ``verify --checks soddy`` cannot fail; only float residuals can.
+    """
     ks = tuple(kappas)
     d = len(ks) - 2
     total = sum(ks)
@@ -202,23 +190,6 @@ def _cos2(n: int, exact: bool):
 
 def _sin2(n: int, exact: bool):
     return 1 - _cos2(n, exact)
-
-
-def platonic_flag_relation(p: int, q: int, k_v, k_e, k_f, k_p):
-    """Residual of the polyhedral flag relation for Schlafli symbol {p,q}."""
-    exact = not is_float_data((k_v, k_e, k_f, k_p))
-    c2p, s2p = _cos2(p, exact), _sin2(p, exact)
-    c2q, s2q = _cos2(q, exact), _sin2(q, exact)
-    den = s2q - c2p
-    a = ratio(c2p, den)
-    b = ratio(s2p, den)
-    c = ratio(s2p, c2q)
-    rhs = (
-        a * (k_v - k_e) * (k_v - k_e)
-        + b * (k_e - k_f) * (k_e - k_f)
-        + c * (k_f - k_p) * (k_f - k_p)
-    )
-    return k_p * k_p - rhs
 
 
 def consecutive(kind: str, p: int, q: int, *, vertex=None, edge=None, face=None, polyhedron=None):
@@ -262,6 +233,24 @@ def face_from_three(p: int, triple):
     return quarter * (k_next + k_prev) + (1 - 2 * quarter) * k_mid
 
 
+def face_next(p: int, triple):
+    """The curvature after k_next around a p-gon face, from three consecutive
+    vertex curvatures: k_prev + (4 cos^2(pi/p) - 1)(k_next - k_mid).
+
+    The coefficient is 0 for a triangle, 1 for a square and phi for a pentagon.
+    """
+    k_prev, k_mid, k_next = triple
+    return k_prev + (4 * _cos2(p, not is_float_data(triple)) - 1) * (k_next - k_mid)
+
+
+def _discriminant(p: int, triple, exact: bool):
+    """e2(triple) + (1 - 4 cos^2(pi/p)) k_mid^2: under the square root of the
+    two solids over a p-gon face, up to the factor cos^2(pi/q)."""
+    k_prev, k_mid, k_next = triple
+    e2 = k_prev * k_mid + k_mid * k_next + k_prev * k_next
+    return e2 + (1 - 4 * _cos2(p, exact)) * k_mid * k_mid
+
+
 def solve_next_polyhedron(p: int, q: int, triple):
     """Both roots (kappa+, kappa-) for the solids sharing the face of a triple.
 
@@ -273,68 +262,13 @@ def solve_next_polyhedron(p: int, q: int, triple):
     exact = not is_float_data(triple)
     c2p = _cos2(p, exact)
     c2q = _cos2(q, exact)
-    disc = (1 - 4 * c2p) * k_mid * k_mid + k_mid * k_next + k_mid * k_prev + k_next * k_prev
-    rad = _any_sqrt(c2q * disc, triple)
+    rad = _any_sqrt(c2q * _discriminant(p, triple, exact), triple)
     base = (1 - 2 * c2p) * k_mid + ratio(k_next + k_prev, 2)
     den = 2 * (1 - c2q - c2p)
     return (ratio(base + rad, den), ratio(base - rad, den))
 
 
 # -- per-family recurrences --------------------------------------------------------
-
-
-def octahedral_next(triple):
-    """k1+k2+k3 +- sqrt(2(k1k2+k1k3+k2k3)): the two octahedra over a triangle."""
-    k1, k2, k3 = triple
-    disc = 2 * (k1 * k2 + k1 * k3 + k2 * k3)
-    rad = _any_sqrt(disc, triple)
-    s = k1 + k2 + k3
-    return (s + rad, s - rad)
-
-
-def cubical_next(triple):
-    """Two cubes over a square face, from three consecutive vertex curvatures."""
-    k_prev, k_mid, k_next = triple
-    disc = -k_mid * k_mid + k_mid * k_next + k_mid * k_prev + k_next * k_prev
-    rad = _any_sqrt(disc, triple)
-    return (k_prev + k_next + rad, k_prev + k_next - rad)
-
-
-def icosahedral_next(triple):
-    """phi^2(k1+k2+k3) +- phi^3 sqrt(k1k2+k1k3+k2k3) for a shared triangle."""
-    k1, k2, k3 = triple
-    exact = not is_float_data(triple)
-    phi1 = PHI if exact else approx(PHI)
-    disc = k1 * k2 + k1 * k3 + k2 * k3
-    rad = _any_sqrt(disc, triple)
-    s = phi1 * phi1 * (k1 + k2 + k3)
-    return (s + phi1 ** 3 * rad, s - phi1 ** 3 * rad)
-
-
-def dodecahedral_next(triple):
-    """Two dodecahedra over a pentagon, from three consecutive vertex curvatures."""
-    k_prev, k_mid, k_next = triple
-    exact = not is_float_data(triple)
-    phi1 = PHI if exact else approx(PHI)
-    disc = -phi1 * k_mid * k_mid + k_mid * k_next + k_mid * k_prev + k_next * k_prev
-    rad = _any_sqrt(disc, triple)
-    base = -phi1 * k_mid
-    return (
-        base + phi1 * phi1 * (k_next + k_prev + rad),
-        base + phi1 * phi1 * (k_next + k_prev - rad),
-    )
-
-
-def square_face_fourth(k_a, k_b, k_c):
-    """Fourth curvature around a square face from three in cyclic order."""
-    return k_a + k_c - k_b
-
-
-def pentagon_fourth(k_prev, k_mid, k_next):
-    """Next curvature around a pentagon: phi(k_{i+1}-k_i) = k_{i+2}-k_{i-1}."""
-    exact = not is_float_data((k_prev, k_mid, k_next))
-    phi1 = PHI if exact else approx(PHI)
-    return k_prev + phi1 * (k_next - k_mid)
 
 
 def antipodal_curvature(k_solid, k_vertex):
@@ -350,28 +284,26 @@ def dodecahedral_from_vertex_neighbors(k_v, neighbors):
     return ratio(phi1 * phi1 * (u1 + u2 + u3) - (1 + 3 * phi1) * k_v, 2)
 
 
-_RECURRENCES = {
-    ("simplex", "next"): lambda values: solve_next_polyhedron(3, 3, values),
-    ("cross", "next"): octahedral_next,
-    ("cube", "next"): cubical_next,
-    ("icosahedron", "next"): icosahedral_next,
-    ("dodecahedron", "next"): dodecahedral_next,
-    ("cube", "square_face"): lambda values: square_face_fourth(*values),
-    ("cube", "antipodal"): lambda values: antipodal_curvature(*values),
-    ("icosahedron", "antipodal"): lambda values: antipodal_curvature(*values),
-    ("dodecahedron", "pentagon"): lambda values: pentagon_fourth(*values),
-    ("dodecahedron", "vertex_neighbors"): lambda values: dodecahedral_from_vertex_neighbors(
-        values[0], values[1:]
-    ),
-}
-
-
 def solid_recurrences(s: Solid, relation: str, values):
-    """Dispatch a named per-family curvature recurrence for a Platonic solid."""
-    key = (s.kind, relation)
-    if key not in _RECURRENCES or s.dimension != 2:
-        raise ValueError(f"no {relation!r} recurrence for {s.name}")
-    return _RECURRENCES[key](tuple(values))
+    """A named curvature recurrence of a Platonic solid.
+
+    ``next``: both solids over a face (``solve_next_polyhedron``);
+    ``square_face`` (cube) and ``pentagon`` (dodecahedron): the next vertex
+    around a face (``face_next``); ``antipodal`` (cube, icosahedron) and
+    ``vertex_neighbors`` (dodecahedron): the closed forms above.
+    """
+    values = tuple(values)
+    if s.dimension == 2:
+        p = s.schlafli[0]
+        if relation == "next":
+            return solve_next_polyhedron(*s.schlafli, values)
+        if (relation, p) in (("square_face", 4), ("pentagon", 5)):
+            return face_next(p, values)
+        if relation == "antipodal" and s.kind in ("cube", "icosahedron"):
+            return antipodal_curvature(*values)
+        if relation == "vertex_neighbors" and s.kind == "dodecahedron":
+            return dodecahedral_from_vertex_neighbors(values[0], values[1:])
+    raise ValueError(f"no {relation!r} recurrence for {s.name}")
 
 
 def _any_sqrt(disc, ks):
@@ -389,33 +321,23 @@ def _any_sqrt(disc, ks):
 def integrality_condition(s: Solid, triple) -> str:
     """Ring certificate for the packing grown from three consecutive curvatures.
 
-    Checks the family's radicand: all three curvatures and its square root in
-    Z certify "integral" (tetrahedron, octahedron, cube); in Z[phi] they
-    certify "phi-integral" (icosahedron, dodecahedron).  Anything else --
-    including a negative radicand or an inexpressible root -- is
-    "not-certified", never an error.
+    The radicand is the one under the square root of ``solve_next_polyhedron``,
+    scaled by 4: 4 cos^2(pi/q) times the discriminant.  All three curvatures
+    and its square root in Z certify "integral" (tetrahedron, octahedron,
+    cube); in Z[phi], the ring of a symbol holding 5, they certify
+    "phi-integral" (icosahedron, dodecahedron).  Anything else -- including a
+    negative radicand or an inexpressible root -- is "not-certified".
     """
     if is_float_data(triple):
         raise TypeError("integrality certificates need exact curvatures")
-    k_prev, k_mid, k_next = triple
-    e2 = k_prev * k_mid + k_mid * k_next + k_prev * k_next
-    kind = s.kind
     if s.dimension != 2:
         raise ValueError(f"no integrality certificate for {s.name}")
-    if kind == "simplex":
-        ring, radicand = RING_Z, e2
-    elif kind == "cross":
-        ring, radicand = RING_Z, 2 * e2
-    elif kind == "cube":
-        ring, radicand = RING_Z, e2 - k_mid * k_mid
-    elif kind == "icosahedron":
-        ring, radicand = RING_Z_PHI, e2
-    elif kind == "dodecahedron":
-        ring, radicand = RING_Z_PHI, e2 - PHI * k_mid * k_mid
-    else:
-        raise ValueError(f"no integrality certificate for {s.name}")
+    p, q = s.schlafli
+    disc = _discriminant(p, triple, True)
+    ring = RING_Z_PHI if 5 in s.schlafli else RING_Z
     if not all(_in_ring(k, ring) for k in triple):
         return NOT_CERTIFIED
+    radicand = 4 * _cos2(q, True) * disc
     if scalar_sign(radicand) < 0:
         return NOT_CERTIFIED
     root = _certified_sqrt(radicand, ring)

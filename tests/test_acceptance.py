@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from closed_forms import cube_flag_residual, simplex_flag_residual
 from curvature_tables import CENTERED_CURVATURES, MOBIUS_SPECTRA, multisets_match
 from matrix_tables import (
     COS_DOUBLE,
@@ -67,11 +68,9 @@ from ballpack.polytopes import (
     regular_edge_scribed,
 )
 from ballpack.relations import (
-    cube_flag_residual,
     flag_curvatures,
-    octahedral_next,
-    simplex_flag_residual,
     soddy_gosset_residual,
+    solid_recurrences,
     verify_flag_relation,
 )
 
@@ -397,7 +396,7 @@ def test_criterion_10_octahedral_recurrence_cross_validation():
         # next solid's curvature and the antipodal sums give its new balls
         for name in reversed(entry.word):
             face = facets[name]
-            r1, r2 = octahedral_next(tuple(ks[i] for i in sorted(face)))
+            r1, r2 = solid_recurrences(OCTAHEDRON, "next", tuple(ks[i] for i in sorted(face)))
             assert k_solid == r1 or k_solid == r2, entry.word
             k_solid = r2 if k_solid == r1 else r1
             for m in range(6):

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import closed_forms as cf
 from ballpack import linalg, relations as rel
 from ballpack.exactnum import QuadScalar, approx, phi, sqrt_int
 from ballpack.lorentz import ball_from_geometry, inversion_map
@@ -238,19 +239,19 @@ def test_flag_relation_wrong_length():
 
 @given(st.tuples(rationals, rationals, rationals, rationals))
 def test_simplex_closed_form_matches_general(ks):
-    assert rel.simplex_flag_residual(ks) == rel.verify_flag_relation(TETRAHEDRON, ks)
+    assert cf.simplex_flag_residual(ks) == rel.verify_flag_relation(TETRAHEDRON, ks)
 
 
 @given(st.tuples(rationals, rationals, rationals, rationals))
 def test_cube_closed_form_matches_general(ks):
-    assert rel.cube_flag_residual(ks) == rel.verify_flag_relation(CUBE, ks)
+    assert cf.cube_flag_residual(ks) == rel.verify_flag_relation(CUBE, ks)
 
 
 def test_simplex_closed_form_higher_rank():
     for n in (4, 5):
         s = Solid("simplex", n)
         ks = tuple(Fraction(k, 3) for k in range(n + 1))
-        assert rel.simplex_flag_residual(ks) == rel.verify_flag_relation(s, ks)
+        assert cf.simplex_flag_residual(ks) == rel.verify_flag_relation(s, ks)
 
 
 # -- Soddy-Gosset ------------------------------------------------------------------
@@ -285,8 +286,9 @@ def test_soddy_gosset_proportional_to_simplex_flag(ks1, ks2):
             Fraction(sum(ks[: i + 1]), i + 1) for i in range(len(ks))
         )
 
-    r1, s1 = rel.simplex_flag_residual(means(ks1)), rel.soddy_gosset_residual(ks1)
-    r2, s2 = rel.simplex_flag_residual(means(ks2)), rel.soddy_gosset_residual(ks2)
+    r1 = rel.verify_flag_relation(TETRAHEDRON, means(ks1))
+    r2 = rel.verify_flag_relation(TETRAHEDRON, means(ks2))
+    s1, s2 = rel.soddy_gosset_residual(ks1), rel.soddy_gosset_residual(ks2)
     assert r1 * s2 == r2 * s1
 
 
@@ -303,25 +305,30 @@ FLAG_COEFFS = {
 
 @pytest.mark.parametrize("pq", sorted(FLAG_COEFFS), ids=str)
 def test_platonic_coefficients(pq):
-    p, q = pq
+    """The general relation at {p,q} has the paper's printed coefficients."""
+    s = solid_from_schlafli(pq)
     a, b, c = FLAG_COEFFS[pq]
-    assert rel.platonic_flag_relation(p, q, 1, 0, 0, 0) == -a
-    assert rel.platonic_flag_relation(p, q, 1, 1, 0, 0) == -b
-    assert rel.platonic_flag_relation(p, q, 0, 0, 0, 1) == 1 - c
+    assert rel.verify_flag_relation(s, (1, 0, 0, 0)) == -a
+    assert rel.verify_flag_relation(s, (1, 1, 0, 0)) == -b
+    assert rel.verify_flag_relation(s, (0, 0, 0, 1)) == 1 - c
 
 
 @pytest.mark.parametrize("s", PLATONIC, ids=str)
 def test_platonic_relation_matches_general(s):
     p, q = s.schlafli
     ks = (Fraction(1, 5), Fraction(-2, 3), Fraction(7, 4), Fraction(11, 6))
-    assert rel.platonic_flag_relation(p, q, *ks) == rel.verify_flag_relation(s, ks)
+    assert cf.platonic_flag_relation(p, q, *ks) == rel.verify_flag_relation(s, ks)
 
 
-def test_platonic_relation_float_fallback():
-    got = rel.platonic_flag_relation(7, 3, 0.1, 0.2, 0.3, 0.4)
-    assert isinstance(got, float)
+def test_face_relations_fall_back_to_floats_without_an_exact_cos2():
+    """cos^2(pi/7) has no exact value: floats go through, exact input raises."""
+    assert isinstance(rel.face_next(7, (0.1, 0.2, 0.3)), float)
+    assert all(isinstance(k, float) for k in rel.solve_next_polyhedron(7, 3, (0.1, 0.2, 0.3)))
+    exact = (Fraction(1), Fraction(2), Fraction(3))
     with pytest.raises(ValueError):
-        rel.platonic_flag_relation(7, 3, Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+        rel.face_next(7, exact)
+    with pytest.raises(ValueError):
+        rel.solve_next_polyhedron(7, 3, exact)
 
 
 # -- consecutive elements -----------------------------------------------------------
@@ -408,7 +415,7 @@ def test_face_from_three_triangle():
 def test_face_from_three_square():
     kf = rel.face_from_three(4, (0, 0, 1))
     assert kf == Fraction(1, 2)
-    fourth = rel.square_face_fourth(0, 0, 1)
+    fourth = rel.face_next(4, (0, 0, 1))
     assert Fraction(0 + 0 + 1 + fourth, 4) == kf
 
 
@@ -470,12 +477,12 @@ def test_roots_sum_matches_consecutive_polyhedra(s):
 
 
 def test_octahedral_next():
-    assert set(rel.octahedral_next((-2, 4, 5))) == {9, 5}
+    assert set(cf.octahedral_next((-2, 4, 5))) == {9, 5}
     assert set(rel.solid_recurrences(OCTAHEDRON, "next", (-2, 4, 5))) == {9, 5}
 
 
 def test_cubical_next():
-    plus, minus = rel.cubical_next((5, -3, 12))
+    plus, minus = cf.cubical_next((5, -3, 12))
     assert plus == minus == 17
     assert set(rel.solve_next_polyhedron(4, 3, (5, -3, 12))) == {17}
 
@@ -486,7 +493,7 @@ def test_cubical_square_face_and_antipode():
 
 
 def test_icosahedral_next():
-    plus, minus = rel.icosahedral_next((-4, 8, 9))
+    plus, minus = cf.icosahedral_next((-4, 8, 9))
     assert plus == 13 * PHI ** 2 + 2 * PHI ** 3
     assert minus == 13 * PHI ** 2 - 2 * PHI ** 3
     assert rel.solve_next_polyhedron(3, 5, (-4, 8, 9)) == (plus, minus)
@@ -494,7 +501,7 @@ def test_icosahedral_next():
 
 def test_dodecahedral_next():
     triple = (PHI + 1, -1, 2 * PHI)
-    plus, minus = rel.dodecahedral_next(triple)
+    plus, minus = cf.dodecahedral_next(triple)
     assert plus == 9 * PHI + 5
     assert minus == 7 * PHI + 3
     assert rel.solve_next_polyhedron(5, 3, triple) == (plus, minus)
@@ -537,7 +544,7 @@ def test_pentagon_walk_on_projection():
     ks = [rel.lorentzian_curvature(a, frozenset([i])) for i in cyc]
     got = rel.solid_recurrences(DODECAHEDRON, "pentagon", (ks[0], ks[1], ks[2]))
     assert got == ks[3]
-    assert rel.pentagon_fourth(ks[1], ks[2], ks[3]) == ks[4]
+    assert rel.face_next(5, (ks[1], ks[2], ks[3])) == ks[4]
 
 
 def test_dodecahedral_vertex_neighbors_on_projection():
@@ -552,11 +559,89 @@ def test_dodecahedral_vertex_neighbors_on_projection():
     assert got == rel.lorentzian_curvature(a)
 
 
+RECURRENCES = {
+    ("tetrahedron", "next"),
+    ("octahedron", "next"),
+    ("cube", "next"),
+    ("icosahedron", "next"),
+    ("dodecahedron", "next"),
+    ("cube", "square_face"),
+    ("cube", "antipodal"),
+    ("icosahedron", "antipodal"),
+    ("dodecahedron", "pentagon"),
+    ("dodecahedron", "vertex_neighbors"),
+}
+
+
 def test_recurrence_dispatch_errors():
-    with pytest.raises(ValueError):
-        rel.solid_recurrences(TETRAHEDRON, "square_face", (0, 0, 1))
-    with pytest.raises(ValueError):
-        rel.solid_recurrences(Solid("cube", 4), "next", (0, 0, 1))
+    """solid_recurrences accepts the pairs above and refuses every other."""
+    solids = (*PLATONIC, Solid("simplex", 2), Solid("cube", 4), Solid("cross", 4), Solid("cell24", 4))
+    relations = ("next", "square_face", "pentagon", "antipodal", "vertex_neighbors", "triangle")
+    values = {"antipodal": (1, 0), "vertex_neighbors": (1, 2, 3, 4)}
+    for s in solids:
+        for relation in relations:
+            args = (s, relation, values.get(relation, (0, 0, 1)))
+            if (s.name, relation) in RECURRENCES:
+                rel.solid_recurrences(*args)
+            else:
+                with pytest.raises(ValueError, match=f"no '{relation}' recurrence for {s.name}"):
+                    rel.solid_recurrences(*args)
+
+
+# -- the general laws against the paper's per-solid forms -------------------------------
+
+small = st.integers(-12, 12)
+exact_scalars = st.one_of(
+    small,
+    rationals,
+    st.builds(lambda a, b: a + b * PHI, small, small),
+    st.builds(lambda a, b: QuadScalar(a, b, 5), rationals, rationals),
+)
+exact_triples = st.tuples(exact_scalars, exact_scalars, exact_scalars)
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the error that it raised."""
+    try:
+        return f(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("s", PLATONIC, ids=str)
+@given(triple=exact_triples, flag=st.tuples(*[exact_scalars] * 4))
+@example(triple=(-3, 5, 8), flag=(0, 0, 0, 1))
+@example(triple=(-2, 4, 5), flag=(0, 0, 0, 1))
+@example(triple=(5, -3, 12), flag=(0, 0, 0, 1))
+@example(triple=(-4, 8, 9), flag=(0, 0, 0, 1))
+@example(triple=(PHI + 1, -1, 2 * PHI), flag=(0, 0, 0, 1))
+@example(triple=(-1, PHI, 2 * PHI), flag=(0, 0, 0, 1))
+@example(triple=(0, 0, 1), flag=(0, 0, 0, 1))
+def test_general_laws_match_the_printed_forms(s, triple, flag):
+    """Each law at the solid's symbol equals its closed form: the same value,
+    or an error of the same type."""
+    p, q = s.schlafli
+    want = outcome(cf.NEXT[p, q], triple)
+    assert outcome(rel.solve_next_polyhedron, p, q, triple) == want
+    assert outcome(rel.solid_recurrences, s, "next", triple) == want
+    if p in cf.FACE_NEXT:
+        assert outcome(rel.face_next, p, triple) == outcome(cf.FACE_NEXT[p], *triple)
+    assert outcome(rel.integrality_condition, s, triple) == outcome(
+        cf.integrality_condition, s.kind, triple
+    )
+    assert outcome(rel.verify_flag_relation, s, flag) == outcome(cf.platonic_flag_relation, p, q, *flag)
+
+
+@pytest.mark.parametrize("s", PLATONIC, ids=str)
+def test_face_next_walks_around_every_face(s):
+    """k_{i+2} from (k_{i-1}, k_i, k_{i+1}) around each face of the projection."""
+    a = arrangement(s)
+    p = s.schlafli[0]
+    for f in a.polytope.faces(2):
+        ks = [rel.lorentzian_curvature(a, frozenset([i])) for i in face_cycle(a.polytope, f)]
+        for i in range(p):
+            triple = (ks[i - 1], ks[i], ks[(i + 1) % p])
+            assert rel.face_next(p, triple) == ks[(i + 2) % p]
 
 
 # -- integrality certificates ---------------------------------------------------------

@@ -25,7 +25,7 @@ from ballpack.apollonian import (
     generate_cluster,
     packing_from_curvatures,
 )
-from ballpack.packings import BallArrangement, project
+from ballpack.packings import BallArrangement, dual, project
 from ballpack.polytopes import CUBE, TETRAHEDRON, regular_edge_scribed, solid_from_name
 from ballpack.svgout import DEFAULT_PALETTE, RenderSpec, render_svg
 
@@ -577,6 +577,19 @@ def test_cli_dual_requires_a_projection_document(tmp_path):
     assert main(["dual", "--in", str(doc), "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("solid", ["triangle", "square", "ngon-5"])
+def test_dual_refuses_polygons(solid, tmp_path, capsys):
+    """An edge-scribed polygon's polar has its vertices on the unit circle."""
+    why = "a polygon has no dual arrangement: its polar's vertices lie on the unit circle"
+    with pytest.raises(ValueError, match=why):
+        dual(project(regular_edge_scribed(solid_from_name(solid))))
+    doc = tmp_path / "p.json"
+    assert main(["project", "--solid", solid, "--out", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["dual", "--in", str(doc), "--out", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
 def test_cli_integrality_certificates(capsys):
     assert (
         main(["integrality", "--solid", "tetrahedron", "--initial", "-3,5,8"]) == 0
@@ -692,15 +705,29 @@ def test_cli_float_cluster_round_trips_through_verify(solid, initial, tmp_path):
     "solid,initial,codes",
     [
         # float rounding of a seed grows with its curvatures
-        ("tetrahedron", "5516.752999199303,-2.505939589967195,16", (0,)),
+        ("tetrahedron", "5516.752999199303,-2.505939589967195,16", {1: (0, 2)}),
         # ill-conditioned: the seed keeps its curvatures to about 1.2e-7 of
         # their size; with the cancelling root formula it drifted by 3.6e-7
-        ("dodecahedron", "-23,2674.385223998608,7894.719427611508", (0,)),
+        ("dodecahedron", "-23,2674.385223998608,7894.719427611508", {1: (0, 2)}),
+        # verified at depth 1; at depth 2 the curvatures pass 1e5, where the
+        # float packing check can no longer classify pairs
+        ("icosahedron", "-4,8,9", {1: (0,), 2: (2,)}),
     ],
 )
-def test_cli_float_seeds_with_large_curvatures_exit_cleanly(solid, initial, codes, tmp_path):
+def test_cli_float_seeds_with_large_curvatures_exit_cleanly(solid, initial, codes, tmp_path, capsys):
+    """``codes`` maps each depth to the exit codes that ``verify`` may give on
+    the float cluster, which ``cluster`` must write."""
+    path = str(tmp_path / "s.json")
     argv = ["cluster", "--solid", solid, f"--initial={initial}", "--mode", "float"]
-    assert main(argv + ["--depth", "1", "--out", str(tmp_path / "s.json")]) in codes
+    for depth, verify_codes in codes.items():
+        assert main(argv + ["--depth", str(depth), "--out", path]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--in", path])
+        err = capsys.readouterr().err
+        assert rc in verify_codes
+        assert (rc == 2) == err.startswith("error: ")
+    if solid == "icosahedron":
+        assert err.startswith("error: float balls too large to classify (scale ")
 
 
 @pytest.mark.parametrize(
@@ -816,6 +843,26 @@ def test_cli_render_spec_file_controls_the_viewport(tmp_path):
     assert 'viewBox="-1 -1 2 2"' in out.read_text(encoding="utf-8")
     spec.write_text(json.dumps({"not_a_key": 1}), encoding="utf-8")
     assert main(["render", "--in", str(doc), "--spec", str(spec), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload,error",
+    [
+        ([-1, -1, 2, 2], "the render spec is not a JSON object"),
+        ({"viewport": 5}, "render spec key 'viewport' is not a list of 4 numbers"),
+        ({"palette": 7}, "render spec key 'palette' is not a list of strings"),
+        ({"viewport": [0, 0, "a", 1]}, "render spec key 'viewport' is not a list of 4 numbers"),
+    ],
+    ids=["array", "viewport-number", "palette-number", "viewport-string"],
+)
+def test_cli_render_refuses_a_spec_of_the_wrong_json_type(payload, error, tmp_path, capsys):
+    doc, spec = tmp_path / "c.json", tmp_path / "spec.json"
+    assert main(["cluster", "--solid", "tetrahedron", "--initial=0,0,1", "--depth", "0", "--out", str(doc)]) == 0
+    spec.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["render", "--in", str(doc), "--spec", str(spec), "--out", str(tmp_path / "o.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_cli_out_dir_override(tmp_path, monkeypatch):

@@ -156,6 +156,17 @@ def test_descartes_needs_a_seed_record(tmp_path, capsys):
     )
 
 
+def test_a_record_with_an_unknown_center_is_refused(tmp_path, capsys):
+    path = _write(tmp_path, TETRA_PROJECTION)
+    _edit_record("center", "middle")(path)
+    capsys.readouterr()
+    for argv in (["verify", "--in", str(path)], ["dual", "--in", str(path), "--out", str(tmp_path / "d.json")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: seed record field 'center' is 'middle', not none, vertex, edge or face\n"
+        )
+
+
 def test_a_vacuous_check_says_so_and_keeps_exit_code_zero(tmp_path):
     path = _write(tmp_path, ["cluster", "--solid", "octahedron", "--initial=-2,4,5", "--depth", "2"])
     assert _run(["verify", "--in", str(path), "--checks", "soddy"]) == (
