@@ -560,6 +560,29 @@ class Cluster:
     def __iter__(self) -> Iterator[Entry]:
         return (self.entry(i) for i in range(len(self)))
 
+    def rows(self) -> dict:
+        """Every entry's row in entry order, in the store's layout: "A", "B",
+        "num", "den" and the field modulus "m", or float rows "V"; plus
+        "depth", "orbit" and "word".  A word is its parent's word plus the
+        name of the generator that made the entry, so all are built in one
+        pass over the levels."""
+        import numpy as np
+
+        st = self._store
+        names = ("V",) if st.mode == "float" else ("A", "B", "num", "den")
+        order = np.array(st.order, dtype=np.int64)
+        flat = {
+            k: np.concatenate([lv[k] for lv in st.levels])
+            for k in (*names, "gen", "parent", "orbit")
+        }
+        words = []
+        for gen, parent in zip(flat["gen"].tolist(), flat["parent"].tolist()):
+            words.append(words[parent] + (self.generator_names[gen],) if gen >= 0 else ())
+        depth = np.repeat(np.arange(len(st.levels)), [lv["n"] for lv in st.levels])
+        out = {k: flat[k][order] for k in (*names, "orbit")}
+        out.update(m=st.m, depth=depth[order], word=[words[g] for g in order.tolist()])
+        return out
+
     def curvatures(self) -> Iterator:
         st = self._store
         for gidx in st.order:

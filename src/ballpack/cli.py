@@ -20,7 +20,6 @@ Relative ``--out`` paths are placed under ``$BALLPACK_OUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
@@ -31,12 +30,13 @@ from .documents import (
     PackingDocument,
     document_from_arrangement,
     document_from_cluster,
+    first_difference,
     from_json,
     scalar_to_text,
     to_json,
 )
 from .exactnum import RING_Z, RING_Z_PHI, approx, phi, scalar_sign, sqrt_rational
-from .lorentz import EXTERNALLY_TANGENT, classify_pair, same_vector
+from .lorentz import EXTERNALLY_TANGENT, classify_pair
 from .apollonian import (
     apollonian_group_from_packing,
     generate_cluster,
@@ -164,6 +164,11 @@ def _made_by(record: dict, mode: str = "exact"):
     kind = record.get("kind")
     if kind in ("projection", "dual-projection"):
         s = solid_from_name(_recorded(record, "solid" if kind == "projection" else "primal", str))
+        if kind == "dual-projection" and s.dimension >= 3:
+            raise ValueError(
+                f"{s.name} has no dual arrangement: the polar of an edge-scribed "
+                "polytope is edge-scribed only for polyhedra"
+            )
         center = _recorded(record, "center", str)
         if center == "none":
             arr = project(regular_edge_scribed(s))
@@ -185,7 +190,7 @@ def cmd_project(args) -> int:
     record = {"kind": "projection", "solid": s.name, "center": args.center}
     doc = document_from_arrangement(_made_by(record), solid=s.name, seed=record)
     p = _write_text(args.out, to_json(doc))
-    print(f"wrote {p} ({len(doc.entries)} balls, mode {doc.mode})")
+    print(f"wrote {p} ({len(doc)} balls, mode {doc.mode})")
     return 0
 
 
@@ -199,7 +204,7 @@ def cmd_dual(args) -> int:
     record = {"kind": "dual-projection", "solid": d_name, "primal": s.name, "center": center}
     out = document_from_arrangement(_made_by(record), solid=d_name, seed=record)
     p = _write_text(args.out, to_json(out))
-    print(f"wrote {p} ({len(out.entries)} balls, mode {out.mode})")
+    print(f"wrote {p} ({len(out)} balls, mode {out.mode})")
     return 0
 
 
@@ -225,7 +230,7 @@ def cmd_cluster(args) -> int:
     record["flavor"] = cluster.flavor
     doc = document_from_cluster(cluster, solid=s.name, seed=record)
     p = _write_text(args.out, to_json(doc))
-    print(f"wrote {p} ({len(doc.entries)} balls, mode {doc.mode})")
+    print(f"wrote {p} ({len(doc)} balls, mode {doc.mode})")
     return 0
 
 
@@ -242,7 +247,7 @@ def cmd_squares(args) -> int:
     return 0
 
 
-def _check_packing(doc: PackingDocument, balls: list):
+def _check_packing(doc: PackingDocument, balls):
     bad = first_overlap(balls)
     if bad is not None:
         i, j, c = bad
@@ -273,29 +278,27 @@ def _residual_check(cases, unit: str, empty: str, note: str = ""):
     return "ok", f"{count} {unit}, max relative residual {worst:.3g}{note}"
 
 
-def _check_descartes(doc: PackingDocument, balls: list):
-    """The document against what its seed record makes, entry by entry, then
+def _check_descartes(doc: PackingDocument, balls):
+    """The document against what its seed record makes, row by row, then
     the flag relation (the paper's Descartes relation) on one flag of the
     seed image.  That image is the one window: a Mobius image of the solid."""
-    record, n = doc.seed, len(doc.entries)
-    depth, deepest = record.get("depth"), max((e.depth for e in doc.entries), default=0)
+    record, n = doc.seed, len(doc)
+    depth, deepest = record.get("depth"), max(doc.depth, default=0)
     if record.get("kind") == "cluster" and depth != deepest:
         # before rebuilding: each level multiplies the time a rebuild takes
         return "FAILED", f"the record's depth is {depth!r}, the deepest entry's {deepest}"
     made = _made_by(record, "float" if doc.is_float else "exact")
     if isinstance(made, BallArrangement):
-        image, expected = made, document_from_arrangement(made).entries
+        image, expected = made, document_from_arrangement(made)
     elif made.flavor != record.get("flavor"):
         return "FAILED", f"the record's flavor is {record.get('flavor')!r}, not {made.flavor!r}"
     else:
-        image, expected = made.seed, made
+        image, expected = made.seed, document_from_cluster(made)
     if len(expected) != n:
         return "FAILED", f"the record makes {len(expected)} balls, the document holds {n}"
-    for i, (got, want) in enumerate(zip(doc.entries, expected)):
-        if doc.is_float and same_vector(got.inversive, want.inversive):
-            got = dataclasses.replace(got, inversive=want.inversive)  # equal within the window
-        if got != want:
-            return "FAILED", f"entry {i} differs from what the record makes"
+    i = first_difference(doc, expected)
+    if i is not None:
+        return "FAILED", f"entry {i} differs from what the record makes"
     p = image.polytope
     flag = flags(p)[0]
     ks = flag_curvatures(image, flag)
@@ -328,7 +331,7 @@ def _tangent_cliques(balls, size: int):
     return out
 
 
-def _check_soddy(doc: PackingDocument, balls: list):
+def _check_soddy(doc: PackingDocument, balls):
     cases = (
         (f"tuple {idx}", soddy_gosset_residual(ks), ks)
         for idx in _tangent_cliques(balls, doc.dimension + 2)
@@ -339,7 +342,7 @@ def _check_soddy(doc: PackingDocument, balls: list):
     return _residual_check(cases, "tangent tuples", "no mutually tangent tuples found", sampled)
 
 
-def _check_flags(doc: PackingDocument, balls: list):
+def _check_flags(doc: PackingDocument, balls):
     seed = doc.seed
     if seed.get("kind") != "projection":
         raise ValueError("flag check applies only to project documents")
@@ -372,7 +375,7 @@ def _applicable_checks(doc: PackingDocument) -> list:
     kind = doc.seed.get("kind")
     if kind in ("projection", "dual-projection", "cluster"):
         names.append("descartes")
-    if len(doc.entries) >= doc.dimension + 2:
+    if len(doc) >= doc.dimension + 2:
         names.append("soddy")
     if kind == "projection":
         names.append("flags")
@@ -470,7 +473,7 @@ def cmd_render(args) -> int:
     spec = _render_spec_from_file(args.spec) if args.spec else RenderSpec()
     svg = render_svg(doc, spec)
     p = _write_text(args.out, svg)
-    print(f"wrote {p} ({len(doc.entries)} elements)")
+    print(f"wrote {p} ({len(doc)} elements)")
     return 0
 
 

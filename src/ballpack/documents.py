@@ -2,19 +2,27 @@
 
 A document is a flat, diffable description of one arrangement: global
 metadata (dimension, numeric mode, solid tag, seed description) plus one
-entry per ball.  An entry is a :class:`lorentz.Entry`, the same object a
-cluster hands out: the ball's inversive coordinates and its cluster
-provenance (depth, word, orbit); the vector is the ball.  The writer adds
-its curvature and Euclidean geometry (``center``/``radius``, or a
-``halfspace`` normal and offset) for readers of the file.  The loader
-checks the JSON type of every field, and requires the derived ones to be
-present and well-formed, but never reads their values: every consumer
-derives them from ``inversive`` through :func:`lorentz.geometry_from_ball`.
-A loaded vector's Lorentz norm is checked in one place,
-:meth:`PackingDocument.balls`.  Float documents store plain JSON
-numbers, which round-trip bit-exactly through the shortest decimal
-representation; exact documents store every scalar as a string "a/b" or
-"a/b+c/d√m" in lowest terms.
+entry per ball: its inversive coordinates and its cluster provenance
+(depth, word, orbit); the vector is the ball.  In memory a document keeps
+the balls in the layout of a cluster's store, one row per ball: an exact
+row is a primitive integer vector A + B sqrt(m) times one positive reduced
+fraction num/den, and a float row is a float64 vector.  That form is
+unique, so two exact rows are equal exactly when their values are.  Every
+layer works on the rows: the writer prints each scalar's canonical text
+straight from the integers, the loader parses the text into rows,
+:meth:`PackingDocument.balls` checks every Lorentz norm on them and builds
+a ball only when a check reads it, and ``svgout.render_svg`` takes its
+floats from them.  :class:`lorentz.Entry` objects are built only on demand
+(:attr:`PackingDocument.entries`).
+
+The writer adds each ball's curvature and Euclidean geometry
+(``center``/``radius``, or a ``halfspace`` normal and offset) for readers
+of the file.  The loader checks the JSON type of every field, and requires
+the derived ones to be present and well-formed, but never reads their
+values: every consumer derives them from ``inversive``.  Float documents
+store plain JSON numbers, which round-trip bit-exactly through the
+shortest decimal representation; exact documents store every scalar as a
+string "a/b" or "a/b+c/d√m" in lowest terms.
 """
 
 from __future__ import annotations
@@ -22,34 +30,73 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from .exactnum import QuadScalar, is_float_data
+import numpy as np
+
+from .exactnum import FLOAT_REL, QuadScalar, field_modulus, is_float_data
 from .lorentz import Ball, Entry
 
 RADICAL = "√"
 
 MODE_FLOAT = "float"
 
+# An exact scalar travels between the layers as four integers (pa, qa, pb,
+# qb), the value pa/qa + (pb/qb) sqrt(m) with qa, qb nonzero and m the
+# document's field modulus; neither fraction needs to be reduced.
 
-def _fraction_text(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+
+def _ratio_text(p: int, q: int) -> str:
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _quad_text(x, m: int) -> str:
+    """Canonical text of x = (pa, qa, pb, qb): "a", "a/b" or "a/b±c/d√m"."""
+    pa, qa, pb, qb = x
+    out = _ratio_text(pa, qa)
+    if pb:
+        sign = "+" if (pb > 0) == (qb > 0) else "-"
+        out += sign + _ratio_text(abs(pb), abs(qb)) + RADICAL + str(m)
+    return out
+
+
+def quad_float(x, root: float) -> float:
+    """float(x) for x = (pa, qa, pb, qb) and root = sqrt(m), as
+    ``QuadScalar.__float__`` computes it; int division is correctly rounded,
+    so the unreduced fractions give the same floats."""
+    pa, qa, pb, qb = x
+    return pa / qa + (pb / qb) * root if pb else pa / qa
+
+
+def _quad_value(x, m: int):
+    """The exact scalar of x = (pa, qa, pb, qb): a Fraction, or a QuadScalar
+    when it has a radical part."""
+    pa, qa, pb, qb = x
+    if pb:
+        return QuadScalar(Fraction(pa, qa), Fraction(pb, qb), m)
+    return Fraction(pa, qa)
+
+
+def _parts(x) -> tuple:
+    """(pa, qa, pb, qb, m) of an exact scalar, m = 0 when it is rational."""
+    if isinstance(x, QuadScalar):
+        a, b, m = x.a, x.b, x.m or 0
+        return a.numerator, a.denominator, b.numerator, b.denominator, m
+    x = Fraction(x)
+    return x.numerator, x.denominator, 0, 1, 0
 
 
 def scalar_to_text(x) -> str:
     """Canonical exact string: "a", "a/b", or "a/b±c/d√m" in lowest terms."""
-    if isinstance(x, QuadScalar):
-        a, b, m = x.a, x.b, x.m or 0
-    else:
-        a, b, m = Fraction(x), Fraction(0), 0
-    out = _fraction_text(a)
-    if b:
-        out += ("+" if b > 0 else "-") + _fraction_text(abs(b)) + RADICAL + str(m)
-    return out
+    *quad, m = _parts(x)
+    return _quad_text(quad, m)
 
 
 _SCALAR_RE = re.compile(
@@ -58,131 +105,423 @@ _SCALAR_RE = re.compile(
 )
 
 
-def _scalar_match(s: str):
+def _scalar_match(s: str) -> tuple:
+    """The groups (an, ad, sign, bn, bd, m) of a well-formed scalar's text."""
     mt = _SCALAR_RE.match(s)
-    if not mt:
+    if mt is None:
         raise ValueError(f"malformed exact scalar {s!r}")
-    if mt["ad"] == "0" or mt["bd"] == "0":
+    groups = mt.groups()
+    if "/0" in s and any(d is not None and not d.strip("0") for d in groups[1::3]):
         raise ValueError(f"zero denominator in {s!r}")
-    return mt
+    return groups
+
+
+def _parse(s: str) -> tuple:
+    """(pa, qa, pb, qb, m) of a scalar's text; m = 0 when its radical part
+    is absent or zero, and otherwise a square-free integer > 1."""
+    an, ad, sign, bn, bd, m = _scalar_match(s)
+    pa, qa = int(an), int(ad or 1)
+    pb = int(bn or 0)
+    if not pb:
+        return pa, qa, 0, 1, 0
+    return pa, qa, -pb if sign == "-" else pb, int(bd or 1), field_modulus(int(m))
 
 
 def scalar_from_text(s: str):
     """Inverse of scalar_to_text; returns a Fraction or a QuadScalar."""
-    mt = _scalar_match(s)
-    a = Fraction(int(mt["an"]), int(mt["ad"] or 1))
-    if mt["m"] is None:
-        return a
-    b = Fraction(int(mt["bn"]), int(mt["bd"] or 1))
-    if mt["sign"] == "-":
-        b = -b
-    return QuadScalar(a, b, int(mt["m"]))
+    *quad, m = _parse(s)
+    return _quad_value(quad, m)
 
 
-def _dump_scalar(x, floaty: bool):
-    if floaty:
-        return float(x)
-    return scalar_to_text(x)
+def _float_scalar(x) -> float:
+    """A float document's stored scalar, checked to be a finite number."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValueError(f"float document holds a non-number {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if x > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"float document holds a non-finite number {value!r}")
+    return value
 
 
-def _load_scalar(x, floaty: bool, read: bool = True):
-    """The value of a stored scalar; with ``read=False`` it is only checked
-    to be well-formed."""
-    if floaty:
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ValueError(f"float document holds a non-number {x!r}")
-        try:
-            value = float(x)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf if x > 0 else -math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"float document holds a non-finite number {value!r}")
-        return value
+def _exact_scalar(x, read: bool = True) -> tuple:
+    """The (pa, qa, pb, qb, m) of an exact document's stored scalar; with
+    ``read=False`` it is only checked to be a well-formed text."""
     if not isinstance(x, str):
         raise ValueError(f"exact document holds a non-string scalar {x!r}")
-    return scalar_from_text(x) if read else _scalar_match(x)
+    return _parse(x) if read else _scalar_match(x)
 
 
-@dataclass(frozen=True)
+def _sign(a: int, b: int, m: int) -> int:
+    """Exact sign of a + b sqrt(m)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * m else sb  # a^2 = b^2 m has no solution with b != 0
+
+
+# -- the row layout -------------------------------------------------------------
+
+
+def _matrix(rows: list, width: int, dtype) -> np.ndarray:
+    out = np.empty((len(rows), max(width, 0)), dtype=dtype)
+    if rows:
+        out[:] = rows
+    return out
+
+
+def _exact_row(v: list) -> tuple:
+    """(A, B, num, den, moduli) of a vector of (pa, qa, pb, qb, m) scalars.
+
+    The row is put over the lcm of its denominators, and its content is
+    pulled out as num/den with num, den > 0 coprime, so the integer row is
+    primitive.  A zero row keeps num = 0, den = 1.  ``moduli`` is the set of
+    field moduli of the row's irrational scalars.
+    """
+    lcm = math.lcm(*(x[1] for x in v), *(x[3] for x in v))
+    a = [pa * (lcm // qa) for pa, qa, _, _, _ in v]
+    b = [pb * (lcm // qb) for _, _, pb, qb, _ in v]
+    c = math.gcd(*a, *b)
+    moduli = {x[4] for x in v} - {0}
+    if not c:
+        return a, b, 0, 1, moduli
+    g = math.gcd(c, lcm)
+    return [x // c for x in a], [x // c for x in b], c // g, lcm // g, moduli
+
+
+def _stack(rows: list, width: int) -> tuple:
+    """The row arrays of a list of :func:`_exact_row` results, and their
+    one field modulus (0 for Q)."""
+    moduli = set().union(*(r[4] for r in rows))
+    if len(moduli) > 1:
+        raise ValueError("document mixes quadratic fields")
+    arrays = {
+        "A": _matrix([r[0] for r in rows], width, object),
+        "B": _matrix([r[1] for r in rows], width, object),
+        "num": np.array([r[2] for r in rows], dtype=object),
+        "den": np.array([r[3] for r in rows], dtype=object),
+    }
+    return arrays, moduli.pop() if moduli else 0
+
+
+def _exact_mode(m: int) -> str:
+    return f"Q({RADICAL}{m})" if m else "Q"
+
+
+class _Balls(Sequence):
+    """A document's balls, each built from its row when a check first reads it."""
+
+    def __init__(self, doc: "PackingDocument"):
+        self._doc = doc
+        self._built = [None] * len(doc)
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        ball = self._built[i]
+        if ball is None:
+            ball = self._built[i] = Ball(self._doc.vector(i), _checked=True)
+        return ball
+
+
+@dataclass(frozen=True, eq=False)
 class PackingDocument:
-    """Serializable snapshot of a ball arrangement or cluster."""
+    """Serializable snapshot of a ball arrangement or cluster.
+
+    ``rows`` holds one row per ball: "A" and "B" (object arrays of python
+    ints, n x (d+2)) and "num" and "den" (n) in exact documents, over the
+    field Q(sqrt m) (m = 0 for Q); "V" (float64, n x (d+2)) in float ones.
+    ``depth``, ``word`` and ``orbit`` hold each ball's provenance.
+    """
 
     dimension: int
     mode: str
     solid: Optional[str]
-    seed: dict = field(default_factory=dict)
-    entries: tuple = ()
+    seed: dict
+    rows: dict
+    depth: tuple = ()
+    word: tuple = ()
+    orbit: tuple = ()
+    m: int = 0
+
+    def __post_init__(self):
+        n = len(self.depth)
+        if len(self.word) != n or len(self.orbit) != n or any(len(x) != n for x in self.rows.values()):
+            raise ValueError("a document's rows, depths, words and orbits differ in length")
 
     @property
     def is_float(self) -> bool:
         return self.mode == MODE_FLOAT
 
-    def balls(self) -> list:
-        """The entries' balls, each vector checked to have Lorentz norm 1."""
-        return [Ball(e.inversive) for e in self.entries]
+    def __len__(self) -> int:
+        return len(self.depth)
+
+    def __eq__(self, other):
+        if not isinstance(other, PackingDocument):
+            return NotImplemented
+        meta = lambda d: (d.dimension, d.mode, d.solid, d.seed, d.depth, d.word, d.orbit, d.m)
+        return (
+            meta(self) == meta(other)
+            and self.rows.keys() == other.rows.keys()
+            and all(np.array_equal(self.rows[k], other.rows[k]) for k in self.rows)
+        )
+
+    __hash__ = None
+
+    def vector(self, i: int) -> tuple:
+        """The inversive vector of ball i: floats, or Fractions and QuadScalars."""
+        if self.is_float:
+            return tuple(self.rows["V"][i].tolist())
+        r = self.rows
+        num, den = r["num"][i], r["den"][i]
+        return tuple(
+            _quad_value((a * num, den, b * num, den), self.m) for a, b in zip(r["A"][i], r["B"][i])
+        )
+
+    @property
+    def entries(self) -> tuple:
+        """The balls as :class:`lorentz.Entry` objects, built on each call."""
+        return tuple(
+            Entry(self.vector(i), depth=k, word=w, orbit=o)
+            for i, (k, w, o) in enumerate(zip(self.depth, self.word, self.orbit))
+        )
+
+    def balls(self) -> Sequence:
+        """The balls, after a check that every row has Lorentz norm 1.
+
+        Exact rows (A + B sqrt m) num/den pass when sum'(a^2 + m b^2) num^2 =
+        den^2 and sum'(a b) = 0, sum' being the Lorentz form; float rows take
+        ``Ball``'s own test, in its order of operations.  The first row that
+        fails raises the error ``Ball`` raises for it.  Each ball is built
+        only when read.
+        """
+        if len(self):
+            ok = _float_norms_ok(self.rows["V"]) if self.is_float else _exact_norms_ok(self.rows, self.m)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                Ball(self.vector(int(bad[0])))  # raises
+        return _Balls(self)
 
 
-def _mode_of(values) -> str:
-    if is_float_data(values):
-        return MODE_FLOAT
-    m = 0
-    for x in values:
-        if isinstance(x, QuadScalar) and x.m:
-            if m and x.m != m:
-                raise ValueError("document mixes quadratic fields")
-            m = x.m
-    return f"Q({RADICAL}{m})" if m else "Q"
+def _lorentz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise Lorentz products, summed left to right as ``lorentz_product``
+    does, so float rows get the same bits."""
+    s = x[:, 0] * y[:, 0]
+    for j in range(1, x.shape[1] - 1):
+        s = s + x[:, j] * y[:, j]
+    return s - x[:, -1] * y[:, -1]
 
 
-def _document(dimension: int, entries: tuple, solid, seed) -> PackingDocument:
-    return PackingDocument(
-        dimension=dimension,
-        mode=_mode_of([x for e in entries for x in e.inversive]),
-        solid=solid,
-        seed=dict(seed or {}),
-        entries=entries,
-    )
+def _exact_norms_ok(rows: dict, m: int) -> np.ndarray:
+    A, B, num, den = rows["A"], rows["B"], rows["num"], rows["den"]
+    rational = (_lorentz(A, A) + m * _lorentz(B, B)) * num * num == den * den
+    return (rational & (_lorentz(A, B) == 0)).astype(bool)
+
+
+def _float_norms_ok(V: np.ndarray) -> np.ndarray:
+    """``exactnum.compare(n, 1, product_scale)`` for each row's norm n."""
+    d = _lorentz(V, V) - 1
+    scale = np.abs(V[:, 0] * V[:, 0])
+    for j in range(1, V.shape[1]):
+        scale = scale + np.abs(V[:, j] * V[:, j])
+    tol = FLOAT_REL * np.maximum(1.0, scale)
+    return ~np.isnan(d) & ~np.isinf(tol) & (np.abs(d) <= tol)
+
+
+def first_difference(doc: PackingDocument, other: PackingDocument) -> Optional[int]:
+    """The first entry at which two documents of the same length differ in
+    vector, depth, word or orbit, or None.  Exact vectors must be equal;
+    float ones count as equal when every coordinate agrees within FLOAT_REL
+    max(1, largest coordinate of the two), as in ``lorentz.same_vector``.
+    Documents of different modes differ at their first entry."""
+    if doc.is_float != other.is_float:
+        return 0 if len(doc) else None
+    if doc.is_float:
+        U, W = doc.rows["V"], other.rows["V"]
+        size = np.maximum(np.abs(U).max(axis=1, initial=0.0), np.abs(W).max(axis=1, initial=0.0))
+        tol = FLOAT_REL * np.maximum(1.0, size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            differs = ~(np.abs(U - W) <= tol[:, None]).all(axis=1)
+    elif doc.rows["A"].shape != other.rows["A"].shape:
+        return 0 if len(doc) else None
+    else:
+        differs = np.zeros(len(doc), dtype=bool)
+        for k in ("A", "B", "num", "den"):
+            x, y = doc.rows[k], other.rows[k]
+            differs |= (x != y).reshape(len(doc), -1).any(axis=1).astype(bool)
+        if doc.m != other.m:  # an irrational row of one lies in the other's field
+            differs |= (doc.rows["B"] != 0).any(axis=1).astype(bool)
+    for name in ("depth", "word", "orbit"):
+        a, b = getattr(doc, name), getattr(other, name)
+        if a != b:
+            differs |= np.fromiter((x != y for x, y in zip(a, b)), dtype=bool, count=len(doc))
+    hit = np.flatnonzero(differs)
+    return int(hit[0]) if hit.size else None
+
+
+# -- building documents ----------------------------------------------------------
+
+
+def document_from_entries(dimension: int, entries, *, solid=None, seed=None) -> PackingDocument:
+    """Document of :class:`lorentz.Entry` objects, in order: float if any
+    scalar is a float, exact otherwise."""
+    entries = tuple(entries)
+    width = dimension + 2
+    if is_float_data([x for e in entries for x in e.inversive]):
+        rows = {"V": _matrix([[float(x) for x in e.inversive] for e in entries], width, np.float64)}
+        mode, m = MODE_FLOAT, 0
+    else:
+        rows, m = _stack([_exact_row([_parts(x) for x in e.inversive]) for e in entries], width)
+        mode = _exact_mode(m)
+    provenance = ((e.depth for e in entries), (e.word for e in entries), (e.orbit for e in entries))
+    return PackingDocument(dimension, mode, solid, dict(seed or {}), rows, *map(tuple, provenance), m)
 
 
 def document_from_arrangement(arr, *, solid=None, seed=None) -> PackingDocument:
     """Depth-0 document of an arrangement, one entry per ball in order."""
-    entries = tuple(Entry(b.v, orbit=i) for i, b in enumerate(arr.balls))
-    return _document(arr.dimension, entries, solid, seed)
+    entries = (Entry(b.v, orbit=i) for i, b in enumerate(arr.balls))
+    return document_from_entries(arr.dimension, entries, solid=solid, seed=seed)
 
 
 def document_from_cluster(cluster, *, solid=None, seed=None) -> PackingDocument:
-    """Document of a cluster: its entries, in their deterministic order."""
-    return _document(cluster.seed.dimension, tuple(cluster), solid, seed)
-
-
-def _entry_dict(e: Entry, floaty: bool) -> dict:
-    dump = lambda xs: [_dump_scalar(x, floaty) for x in xs]
-    geo = e.geometry
-    out = {"inversive": dump(e.inversive), "curvature": _dump_scalar(e.curvature, floaty)}
-    if geo.kind == "halfspace":
-        out["halfspace"] = {
-            "normal": dump(geo.normal),
-            "offset": _dump_scalar(geo.offset, floaty),
-        }
+    """Document of a cluster: its store's rows, in entry order."""
+    rows = cluster.rows()
+    m = 0
+    if "V" in rows:
+        mode, data = MODE_FLOAT, {"V": rows["V"]}
     else:
-        out["center"] = dump(geo.center)
-        out["radius"] = _dump_scalar(geo.radius, floaty)
-    out["depth"] = e.depth
-    out["word"] = list(e.word)
-    out["orbit"] = e.orbit
-    return out
+        data = {k: rows[k].astype(object) for k in ("A", "B", "num", "den")}
+        if (data["B"] != 0).any():
+            m = rows["m"]
+        mode = _exact_mode(m)
+    return PackingDocument(
+        cluster.seed.dimension,
+        mode,
+        solid,
+        dict(seed or {}),
+        data,
+        tuple(rows["depth"].tolist()),
+        tuple(rows["word"]),
+        tuple(rows["orbit"].tolist()),
+        m,
+    )
+
+
+# -- derived geometry ------------------------------------------------------------
+
+
+def derived_rows(doc: PackingDocument) -> Iterator[tuple]:
+    """Per entry: (inversive, curvature, orientation, first, second).
+
+    Orientation is the sign of the curvature; a half-space (orientation 0)
+    has its normal and offset as (first, second), and a sphere its center
+    and radius 1/|curvature|.  Scalars are floats in float documents and
+    (pa, qa, pb, qb) integers in exact ones.  With kappa = (ka + kb sqrt m)
+    num/den, the center is x_i / kappa = ((a_i ka - b_i kb m) + (b_i ka -
+    a_i kb) sqrt m) / (ka^2 - kb^2 m), and the radius has the exact sign of
+    ka + kb sqrt m.
+    """
+    d = doc.dimension
+    if doc.is_float:
+        V = doc.rows["V"]
+        k = V[:, -1] - V[:, -2]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            C, R = V[:, :d] / k[:, None], 1 / np.abs(k)
+        for v, kk, c, r in zip(V.tolist(), k.tolist(), C.tolist(), R.tolist()):
+            if kk == 0:
+                yield v, kk, 0, v[:d], v[d]
+            else:
+                yield v, kk, 1 if kk > 0 else -1, c, r
+        return
+    m, r = doc.m, doc.rows
+    for a, b, num, den in zip(r["A"].tolist(), r["B"].tolist(), r["num"].tolist(), r["den"].tolist()):
+        inv = [(x * num, den, y * num, den) for x, y in zip(a, b)]
+        ka, kb = a[-1] - a[-2], b[-1] - b[-2]
+        curvature = (ka * num, den, kb * num, den)
+        if not (ka or kb):
+            yield inv, curvature, 0, inv[:d], inv[d]
+            continue
+        n = ka * ka - kb * kb * m
+        center = [(x * ka - y * kb * m, n, y * ka - x * kb, n) for x, y in zip(a[:d], b[:d])]
+        s = _sign(ka, kb, m)
+        yield inv, curvature, s, center, (s * ka * den, n * num, -s * kb * den, n * num)
+
+
+# -- the JSON text ---------------------------------------------------------------
+
+
+def _float_text(x: float) -> str:
+    return repr(x) if x - x == 0 else json.dumps(x)  # json's names for inf and nan
+
+
+def _list_text(items: list, indent: int) -> str:
+    """A JSON list of item texts, laid out as json.dumps(indent=2) lays it."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 def to_json(doc: PackingDocument) -> str:
-    floaty = doc.is_float
-    payload = {
-        "dimension": doc.dimension,
-        "mode": doc.mode,
-        "solid": doc.solid,
-        "seed": doc.seed,
-        "entries": [_entry_dict(e, floaty) for e in doc.entries],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    """The document's JSON text, as json.dumps(indent=2, ensure_ascii=False)
+    prints it, written from the rows."""
+    head = json.dumps(
+        {"dimension": doc.dimension, "mode": doc.mode, "solid": doc.solid, "seed": doc.seed,
+         "entries": []},
+        ensure_ascii=False,
+        indent=2,
+    )
+    if not len(doc):
+        return head + "\n"
+    if doc.is_float:
+        text = _float_text
+    else:
+        m = doc.m
+        text = lambda x: f'"{_quad_text(x, m)}"'  # noqa: E731
+    letters = {}
+
+    def letter(w):
+        if w not in letters:
+            letters[w] = json.dumps(w, ensure_ascii=False)
+        return letters[w]
+
+    # many short pieces and one join: a whole entry's text, a few hundred
+    # bytes, would bypass the small-object allocator and fragment the heap
+    parts = [head[: -len("[]\n}")], "[\n"]
+    for (inv, k, s, first, second), depth, word, orbit in zip(
+        derived_rows(doc), doc.depth, doc.word, doc.orbit
+    ):
+        if s:
+            geo = (
+                f'      "center": {_list_text([text(x) for x in first], 6)},\n'
+                f'      "radius": {text(second)},\n'
+            )
+        else:
+            geo = (
+                '      "halfspace": {\n'
+                f'        "normal": {_list_text([text(x) for x in first], 8)},\n'
+                f'        "offset": {text(second)}\n'
+                "      },\n"
+            )
+        parts += (
+            "    {\n",
+            f'      "inversive": {_list_text([text(x) for x in inv], 6)},\n',
+            f'      "curvature": {text(k)},\n',
+            geo,
+            f'      "depth": {depth},\n',
+            f'      "word": {_list_text([letter(w) for w in word], 6)},\n',
+            f'      "orbit": {orbit}\n',
+            "    },\n",
+        )
+    parts[-1] = "    }\n  ]\n}\n"
+    return "".join(parts)
 
 
 _JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
@@ -212,20 +551,26 @@ def _field(raw: dict, key: str, kind: type, default=_REQUIRED, nullable=False):
     return _typed(raw[key], kind, repr(key), nullable)
 
 
-def _entry_from_dict(raw, floaty: bool) -> Entry:
+def _entry_from_dict(raw, floaty: bool) -> tuple:
+    """(vector, depth, word, orbit) of one JSON entry: the vector of floats,
+    or of exact scalars as (pa, qa, pb, qb, m)."""
     _typed(raw, dict, "entry")
     if "halfspace" in raw:
         hs = _field(raw, "halfspace", dict)
         derived = [*_field(hs, "normal", list), _field(hs, "offset", object)]
     else:
         derived = [*_field(raw, "center", list), _field(raw, "radius", object)]
-    for x in (_field(raw, "curvature", object), *derived):
-        _load_scalar(x, floaty, read=False)  # written for readers, never read
-    return Entry(
-        inversive=tuple(_load_scalar(x, floaty) for x in _field(raw, "inversive", list)),
-        depth=_field(raw, "depth", int, 0),
-        word=tuple(_typed(w, str, "'word' letter") for w in _field(raw, "word", list, ())),
-        orbit=_field(raw, "orbit", int, 0),
+    read = _float_scalar if floaty else _exact_scalar
+    for x in (_field(raw, "curvature", object), *derived):  # written for readers, never read
+        if floaty:
+            _float_scalar(x)
+        else:
+            _exact_scalar(x, read=False)
+    return (
+        [read(x) for x in _field(raw, "inversive", list)],
+        _field(raw, "depth", int, 0),
+        tuple(_typed(w, str, "'word' letter") for w in _field(raw, "word", list, ())),
+        _field(raw, "orbit", int, 0),
     )
 
 
@@ -239,22 +584,33 @@ def from_json(text: str) -> PackingDocument:
     mode = _field(payload, "mode", str)
     raw_entries = _field(payload, "entries", list)
     floaty = mode == MODE_FLOAT
-    entries = tuple(_entry_from_dict(raw, floaty) for raw in raw_entries)
-    doc = PackingDocument(
-        dimension=dimension,
-        mode=mode,
-        solid=_field(payload, "solid", str, None, nullable=True),
-        seed=_field(payload, "seed", dict, None, nullable=True) or {},
-        entries=entries,
-    )
-    if entries:
-        n = doc.dimension + 2
-        for e in entries:
-            if len(e.inversive) != n:
-                raise ValueError(
-                    f"entry has {len(e.inversive)} coordinates, wanted {n}"
-                )
-        found = _mode_of([x for e in entries for x in e.inversive])
-        if mode != found:  # an empty document keeps the mode it declares
+    entries, vectors = [], []
+    for i, raw in enumerate(raw_entries):
+        v, *provenance = _entry_from_dict(raw, floaty)
+        raw_entries[i] = None  # the parsed JSON is freed as its rows are made
+        entries.append((len(v), *provenance))
+        vectors.append(v if floaty else _exact_row(v))
+    solid = _field(payload, "solid", str, None, nullable=True)
+    seed = _field(payload, "seed", dict, None, nullable=True) or {}
+    width = dimension + 2
+    for n, *_ in entries:
+        if n != width:
+            raise ValueError(f"entry has {n} coordinates, wanted {width}")
+    if floaty:
+        rows, m = {"V": _matrix(vectors, width, np.float64)}, 0
+    else:
+        rows, m = _stack(vectors, width)
+        found = _exact_mode(m)
+        if entries and mode != found:  # an empty document keeps the mode it declares
             raise ValueError(f"'mode' is {mode!r}, but the vectors are in {found}")
-    return doc
+    return PackingDocument(
+        dimension,
+        mode,
+        solid,
+        seed,
+        rows,
+        tuple(e[1] for e in entries),
+        tuple(e[2] for e in entries),
+        tuple(e[3] for e in entries),
+        m,
+    )

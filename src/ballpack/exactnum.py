@@ -46,6 +46,13 @@ def _square_part(n: int) -> tuple:
     return k, m * n
 
 
+def field_modulus(m: int) -> int:
+    """m, checked to be the modulus of a real quadratic field Q(sqrt m)."""
+    if m <= 1 or _square_part(m)[0] != 1:
+        raise ValueError(f"m must be a square-free integer > 1, got {m}")
+    return m
+
+
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None."""
     if x < 0:
@@ -71,8 +78,7 @@ class QuadScalar:
         else:
             if m is None:
                 raise ValueError("irrational part requires a field modulus m")
-            if m <= 1 or _square_part(m)[0] != 1:
-                raise ValueError(f"m must be a square-free integer > 1, got {m}")
+            field_modulus(m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)

@@ -170,10 +170,12 @@ class Entry:
     """One ball of a cluster or a document: its inversive vector and the
     provenance of that vector (BFS depth, generator word, seed orbit).
 
-    The vector is the ball; its curvature and Euclidean geometry are derived
-    from it on demand.  ``ball`` trusts the vector's norm: clusters make unit
-    vectors, and a loaded document checks its vectors once, in
-    ``PackingDocument.balls``.
+    Clusters and documents keep their balls as integer (or float64) rows and
+    build entries from them only on demand (``Cluster.entry``,
+    ``PackingDocument.entries``).  The vector is the ball; its curvature and
+    Euclidean geometry are derived from it on demand.  ``ball`` trusts the
+    vector's norm: clusters make unit vectors, and a loaded document checks
+    the norms of its rows once, in ``PackingDocument.balls``.
     """
 
     inversive: tuple

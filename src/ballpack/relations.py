@@ -333,11 +333,10 @@ def integrality_condition(s: Solid, triple) -> str:
     if s.dimension != 2:
         raise ValueError(f"no integrality certificate for {s.name}")
     p, q = s.schlafli
-    disc = _discriminant(p, triple, True)
     ring = RING_Z_PHI if 5 in s.schlafli else RING_Z
     if not all(_in_ring(k, ring) for k in triple):
         return NOT_CERTIFIED
-    radicand = 4 * _cos2(q, True) * disc
+    radicand = 4 * _cos2(q, True) * _discriminant(p, triple, True)
     if scalar_sign(radicand) < 0:
         return NOT_CERTIFIED
     root = _certified_sqrt(radicand, ring)

@@ -4,16 +4,20 @@ Every entry becomes exactly one SVG element in document order: a
 ``<circle>`` for an ordinary disk, an even-odd ``<path>`` for the
 complement of a disk (negative curvature), and a clipped polygon for a
 half-plane.  All numbers are printed with one fixed format, so rendering
-the same document twice yields byte-identical output.
+the same document twice yields byte-identical output.  The floats come
+from the document's rows (:func:`documents.derived_rows`): an exact
+scalar pa/qa + (pb/qb) sqrt(m) becomes pa/qa + (pb/qb) * sqrt(m) in int
+division, which is correctly rounded, so it is the float that
+``QuadScalar.__float__`` gives for the same value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactnum import approx
-from .documents import PackingDocument
+from .documents import PackingDocument, derived_rows, quad_float
 
 DEFAULT_PALETTE = (
     "#4e79a7",
@@ -114,23 +118,23 @@ def render_svg(doc: PackingDocument, spec: Optional[RenderSpec] = None) -> str:
         f'viewBox="{_fmt(x)} {_fmt(-(y + h))} {_fmt(w)} {_fmt(h)}">'
     ]
     style = f'stroke="{spec.stroke}" stroke-width="{_fmt(spec.stroke_width)}"'
-    for e in doc.entries:
-        fill = spec.palette[e.orbit % npal]
-        geo = e.geometry
-        if geo.kind == "halfspace":
-            nx, ny = (approx(v) for v in geo.normal)
-            t = approx(geo.offset)
-            poly = _clip_halfplane(box, nx, ny, t)
+    root = math.sqrt(doc.m)
+    num = float if doc.is_float else (lambda q: quad_float(q, root))
+    for (_, _, orientation, first, second), orbit in zip(derived_rows(doc), doc.orbit):
+        fill = spec.palette[orbit % npal]
+        if orientation == 0:
+            nx, ny = (num(v) for v in first)
+            poly = _clip_halfplane(box, nx, ny, num(second))
             if len(poly) < 3:
                 continue
             pts = " ".join(f"{_fmt(px)},{_fmt(-py)}" for px, py in poly)
             parts.append(f'<polygon points="{pts}" fill="{fill}" {style}/>')
             continue
-        cx, cy = (approx(v) for v in geo.center)
-        r = approx(geo.radius)
+        cx, cy = (num(v) for v in first)
+        r = num(second)
         if spec.max_radius_clip is not None and r > spec.max_radius_clip:
             continue
-        if geo.orientation < 0:
+        if orientation < 0:
             d_attr = _box_path(bx0, by0, bx1, by1) + " " + _circle_subpath(cx, cy, r)
             parts.append(
                 f'<path fill-rule="evenodd" d="{d_attr}" fill="{fill}" {style}/>'

@@ -186,23 +186,24 @@ WRONG_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda p: json.dumps({"mode": "Q"}),
-        lambda p: "not json at all {",
-        lambda p: p.replace('"dimension": 2', '"dimension": 3'),
-        lambda p: p.replace('"1"', '"1.5"', 1),
-        lambda p: "[]",
-        lambda p: edited(p, lambda d: d.update(entries=5)),
-        lambda p: edited(p, lambda d: d["entries"].append(5)),
-        lambda p: edited(p, lambda d: d["entries"][0].update(inversive=5)),
-        lambda p: edited(p, lambda d: first_with(d, "center").update(center=5)),
-        lambda p: edited(p, lambda d: first_with(d, "halfspace")["halfspace"].update(normal=5)),
-        lambda p: edited(p, lambda d: first_with(d, "radius").update(radius="7.0")),
-        *(mangle for _, mangle in WRONG_FIELDS),
-    ],
-)
+# a document that from_json must refuse, made from a valid document's text
+MALFORMED = [
+    lambda p: json.dumps({"mode": "Q"}),
+    lambda p: "not json at all {",
+    lambda p: p.replace('"dimension": 2', '"dimension": 3'),
+    lambda p: p.replace('"1"', '"1.5"', 1),
+    lambda p: "[]",
+    lambda p: edited(p, lambda d: d.update(entries=5)),
+    lambda p: edited(p, lambda d: d["entries"].append(5)),
+    lambda p: edited(p, lambda d: d["entries"][0].update(inversive=5)),
+    lambda p: edited(p, lambda d: first_with(d, "center").update(center=5)),
+    lambda p: edited(p, lambda d: first_with(d, "halfspace")["halfspace"].update(normal=5)),
+    lambda p: edited(p, lambda d: first_with(d, "radius").update(radius="7.0")),
+    *(mangle for _, mangle in WRONG_FIELDS),
+]
+
+
+@pytest.mark.parametrize("mangle", MALFORMED)
 def test_from_json_rejects_malformed_documents(mangle):
     text = to_json(cluster_doc((0, 0, 1), 1))
     with pytest.raises(ValueError):
@@ -590,6 +591,24 @@ def test_dual_refuses_polygons(solid, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {why}\n"
 
 
+@pytest.mark.parametrize("center", ["none", "vertex", "edge", "face"])
+@pytest.mark.parametrize(
+    "solid", ["simplex-4", "cube-4", "orthoplex-4", "simplex-5", "cube-5", "orthoplex-5"]
+)
+def test_dual_refuses_solids_beyond_polyhedra(solid, center, tmp_path, capsys):
+    """The polar of an edge-scribed polytope of dimension 4 or 5 is not
+    edge-scribed, so its facet balls make no packing to check."""
+    doc = tmp_path / "p.json"
+    assert main(["project", "--solid", solid, "--center", center, "--out", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["dual", "--in", str(doc), "--out", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {solid} has no dual arrangement: the polar of an edge-scribed "
+        "polytope is edge-scribed only for polyhedra\n"
+    )
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_cli_integrality_certificates(capsys):
     assert (
         main(["integrality", "--solid", "tetrahedron", "--initial", "-3,5,8"]) == 0
@@ -617,6 +636,14 @@ def test_cli_integrality_certify_depth(capsys):
     out = capsys.readouterr().out
     assert "certificate: integral" in out
     assert "depth-3 curvatures in Z: yes" in out
+
+
+@pytest.mark.parametrize("solid", ["icosahedron", "dodecahedron"])
+def test_cli_integrality_of_a_seed_outside_the_ring_is_not_certified(solid, capsys):
+    # sqrt 2 lies outside Z[phi]: the ring test answers before any arithmetic
+    # mixes Q(sqrt 2) with the solid's Q(sqrt 5)
+    assert main(["integrality", "--solid", solid, "--initial=sqrt2,1,1"]) == 1
+    assert capsys.readouterr() == ("certificate: not-certified\n", "")
 
 
 def test_cli_integrality_uncertified_exits_one(capsys):

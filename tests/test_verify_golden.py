@@ -15,7 +15,7 @@ import io
 import pytest
 
 from ballpack.cli import main
-from ballpack.documents import PackingDocument, from_json, to_json
+from ballpack.documents import PackingDocument, document_from_entries, from_json, to_json
 from ballpack.lorentz import Entry, ball_from_geometry
 
 CLUSTERS = {
@@ -44,7 +44,7 @@ def _planted(base: PackingDocument) -> PackingDocument:
     ball = ball_from_geometry(base.dimension, center=center, curvature=e.curvature)
     entries = list(base.entries)
     entries.insert(PLANT_AT, Entry(ball.v))
-    return PackingDocument(base.dimension, base.mode, base.solid, base.seed, tuple(entries))
+    return document_from_entries(base.dimension, entries, solid=base.solid, seed=base.seed)
 
 
 def verify_outputs(tmp_path) -> dict:

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from ballpack.cli import main
-from ballpack.documents import from_json, to_json
+from ballpack.documents import document_from_entries, from_json, to_json
+from ballpack.exactnum import FLOAT_REL
 from ballpack.lorentz import Entry, ball_from_geometry
 
 
@@ -42,7 +43,8 @@ def _edit_entries(path, edit):
     doc = from_json(path.read_text(encoding="utf-8"))
     entries = list(doc.entries)
     edit(entries, doc.dimension)
-    path.write_text(to_json(dataclasses.replace(doc, entries=tuple(entries))), encoding="utf-8")
+    edited = document_from_entries(doc.dimension, entries, solid=doc.solid, seed=doc.seed)
+    path.write_text(to_json(edited), encoding="utf-8")
 
 
 def _first_disk(entries) -> int:
@@ -185,3 +187,39 @@ def test_verify_passes_on_platonic_projections_and_their_duals(solid, center, tm
         rc, lines = _run(["verify", "--in", str(doc)])
         assert rc == 0, lines
         assert lines[1].startswith("descartes: ok (1 windows, ")
+
+
+# the float documents of the benchmark's doc_chain workload
+FLOAT_CHAIN = [
+    ("tetrahedron", "-3,5,8", 7),
+    ("octahedron", "-2,4,5", 3),
+    ("dodecahedron", "1+phi,-1,2phi", 2),
+]
+
+
+@pytest.mark.parametrize("solid,initial,depth", FLOAT_CHAIN)
+def test_float_chain_documents_match_their_record_up_to_the_float_window(solid, initial, depth, tmp_path):
+    """Every float ball matches its rebuild, and a coordinate moved by 1.5
+    times the window fails where half of it passes.  The window is FLOAT_REL
+    max(1, largest coordinate); the coordinate moved is a small one, so that
+    the ball still passes the norm check."""
+    argv = ["cluster", "--solid", solid, f"--initial={initial}", "--depth", str(depth), "--mode", "float"]
+    path = _write(tmp_path, argv)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    n = len(payload["entries"])
+    verify = ["verify", "--in", str(path), "--checks", "descartes,soddy"]
+    rc, lines = _run(verify)
+    assert rc == 0 and lines[0].endswith(f", {n} balls match the record)"), lines
+    i, row = next(
+        (i, e["inversive"]) for i, e in reversed(list(enumerate(payload["entries"])))
+        if min(map(abs, e["inversive"])) < max(map(abs, e["inversive"])) / 4
+    )
+    j = min(range(len(row)), key=lambda k: abs(row[k]))
+    window = FLOAT_REL * max(1.0, max(map(abs, row)))
+    x = row[j]
+    for shift, want in ((0.5, (0, f"{n} balls match the record")),
+                        (1.5, (1, f"entry {i} differs from what the record makes"))):
+        row[j] = x + shift * window
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        rc, lines = _run(verify)
+        assert (rc, want[1] in lines[0]) == (want[0], True), lines
