@@ -25,7 +25,6 @@ entries that a document stores.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -33,12 +32,14 @@ from typing import Iterator, Optional
 from . import linalg
 from .exactnum import (
     FLOAT_REL,
-    QuadScalar,
     approx,
     compare,
+    exact_row,
     exact_sqrt,
     is_float_data,
     ratio,
+    row_vector,
+    scalar_parts,
     scalar_sign,
 )
 from .lorentz import (
@@ -73,15 +74,13 @@ from .polytopes import (
 )
 
 FLAVOR_DUAL = "A"  # inversions in the facet balls
-FLAVOR_PRIMAL = "A*"  # inversions in the packing's own balls
-FLAVOR_SYMMETRIZED = "SA"  # facet inversions plus the packing symmetries
 FLAVOR_FULL = "SSA"  # both inversion families plus the symmetries
 
 ROLE_DUAL_INVERSION = "dual_inversion"
 ROLE_PRIMAL_INVERSION = "primal_inversion"
 ROLE_SYMMETRY = "symmetry"
 
-_FLAVORS = (FLAVOR_DUAL, FLAVOR_PRIMAL, FLAVOR_SYMMETRIZED, FLAVOR_FULL)
+_FLAVORS = (FLAVOR_DUAL, FLAVOR_FULL)
 
 
 # -- canonical keys -------------------------------------------------------------
@@ -91,16 +90,12 @@ def scalar_key(x):
     """Hashable, orderable canonical form of one coordinate.
 
     Floats are rounded to 1e-7 (with -0.0 normalized), an order only: float
-    equality is ``lorentz.same_vector``'s.  Exact values become the tuple
-    (a_num, a_den, b_num, b_den, m) of their field representation.
+    equality is ``lorentz.same_vector``'s.  Exact values become their
+    ``exactnum.scalar_parts``.
     """
     if isinstance(x, float):
         return round(x, 7) + 0.0
-    if isinstance(x, QuadScalar):
-        a, b, m = x.a, x.b, (x.m or 0)
-    else:
-        a, b, m = Fraction(x), Fraction(0), 0
-    return (a.numerator, a.denominator, b.numerator, b.denominator, m)
+    return scalar_parts(x)
 
 
 def canonical_ball_key(b: Ball) -> tuple:
@@ -452,9 +447,8 @@ def packing_from_curvatures(s: Solid, triple) -> BallArrangement:
 class _Store:
     """Compact per-level storage backing a Cluster.
 
-    Exact rows keep a primitive integer vector plus one reduced fraction
-    num/den scaling the whole row, so coordinates never accumulate common
-    denominators: arrays "A"/"B" hold the rational and sqrt parts and
+    Exact rows are in ``exactnum``'s row form, so coordinates never
+    accumulate common denominators: arrays "A"/"B" hold the integer rows and
     "num"/"den" the per-row scale, all int64 (mode "i64") or python ints
     (dtype object, mode "obj").  Mode "float" holds float64 rows "V".
     """
@@ -480,30 +474,24 @@ class _Store:
             k += 1
         return k, gidx - self.offsets[k]
 
-    def _pair(self, ka, kb, num, den):
-        a = Fraction(int(ka) * int(num), int(den))
-        if kb:
-            return QuadScalar(a, Fraction(int(kb) * int(num), int(den)), self.m)
-        return a
-
-    def _row(self, k: int, i: int):
-        lv = self.levels[k]
-        return lv["A"][i], lv["B"][i], lv["num"][i], lv["den"][i]
-
     def vector(self, k: int, i: int) -> tuple:
+        lv = self.levels[k]
         if self.mode == "float":
-            return tuple(float(x) for x in self.levels[k]["V"][i])
-        row_a, row_b, num, den = self._row(k, i)
-        return tuple(self._pair(a, b, num, den) for a, b in zip(row_a, row_b))
+            return tuple(lv["V"][i].tolist())
+        return row_vector(
+            lv["A"][i].tolist(), lv["B"][i].tolist(), int(lv["num"][i]), int(lv["den"][i]), self.m
+        )
 
     def curvature(self, k: int, i: int):
+        lv = self.levels[k]
         if self.mode == "float":
-            row = self.levels[k]["V"][i]
+            row = lv["V"][i]
             return float(row[-1] - row[-2])
-        row_a, row_b, num, den = self._row(k, i)
-        return self._pair(
-            int(row_a[-1]) - int(row_a[-2]), int(row_b[-1]) - int(row_b[-2]), num, den
+        a, b = lv["A"][i].tolist(), lv["B"][i].tolist()
+        (kappa,) = row_vector(
+            (a[-1] - a[-2],), (b[-1] - b[-2],), int(lv["num"][i]), int(lv["den"][i]), self.m
         )
+        return kappa
 
     def row_meta(self, k: int, i: int):
         lv = self.levels[k]
@@ -629,27 +617,6 @@ class Cluster:
         return True
 
 
-def _exact_parts(x):
-    if isinstance(x, QuadScalar):
-        return x.a, x.b, (x.m or 0)
-    return Fraction(x), Fraction(0), 0
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def _reduce_row(flat, num: int, den: int):
-    """Pull the content out of an integer row: (primitive row, num', den')."""
-    c = 0
-    for x in flat:
-        c = math.gcd(c, x)
-    num *= c
-    flat = tuple(x // c for x in flat)
-    g = math.gcd(num, den)
-    return flat, num // g, den // g
-
-
 def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) -> Cluster:
     """Breadth-first closure of the seed balls under the generators.
 
@@ -763,28 +730,32 @@ def _close_level(store: _Store, rows: dict, keys, sel, meta: dict) -> None:
 
 def _exact_cluster(seed: BallArrangement, mats, depth: int, dtype=None) -> _Store:
     """Exact closure on integer rows: int64 arrays unless a level could
-    overflow, then the whole run again on python ints (``dtype=object``)."""
+    overflow, then the whole run again on python ints (``dtype=object``).
+
+    Seed balls and generator matrices enter in ``exactnum``'s row form.
+    Each generator's num is folded back into its integer matrix, which
+    leaves the matrix over den_g, the lcm of its entries' denominators (the
+    content of reduced fractions put over their lcm is prime to it), so a
+    child's den is its parent's times den_g before reduction.
+    """
     import numpy as np
 
     nb = seed.dimension + 2
-    m = 0
-    seed_rows = []
-    for b in seed.balls:
-        pairs, den, m = _integer_pairs(b.v, m)
-        flat = tuple(a for a, _ in pairs) + tuple(bb for _, bb in pairs)
-        seed_rows.append(_reduce_row(flat, 1, den))
-    mats_int, den_gens = [], []
-    for mt in mats:
-        pairs, dg, m = _integer_pairs([x for r in mt for x in r], m)
-        mats_int.append([pairs[i : i + nb] for i in range(0, len(pairs), nb)])
-        den_gens.append(dg)
+    seed_rows = [exact_row([scalar_parts(x) for x in b.v]) for b in seed.balls]
+    gen_rows = [exact_row([scalar_parts(x) for r in mt for x in r]) for mt in mats]
+    moduli = sorted(set().union(*(r[4] for r in seed_rows + gen_rows)))
+    if len(moduli) > 1:
+        raise ValueError(f"cannot mix the fields Q(sqrt {moduli[0]}) and Q(sqrt {moduli[1]})")
+    m = moduli[0] if moduli else 0
+    mats_int = [([a * num for a in A], [b * num for b in B]) for A, B, num, _, _ in gen_rows]
+    den_gens = [den for *_, den, _ in gen_rows]
 
     # worst growth of any coordinate across one application of any generator
     factor = 1
-    for rows in mats_int:
-        for row in rows:
-            fa = sum(abs(a) for a, _ in row)
-            fb = sum(abs(bb) for _, bb in row)
+    for A, B in mats_int:
+        for i in range(0, nb * nb, nb):
+            fa = sum(map(abs, A[i : i + nb]))
+            fb = sum(map(abs, B[i : i + nb]))
             factor = max(factor, fa + m * fb, fa + fb)
     args = (seed_rows, mats_int, den_gens, m, depth, nb, factor)
     if dtype is None:
@@ -795,32 +766,14 @@ def _exact_cluster(seed: BallArrangement, mats, depth: int, dtype=None) -> _Stor
     return _exact_rows(*args, dtype)
 
 
-def _integer_pairs(xs, m: int):
-    """Exact scalars a + b sqrt m as integer pairs over one common
-    denominator: (pairs, den, m), with the field modulus m merged in."""
-    parts, den = [], 1
-    for x in xs:
-        a, b, mx = _exact_parts(x)
-        m = _merge_modulus(m, mx)
-        den = _lcm(den, _lcm(a.denominator, b.denominator))
-        parts.append((a, b))
-    return [(int(a * den), int(b * den)) for a, b in parts], den, m
-
-
-def _merge_modulus(m1: int, m2: int) -> int:
-    if m1 == 0:
-        return m2
-    if m2 == 0 or m2 == m1:
-        return m1
-    raise ValueError(f"cannot mix the fields Q(sqrt {m1}) and Q(sqrt {m2})")
-
-
 class _NeedsBigInts(Exception):
     """Raised when a level could overflow int64; retried with python ints."""
 
 
 def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _Store:
-    """Exact rows (A + B sqrt m) * num / den, with A, B, num, den arrays.
+    """Exact rows (A + B sqrt m) * num / den, with A, B, num, den arrays,
+    from the seed's :func:`exactnum.exact_row` results and each generator's
+    integer matrices A_g, B_g (flat, row by row) over den_g.
 
     An int64 key row is (A, B, num, den) with the sign bit flipped and the
     bytes swapped, so the raw-byte order of its void view is the numeric
@@ -833,19 +786,16 @@ def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _
     i64 = dtype is not object
     limit = 2**63
     if i64 and (
-        any(abs(x) >= limit for flat, num, den in seed_rows for x in (*flat, num, den))
-        or any(abs(x) >= limit for rows in mats_int for r in rows for ab in r for x in ab)
+        any(abs(x) >= limit for A, B, num, den, _ in seed_rows for x in (*A, *B, num, den))
+        or any(abs(x) >= limit for A, B in mats_int for x in (*A, *B))
     ):
         raise _NeedsBigInts
-    P0 = np.array([flat for flat, _, _ in seed_rows], dtype=dtype)
     rows0 = {
-        "A": P0[:, :nb],
-        "B": P0[:, nb:],
-        "num": np.array([num for _, num, _ in seed_rows], dtype=dtype),
-        "den": np.array([den for _, _, den in seed_rows], dtype=dtype),
+        name: np.array([r[j] for r in seed_rows], dtype=dtype)
+        for j, name in enumerate(("A", "B", "num", "den"))
     }
-    Ma = [np.array([[a for a, _ in r] for r in rows], dtype=dtype) for rows in mats_int]
-    Mb = [np.array([[b for _, b in r] for r in rows], dtype=dtype) for rows in mats_int]
+    Ma = [np.array(A, dtype=dtype).reshape(nb, nb) for A, _ in mats_int]
+    Mb = [np.array(B, dtype=dtype).reshape(nb, nb) for _, B in mats_int]
     dg_arr = np.array(den_gens, dtype=dtype)
     G = len(mats_int)
 

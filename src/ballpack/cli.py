@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .documents import (
     PackingDocument,
+    _typed,
     document_from_arrangement,
     document_from_cluster,
     first_difference,
@@ -146,10 +147,14 @@ def _read_doc(path: str) -> PackingDocument:
 
 
 def _recorded(record: dict, key: str, kind: type):
-    """record[key], checked to be a JSON value of ``kind``."""
-    if not isinstance(record.get(key), kind):
-        raise ValueError(f"seed record field {key!r} is missing or not a JSON {kind.__name__}")
-    return record[key]
+    """record[key], checked by the documents' JSON type rule to be a value of
+    ``kind``."""
+    try:
+        return _typed(record.get(key), kind, repr(key))
+    except ValueError:
+        raise ValueError(
+            f"seed record field {key!r} is missing or not a JSON {kind.__name__}"
+        ) from None
 
 
 def _made_by(record: dict, mode: str = "exact"):

@@ -5,15 +5,13 @@ metadata (dimension, numeric mode, solid tag, seed description) plus one
 entry per ball: its inversive coordinates and its cluster provenance
 (depth, word, orbit); the vector is the ball.  In memory a document keeps
 the balls in the layout of a cluster's store, one row per ball: an exact
-row is a primitive integer vector A + B sqrt(m) times one positive reduced
-fraction num/den, and a float row is a float64 vector.  That form is
-unique, so two exact rows are equal exactly when their values are.  Every
-layer works on the rows: the writer prints each scalar's canonical text
-straight from the integers, the loader parses the text into rows,
-:meth:`PackingDocument.balls` checks every Lorentz norm on them and builds
-a ball only when a check reads it, and ``svgout.render_svg`` takes its
-floats from them.  :class:`lorentz.Entry` objects are built only on demand
-(:attr:`PackingDocument.entries`).
+row in the canonical form that ``exactnum`` defines, and a float row as a
+float64 vector.  Every layer works on the rows: the writer prints each
+scalar's canonical text straight from the integers, the loader parses the
+text into rows, :meth:`PackingDocument.balls` checks every Lorentz norm on
+them and builds a ball only when a check reads it, and
+``svgout.render_svg`` takes its floats from them.  :class:`lorentz.Entry`
+objects are built only on demand (:attr:`PackingDocument.entries`).
 
 The writer adds each ball's curvature and Euclidean geometry
 (``center``/``radius``, or a ``halfspace`` normal and offset) for readers
@@ -32,21 +30,28 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .exactnum import FLOAT_REL, QuadScalar, field_modulus, is_float_data
+from .exactnum import (
+    FLOAT_REL,
+    exact_row,
+    field_modulus,
+    is_float_data,
+    quad_value,
+    row_vector,
+    scalar_parts,
+)
 from .lorentz import Ball, Entry
 
 RADICAL = "√"
 
 MODE_FLOAT = "float"
 
-# An exact scalar travels between the layers as four integers (pa, qa, pb,
-# qb), the value pa/qa + (pb/qb) sqrt(m) with qa, qb nonzero and m the
-# document's field modulus; neither fraction needs to be reduced.
+# An exact scalar travels between the layers as its ``exactnum`` parts (pa,
+# qa, pb, qb), m being the document's field modulus; neither fraction needs
+# to be reduced.
 
 
 def _ratio_text(p: int, q: int) -> str:
@@ -75,27 +80,9 @@ def quad_float(x, root: float) -> float:
     return pa / qa + (pb / qb) * root if pb else pa / qa
 
 
-def _quad_value(x, m: int):
-    """The exact scalar of x = (pa, qa, pb, qb): a Fraction, or a QuadScalar
-    when it has a radical part."""
-    pa, qa, pb, qb = x
-    if pb:
-        return QuadScalar(Fraction(pa, qa), Fraction(pb, qb), m)
-    return Fraction(pa, qa)
-
-
-def _parts(x) -> tuple:
-    """(pa, qa, pb, qb, m) of an exact scalar, m = 0 when it is rational."""
-    if isinstance(x, QuadScalar):
-        a, b, m = x.a, x.b, x.m or 0
-        return a.numerator, a.denominator, b.numerator, b.denominator, m
-    x = Fraction(x)
-    return x.numerator, x.denominator, 0, 1, 0
-
-
 def scalar_to_text(x) -> str:
     """Canonical exact string: "a", "a/b", or "a/b±c/d√m" in lowest terms."""
-    *quad, m = _parts(x)
+    *quad, m = scalar_parts(x)
     return _quad_text(quad, m)
 
 
@@ -130,7 +117,7 @@ def _parse(s: str) -> tuple:
 def scalar_from_text(s: str):
     """Inverse of scalar_to_text; returns a Fraction or a QuadScalar."""
     *quad, m = _parse(s)
-    return _quad_value(quad, m)
+    return quad_value(quad, m)
 
 
 def _float_scalar(x) -> float:
@@ -174,28 +161,9 @@ def _matrix(rows: list, width: int, dtype) -> np.ndarray:
     return out
 
 
-def _exact_row(v: list) -> tuple:
-    """(A, B, num, den, moduli) of a vector of (pa, qa, pb, qb, m) scalars.
-
-    The row is put over the lcm of its denominators, and its content is
-    pulled out as num/den with num, den > 0 coprime, so the integer row is
-    primitive.  A zero row keeps num = 0, den = 1.  ``moduli`` is the set of
-    field moduli of the row's irrational scalars.
-    """
-    lcm = math.lcm(*(x[1] for x in v), *(x[3] for x in v))
-    a = [pa * (lcm // qa) for pa, qa, _, _, _ in v]
-    b = [pb * (lcm // qb) for _, _, pb, qb, _ in v]
-    c = math.gcd(*a, *b)
-    moduli = {x[4] for x in v} - {0}
-    if not c:
-        return a, b, 0, 1, moduli
-    g = math.gcd(c, lcm)
-    return [x // c for x in a], [x // c for x in b], c // g, lcm // g, moduli
-
-
 def _stack(rows: list, width: int) -> tuple:
-    """The row arrays of a list of :func:`_exact_row` results, and their
-    one field modulus (0 for Q)."""
+    """The row arrays of a list of :func:`exactnum.exact_row` results, and
+    their one field modulus (0 for Q)."""
     moduli = set().union(*(r[4] for r in rows))
     if len(moduli) > 1:
         raise ValueError("document mixes quadratic fields")
@@ -280,10 +248,7 @@ class PackingDocument:
         if self.is_float:
             return tuple(self.rows["V"][i].tolist())
         r = self.rows
-        num, den = r["num"][i], r["den"][i]
-        return tuple(
-            _quad_value((a * num, den, b * num, den), self.m) for a, b in zip(r["A"][i], r["B"][i])
-        )
+        return row_vector(r["A"][i], r["B"][i], r["num"][i], r["den"][i], self.m)
 
     @property
     def entries(self) -> tuple:
@@ -378,7 +343,7 @@ def document_from_entries(dimension: int, entries, *, solid=None, seed=None) -> 
         rows = {"V": _matrix([[float(x) for x in e.inversive] for e in entries], width, np.float64)}
         mode, m = MODE_FLOAT, 0
     else:
-        rows, m = _stack([_exact_row([_parts(x) for x in e.inversive]) for e in entries], width)
+        rows, m = _stack([exact_row(list(map(scalar_parts, e.inversive))) for e in entries], width)
         mode = _exact_mode(m)
     provenance = ((e.depth for e in entries), (e.word for e in entries), (e.orbit for e in entries))
     return PackingDocument(dimension, mode, solid, dict(seed or {}), rows, *map(tuple, provenance), m)
@@ -581,6 +546,8 @@ def from_json(text: str) -> PackingDocument:
         raise ValueError(f"not a JSON document: {err}")
     _typed(payload, dict, "document")
     dimension = _field(payload, "dimension", int)
+    if dimension < 1:
+        raise ValueError(f"'dimension' is {dimension}, not a positive integer")
     mode = _field(payload, "mode", str)
     raw_entries = _field(payload, "entries", list)
     floaty = mode == MODE_FLOAT
@@ -589,7 +556,7 @@ def from_json(text: str) -> PackingDocument:
         v, *provenance = _entry_from_dict(raw, floaty)
         raw_entries[i] = None  # the parsed JSON is freed as its rows are made
         entries.append((len(v), *provenance))
-        vectors.append(v if floaty else _exact_row(v))
+        vectors.append(v if floaty else exact_row(v))
     solid = _field(payload, "solid", str, None, nullable=True)
     seed = _field(payload, "seed", dict, None, nullable=True) or {}
     width = dimension + 2

@@ -8,6 +8,15 @@ Floats never silently mix with exact values: arithmetic between a QuadScalar
 and a float raises TypeError, so a computation is either exact end to end or
 explicitly converted with :func:`approx`.
 Whether a value equals a target is decided in one place, :func:`compare`.
+
+This module also owns the exact row form that the cluster engine and the
+documents share.  A scalar travels as its parts (pa, qa, pb, qb, m), the value
+pa/qa + (pb/qb) sqrt(m) with qa, qb nonzero and m = 0 when it is rational
+(:func:`scalar_parts`, :func:`quad_value`).  A vector travels as one row
+(A + B sqrt m) * num/den: A and B a primitive integer vector (the gcd of all
+their entries is 1) and num/den > 0 in lowest terms, or a zero row with
+num/den = 0/1 (:func:`exact_row`, :func:`row_vector`).  The row of a vector is
+unique, so two rows are equal exactly when their vectors are.
 """
 
 from __future__ import annotations
@@ -396,3 +405,48 @@ def is_ring_integer(x: ScalarLike, ring: str) -> bool:
         # a + b sqrt5 = (a - b) + 2b * phi
         return (q.a - q.b).denominator == 1 and (2 * q.b).denominator == 1
     raise ValueError(f"unknown ring {ring!r}")
+
+
+# -- the exact row form ---------------------------------------------------------
+
+
+def scalar_parts(x: ScalarLike) -> tuple:
+    """(pa, qa, pb, qb, m) of an exact scalar, both fractions in lowest terms
+    and m = 0 when it is rational."""
+    if isinstance(x, QuadScalar):
+        a, b = x.a, x.b
+        return a.numerator, a.denominator, b.numerator, b.denominator, x.m or 0
+    x = Fraction(x)
+    return x.numerator, x.denominator, 0, 1, 0
+
+
+def quad_value(parts, m: int):
+    """The exact scalar of parts = (pa, qa, pb, qb) in Q(sqrt m), fractions
+    not necessarily reduced: a Fraction, or a QuadScalar when pb != 0."""
+    pa, qa, pb, qb = parts
+    if pb:
+        return QuadScalar(Fraction(pa, qa), Fraction(pb, qb), m)
+    return Fraction(pa, qa)
+
+
+def exact_row(parts) -> tuple:
+    """(A, B, num, den, moduli) of a vector given as the parts of its scalars.
+
+    The vector is put over the lcm of its denominators and its content is
+    pulled out as num/den, so A and B are lists of ints that form a primitive
+    row.  ``moduli`` is the set of field moduli of the irrational scalars.
+    """
+    lcm = math.lcm(*(x[1] for x in parts), *(x[3] for x in parts))
+    a = [pa * (lcm // qa) for pa, qa, _, _, _ in parts]
+    b = [pb * (lcm // qb) for _, _, pb, qb, _ in parts]
+    c = math.gcd(*a, *b)
+    moduli = {x[4] for x in parts} - {0}
+    if not c:
+        return a, b, 0, 1, moduli
+    g = math.gcd(c, lcm)
+    return [x // c for x in a], [x // c for x in b], c // g, lcm // g, moduli
+
+
+def row_vector(A, B, num: int, den: int, m: int) -> tuple:
+    """The exact scalars of the row (A + B sqrt m) * num/den, from python ints."""
+    return tuple(quad_value((a * num, den, b * num, den), m) for a, b in zip(A, B))

@@ -192,8 +192,9 @@ def test_symmetries_permute_seed_and_conjugate_inversions(q):
 def test_generator_set_validation():
     mirror = inversion_map(ball_from_geometry(2, normal=(1, 0), offset=0))
     g = Generator("m", ROLE_SYMMETRY, mirror)
-    with pytest.raises(ValueError, match="flavor"):
-        GeneratorSet("B", (g,))
+    for flavor in ("B", "SA"):
+        with pytest.raises(ValueError, match="flavor"):
+            GeneratorSet(flavor, (g,))
     with pytest.raises(ValueError, match="empty"):
         GeneratorSet(FLAVOR_DUAL, ())
     shift = mirror @ inversion_map(ball_from_geometry(2, normal=(1, 0), offset=1))

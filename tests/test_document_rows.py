@@ -20,9 +20,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import document_oracle as oracle
 from ballpack import cli
+from ballpack.apollonian import generate_cluster, platonic_generators
 from ballpack.documents import (
     document_from_arrangement,
     document_from_cluster,
+    document_from_entries,
     from_json,
     to_json,
 )
@@ -110,6 +112,32 @@ def test_cluster_documents_match_the_oracle(tmp_path, seed, depth):
     doc = document_from_cluster(made, solid=solid, seed=record)
     old = oracle.document_from_cluster(made, solid=solid, seed=record)
     check_against_oracle(tmp_path, doc, old)
+
+
+# (solid, seed curvatures, depth, numeric mode, store mode): the README
+# seeds, whose cube generators reach denominator 132,098, and a scaled seed
+# whose rows are python ints
+CANONICAL = [
+    *((solid, initials[0], depth, mode, "i64" if mode == "exact" else "float")
+      for solid, initials in SEEDS.items() for depth in (0, 1, 2) for mode in ("exact", "float")),
+    ("tetrahedron", "-3000,5000,8000", 2, "exact", "obj"),
+]
+
+
+@pytest.mark.parametrize("solid,initial,depth,mode,store", CANONICAL)
+def test_a_cluster_document_is_the_document_of_its_entries(solid, initial, depth, mode, store):
+    """The engine keeps its rows in the one canonical form: the rows that
+    a document makes of the cluster's entries."""
+    record = {"kind": "cluster", "solid": solid, "initial": initial.split(","), "depth": depth}
+    made = cli._made_by(record, mode)
+    assert made._store.mode == store
+    assert document_from_cluster(made) == document_from_entries(made.seed.dimension, made)
+
+
+def test_a_full_symmetry_cluster_document_is_the_document_of_its_entries():
+    gens = platonic_generators(solid_from_name("cube"))
+    made = generate_cluster(gens.seed, gens, 4)
+    assert document_from_cluster(made) == document_from_entries(made.seed.dimension, made)
 
 
 PROJECTED = ("triangle", "square", "ngon-5", "tetrahedron", "octahedron", "cube", "icosahedron",

@@ -217,6 +217,19 @@ def test_from_json_names_the_malformed_field(field, mangle):
         from_json(mangle(text))
 
 
+@pytest.mark.parametrize("dimension", [0, -1, -2])
+def test_a_dimension_below_one_is_refused_at_load(dimension, tmp_path, capsys):
+    text = json.dumps({"dimension": dimension, "mode": "Q", "entries": []})
+    with pytest.raises(ValueError, match="'dimension'"):
+        from_json(text)
+    path = tmp_path / "d.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: 'dimension' is {dimension}, not a positive integer\n"
+
+
 @pytest.mark.parametrize("mode", ["banana", "Q(√5)", "Q", "Q(√3)"])
 def test_from_json_rejects_a_mode_its_vectors_contradict(mode):
     doc = document_from_arrangement(project(regular_edge_scribed(TETRAHEDRON)))

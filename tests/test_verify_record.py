@@ -144,6 +144,16 @@ def test_an_exact_flag_residual_must_be_zero(tmp_path):
     assert lines[1].startswith("flags: FAILED (flag ")
 
 
+def test_a_boolean_record_depth_is_not_an_integer(tmp_path, capsys):
+    path = _write(tmp_path, [*TETRA_CLUSTER[:-1], "1"])
+    _edit_record("depth", True)(path)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--checks", "descartes"]) == 2
+    assert capsys.readouterr().err == (
+        "error: seed record field 'depth' is missing or not a JSON int\n"
+    )
+
+
 def test_descartes_needs_a_seed_record(tmp_path, capsys):
     path = _write(tmp_path, TETRA_CLUSTER)
     payload = json.loads(path.read_text(encoding="utf-8"))
