@@ -107,6 +107,25 @@ def canonical_ball_key(b: Ball) -> tuple:
 
 
 def _is_involution(m: MobiusMap) -> bool:
+    """m @ m is the identity.  An exact map is tested on the ``exact_row`` of
+    its flat matrix, (A + B sqrt f) num/den: in python ints, (A A + f B B)
+    num^2 = den^2 I and A B + B A = 0.  Float maps, and maps whose entries
+    lie in two fields, take the scalar product and ``compare``."""
+    n = len(m.mat)
+    flat = [x for r in m.mat for x in r]
+    if not is_float_data(flat):
+        A, B, num, den, fields = exact_row([scalar_parts(x) for x in flat])
+        if len(fields) <= 1:
+            A, B = (linalg.mat(v[i : i + n] for i in range(0, n * n, n)) for v in (A, B))
+            f, mul = next(iter(fields), 0), linalg.mat_mul
+            real = [[x + f * y for x, y in zip(*r)] for r in zip(mul(A, A), mul(B, B))]
+            surd = [[x + y for x, y in zip(*r)] for r in zip(mul(A, B), mul(B, A))]
+            one, scale = den * den, num * num
+            return all(
+                real[i][j] * scale == (one if i == j else 0) and surd[i][j] == 0
+                for i in range(n)
+                for j in range(n)
+            )
     rows, cols = m.mat, tuple(zip(*m.mat))
     sq = (m @ m).mat
     return all(

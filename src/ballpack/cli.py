@@ -57,6 +57,7 @@ from .polytopes import dual_solid, flags, regular_edge_scribed, solid_from_name
 from .relations import (
     INTEGRAL,
     NOT_CERTIFIED,
+    exact_flag_residuals,
     flag_curvatures,
     integrality_condition,
     lorentzian_curvature,
@@ -351,17 +352,26 @@ def _check_flags(doc: PackingDocument, balls):
     seed = doc.seed
     if seed.get("kind") != "projection":
         raise ValueError("flag check applies only to project documents")
-    s = solid_from_name(seed["solid"])
+    s = solid_from_name(_recorded(seed, "solid", str))
     p = regular_edge_scribed(s)
     if len(balls) != len(p.vertices):
         raise ValueError("document does not hold one ball per vertex")
     arr = BallArrangement(tuple(balls))
+    chains = flags(p)
+    residuals = exact_flag_residuals(s, chains, arr.curvatures())
+    if residuals is not None:
+        # exact: every residual must be zero; the first that is not fails
+        # with the line of its scalar residual
+        bad = [flag for flag, r in zip(chains, residuals) if r != (0, 0)][:1]
+        if not bad:
+            return ("ok", f"{len(chains)} flags, max relative residual 0") if chains else ("vacuous", "no flags")
+        chains = bad
     # each face's mean curvature once, however many flags pass through it
     face_ks = {f: lorentzian_curvature(arr, f) for fs in p.faces_by_rank.values() for f in fs}
     whole = lorentzian_curvature(arr)
     cases = (
         (f"flag {flag}", verify_flag_relation(s, ks), ks)
-        for flag in flags(p)
+        for flag in chains
         for ks in [(*(face_ks[f] for f in flag), whole)]
     )
     return _residual_check(cases, "flags", "no flags")

@@ -39,6 +39,7 @@ from .exactnum import (
     exact_row,
     field_modulus,
     is_float_data,
+    quad_sign,
     quad_value,
     row_vector,
     scalar_parts,
@@ -139,16 +140,6 @@ def _exact_scalar(x, read: bool = True) -> tuple:
     if not isinstance(x, str):
         raise ValueError(f"exact document holds a non-string scalar {x!r}")
     return _parse(x) if read else _scalar_match(x)
-
-
-def _sign(a: int, b: int, m: int) -> int:
-    """Exact sign of a + b sqrt(m)."""
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sb == 0 or sa == sb:
-        return sa
-    if sa == 0:
-        return sb
-    return sa if a * a > b * b * m else sb  # a^2 = b^2 m has no solution with b != 0
 
 
 # -- the row layout -------------------------------------------------------------
@@ -415,7 +406,7 @@ def derived_rows(doc: PackingDocument) -> Iterator[tuple]:
             continue
         n = ka * ka - kb * kb * m
         center = [(x * ka - y * kb * m, n, y * ka - x * kb, n) for x, y in zip(a[:d], b[:d])]
-        s = _sign(ka, kb, m)
+        s = quad_sign(ka, kb, m)
         yield inv, curvature, s, center, (s * ka * den, n * num, -s * kb * den, n * num)
 
 

@@ -16,7 +16,9 @@ pa/qa + (pb/qb) sqrt(m) with qa, qb nonzero and m = 0 when it is rational
 (A + B sqrt m) * num/den: A and B a primitive integer vector (the gcd of all
 their entries is 1) and num/den > 0 in lowest terms, or a zero row with
 num/den = 0/1 (:func:`exact_row`, :func:`row_vector`).  The row of a vector is
-unique, so two rows are equal exactly when their vectors are.
+unique, so two rows are equal exactly when their vectors are.  Sums and
+products of rows stay integer pairs X + Y sqrt m, and :func:`quad_sign`
+reads their exact sign.
 """
 
 from __future__ import annotations
@@ -450,3 +452,14 @@ def exact_row(parts) -> tuple:
 def row_vector(A, B, num: int, den: int, m: int) -> tuple:
     """The exact scalars of the row (A + B sqrt m) * num/den, from python ints."""
     return tuple(quad_value((a * num, den, b * num, den), m) for a, b in zip(A, B))
+
+
+def quad_sign(a: int, b: int, m: int) -> int:
+    """Exact sign of a + b sqrt(m) for ints a, b, and m square-free > 1 (or
+    any m when b = 0)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * m else sb  # a^2 = b^2 m has no solution with b != 0

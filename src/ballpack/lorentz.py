@@ -8,12 +8,16 @@ generate the Mobius maps used everywhere else: s_b = I - 2 x xT Q.  An
 word that produced it, with everything else derived from the vector.
 
 All functions run in either exact mode (int/Fraction/QuadScalar entries) or
-float mode; the two never mix inside one vector.  Every test of a Lorentz
-product x.y against -1, 0 or 1 goes through :func:`exactnum.compare`: exact
-in exact mode, and in float mode within FLOAT_REL = 1e-10 times the size of
-its terms, sum |x_i y_i|, which grows with the coordinates of deep balls.
-Where that window reaches 1/2, -1, 0 and 1 are no longer apart, and
-:func:`classify_pair` refuses the float pair instead of guessing.
+float mode; the two never mix inside one vector.  :func:`classify_pair`
+decides an exact pair on the balls' ``exactnum`` rows: the Lorentz product
+is two integers X + Y sqrt m over a positive integer, and its exact sign
+against -1, 0 and 1 is ``quad_sign`` of integers.  Every other test of a
+Lorentz product x.y against -1, 0 or 1 goes through
+:func:`exactnum.compare`: exact in exact mode, and in float mode within
+FLOAT_REL = 1e-10 times the size of its terms, sum |x_i y_i|, which grows
+with the coordinates of deep balls.  Where that window reaches 1/2, -1, 0
+and 1 are no longer apart, and :func:`classify_pair` refuses the float pair
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -29,9 +33,12 @@ from .exactnum import (
     QuadScalar,
     approx,
     compare,
+    exact_row,
     exact_sqrt,
     is_float_data,
+    quad_sign,
     ratio,
+    scalar_parts,
     scalar_sign,
 )
 
@@ -69,9 +76,10 @@ def x_north(d: int, one=1, zero=0) -> LVector:
 
 
 class Ball:
-    """A d-ball: a Lorentz vector of norm one."""
+    """A d-ball: a Lorentz vector of norm one.  An exact ball keeps its
+    ``exactnum`` row once :func:`classify_pair` has made it."""
 
-    __slots__ = ("v",)
+    __slots__ = ("v", "_row")
 
     def __init__(self, v: Sequence[Scalar], _checked: bool = False):
         v = tuple(v)
@@ -208,29 +216,68 @@ EQUAL = "equal"
 
 
 def _is_past_directed(b: Ball) -> bool:
-    return scalar_sign(b.v[-1]) < 0
+    t = b.v[-1]
+    if isinstance(t, QuadScalar) and t.m:  # the sign of the row's last integers
+        A, B = _row(b)[:2]
+        return quad_sign(A[-1], B[-1], t.m) < 0
+    return scalar_sign(t) < 0
+
+
+def _row(b: Ball) -> tuple:
+    """The exact ball's ``exactnum.exact_row``, made once and kept."""
+    try:
+        return b._row
+    except AttributeError:
+        row = exact_row([scalar_parts(x) for x in b.v])
+        object.__setattr__(b, "_row", row)
+        return row
+
+
+def _exact_product(b1: Ball, b2: Ball) -> tuple:
+    """(X, Y, D, m) with x.y = (X + Y sqrt m)/D and D > 0, for exact balls.
+
+    With rows x = (A1 + B1 sqrt m) n1/d1 and y = (A2 + B2 sqrt m) n2/d2,
+    X = (A1.A2 + m B1.B2) n1 n2, Y = (A1.B2 + B1.A2) n1 n2 and D = d1 d2.
+    Rows in two fields take the product of their scalars, which refuses to
+    mix the fields wherever two irrational parts meet.
+    """
+    A1, B1, n1, d1, f1 = _row(b1)
+    A2, B2, n2, d2, f2 = _row(b2)
+    fields = f1 | f2
+    if len(fields) > 1:
+        pa, qa, pb, qb, m = scalar_parts(lorentz_product(b1.v, b2.v))
+        return pa * qb, pb * qa, qa * qb, m
+    m, n = next(iter(fields), 0), n1 * n2
+    x = lorentz_product(A1, A2) + m * lorentz_product(B1, B2)
+    y = lorentz_product(A1, B2) + lorentz_product(B1, A2)
+    return x * n, y * n, d1 * d2, m
 
 
 def classify_pair(b1: Ball, b2: Ball) -> str:
-    """Relative position of two balls from their Lorentz product p.  Float
-    pairs whose window around -1, 0 and 1 reaches 1/2 (curvature ~1e5) are
-    refused, as no float answer is sound there."""
+    """Relative position of two balls from their Lorentz product p.  Exact
+    pairs are decided on their rows; float pairs whose window around -1, 0
+    and 1 reaches 1/2 (curvature ~1e5) are refused, as no float answer is
+    sound there."""
     if _is_past_directed(b1) and _is_past_directed(b2):
         raise ValueError("cannot classify a pair of past-directed balls")
     x, y = b1.v, b2.v
-    p = lorentz_product(x, y)
-    scale = lambda: product_scale(x, y)
-    if isinstance(p, float):
+    if is_float_data(x) or is_float_data(y):
+        p = lorentz_product(x, y)
+        scale = lambda: product_scale(x, y)
         if same_vector(x, y):
             return EQUAL
         if FLOAT_REL * scale() >= 0.5:
             raise ValueError(f"float balls too large to classify (scale {scale():.3g})")
-    s = compare(p, -1, scale)
+        side = lambda t: compare(p, t, scale)
+    else:
+        X, Y, D, m = _exact_product(b1, b2)
+        side = lambda t: quad_sign(X - t * D, Y, m)
+    s = side(-1)
     if s <= 0:
         return EXTERNALLY_TANGENT if s == 0 else DISJOINT
-    if compare(p, 0, scale) == 0:
+    if side(0) == 0:
         return ORTHOGONAL
-    s = compare(p, 1, scale)
+    s = side(1)
     if s == 0:  # equal exact vectors have p = 1; equal float ones returned above
         return EQUAL if x == y else INTERNALLY_TANGENT
     return NESTED if s > 0 else OVERLAPPING

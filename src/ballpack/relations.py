@@ -13,11 +13,14 @@ curvature arithmetic alone, plus the ring certificates for integral and
 phi-integral packings.
 
 Every function is exact on exact input and float on float input; the two
-never mix silently.
+never mix silently.  :func:`exact_flag_residuals` evaluates the flag
+relation on every flag of an exact projection at once, on integers: the
+vertex curvatures over one denominator, each face summed once.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from . import linalg
@@ -26,11 +29,13 @@ from .exactnum import (
     RING_Z_PHI,
     approx,
     compare,
+    exact_row,
     exact_sqrt,
     is_float_data,
     is_ring_integer,
     phi,
     ratio,
+    scalar_parts,
     scalar_sign,
     sqrt_if_expressible,
 )
@@ -154,6 +159,62 @@ def verify_flag_relation(s: Solid, kappas):
         diff = ks[i] - ks[i + 1]
         rhs = rhs + ratio(diff * diff, lv[i + 1] - lv[i])
     return ks[-1] * ks[-1] - lv[-1] * rhs
+
+
+def exact_flag_residuals(s: Solid, chains, kappas):
+    """Each flag's :func:`verify_flag_relation` residual, up to one positive
+    factor, as integers (x, y) for x + y sqrt m; None when a curvature or the
+    L ladder is a float, or when the two lie in different fields.
+
+    ``kappas`` are the exact vertex curvatures of a projection of ``s`` and
+    ``chains`` its flags, each a chain of faces of rank 0..d given as sets of
+    vertex indices.  The residual k_top^2 - sum_i c_i (k_i - k_{i+1})^2,
+    with c_i = L_top / (L_{i+1} - L_i), is homogeneous of degree 2 in the
+    curvatures and linear in (1, c_0, ...), so each comes as the integers of
+    its ``exactnum.exact_row`` without the factor num/den.  Face sums are put
+    over the lcm N of the face sizes: K_f = (N/|f|) sum_{v in f} k_v.  Each
+    face is summed once, and each term of a pair of incident faces is taken
+    once, however many flags pass through it.  A pair is (0, 0) exactly when
+    the flag's residual is zero.
+    """
+    top = s.dimension + 1
+    lv = [L_value(s, i) for i in range(top + 1)]
+    if is_float_data([*lv, *kappas]):
+        return None
+    coeffs = [1, *(-ratio(lv[-1], lv[i + 1] - lv[i]) for i in range(top))]
+    E, F, _, _, f1 = exact_row([scalar_parts(c) for c in coeffs])
+    A, B, _, _, f2 = exact_row([scalar_parts(k) for k in kappas])
+    fields = f1 | f2
+    if len(fields) > 1:
+        return None
+    m = next(iter(fields), 0)
+    faces = {f for chain in chains for f in chain}
+    n = math.lcm(len(kappas), *map(len, faces))
+
+    def total(f):
+        return sum(A[v] for v in f) * (n // len(f)), sum(B[v] for v in f) * (n // len(f))
+
+    K = {f: total(f) for f in faces}
+    K[None] = total(range(len(kappas)))  # the whole solid
+
+    def term(j, k1, k2):
+        """coefficient j times (k1 - k2)^2, as integers of Z[sqrt m]."""
+        a, b = k1[0] - k2[0], k1[1] - k2[1]
+        u, v = a * a + m * b * b, 2 * a * b
+        return E[j] * u + m * F[j] * v, E[j] * v + F[j] * u
+
+    terms = {}
+    whole = term(0, K[None], (0, 0))
+    out = []
+    for chain in chains:
+        x, y = whole
+        for i, pair in enumerate(zip(chain, (*chain[1:], None))):
+            t = terms.get(pair)
+            if t is None:
+                t = terms[pair] = term(i + 1, K[pair[0]], K[pair[1]])
+            x, y = x + t[0], y + t[1]
+        out.append((x, y))
+    return out
 
 
 def soddy_gosset_residual(kappas):

@@ -4,7 +4,9 @@
 documents on integer (or float64) rows; this is the same layer written
 entry by entry, with every scalar a Fraction, QuadScalar or float.  It is
 kept as the reference implementation that the tests compare the row
-layer against, byte for byte.
+layer against, byte for byte.  So are `classify_pair` and the `flags`
+check, which the program decides on integer rows for exact balls: here
+they take every Lorentz product and every flag residual in exact scalars.
 """
 
 import contextlib
@@ -18,9 +20,25 @@ from fractions import Fraction
 from typing import Optional
 
 from ballpack import cli
-from ballpack.exactnum import QuadScalar, approx, is_float_data
-from ballpack.lorentz import Ball, Entry, same_vector
+from ballpack.exactnum import FLOAT_REL, QuadScalar, approx, compare, is_float_data
+from ballpack.lorentz import (
+    DISJOINT,
+    EQUAL,
+    EXTERNALLY_TANGENT,
+    INTERNALLY_TANGENT,
+    NESTED,
+    ORTHOGONAL,
+    OVERLAPPING,
+    Ball,
+    Entry,
+    _is_past_directed,
+    lorentz_product,
+    product_scale,
+    same_vector,
+)
 from ballpack.packings import BallArrangement
+from ballpack.polytopes import flags, regular_edge_scribed, solid_from_name
+from ballpack.relations import lorentzian_curvature, verify_flag_relation
 from ballpack.svgout import RenderSpec, _box_path, _circle_subpath, _clip_halfplane, _fmt
 
 RADICAL = "√"
@@ -298,10 +316,54 @@ def _check_descartes(doc: OracleDocument, balls: list):
     return cli._residual_check([case], "windows", "no flags", f"{n} balls match the record")
 
 
+def classify_pair(b1: Ball, b2: Ball) -> str:
+    """``lorentz.classify_pair`` with the Lorentz product in exact scalars."""
+    if _is_past_directed(b1) and _is_past_directed(b2):
+        raise ValueError("cannot classify a pair of past-directed balls")
+    x, y = b1.v, b2.v
+    p = lorentz_product(x, y)
+    scale = lambda: product_scale(x, y)
+    if isinstance(p, float):
+        if same_vector(x, y):
+            return EQUAL
+        if FLOAT_REL * scale() >= 0.5:
+            raise ValueError(f"float balls too large to classify (scale {scale():.3g})")
+    s = compare(p, -1, scale)
+    if s <= 0:
+        return EXTERNALLY_TANGENT if s == 0 else DISJOINT
+    if compare(p, 0, scale) == 0:
+        return ORTHOGONAL
+    s = compare(p, 1, scale)
+    if s == 0:
+        return EQUAL if x == y else INTERNALLY_TANGENT
+    return NESTED if s > 0 else OVERLAPPING
+
+
+def check_flags(doc, balls):
+    """The flags check with every flag's residual in exact scalars."""
+    seed = doc.seed
+    if seed.get("kind") != "projection":
+        raise ValueError("flag check applies only to project documents")
+    s = solid_from_name(cli._recorded(seed, "solid", str))
+    p = regular_edge_scribed(s)
+    if len(balls) != len(p.vertices):
+        raise ValueError("document does not hold one ball per vertex")
+    arr = BallArrangement(tuple(balls))
+    face_ks = {f: lorentzian_curvature(arr, f) for fs in p.faces_by_rank.values() for f in fs}
+    whole = lorentzian_curvature(arr)
+    cases = (
+        (f"flag {flag}", verify_flag_relation(s, ks), ks)
+        for flag in flags(p)
+        for ks in [(*(face_ks[f] for f in flag), whole)]
+    )
+    return cli._residual_check(cases, "flags", "no flags")
+
+
 def verify(text: str, checks: Optional[str] = None) -> tuple:
     """(exit code, stdout, stderr) of ``ballpack verify`` on a document's
-    text, with the entries' descartes check and norm checks; the packing,
-    soddy and flags checks, which take the balls, are the program's own."""
+    text, with the entries' descartes check, norm checks and the flags check
+    on exact scalars; the packing and soddy checks, which take the balls,
+    are the program's own."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -320,7 +382,7 @@ def verify(text: str, checks: Optional[str] = None) -> tuple:
             balls = doc.balls()
             failed = False
             for name in names:
-                check = _check_descartes if name == "descartes" else cli._CHECKS[name]
+                check = {"descartes": _check_descartes, "flags": check_flags}.get(name, cli._CHECKS[name])
                 status, detail = check(doc, balls)
                 print(f"{name}: {status} ({detail})")
                 failed = failed or status == "FAILED"

@@ -154,6 +154,22 @@ def test_a_boolean_record_depth_is_not_an_integer(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("solid", [5, None, ["tetrahedron"]], ids=["int", "missing", "list"])
+def test_the_flags_check_refuses_a_record_solid_that_is_not_a_string(solid, tmp_path, capsys):
+    path = _write(tmp_path, TETRA_PROJECTION)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if solid is None:
+        del payload["seed"]["solid"]
+    else:
+        payload["seed"]["solid"] = solid
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--checks", "flags"]) == 2
+    assert capsys.readouterr().err == (
+        "error: seed record field 'solid' is missing or not a JSON str\n"
+    )
+
+
 def test_descartes_needs_a_seed_record(tmp_path, capsys):
     path = _write(tmp_path, TETRA_CLUSTER)
     payload = json.loads(path.read_text(encoding="utf-8"))
