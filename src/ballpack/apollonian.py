@@ -287,9 +287,10 @@ def apollonian_group_from_packing(a: BallArrangement) -> GeneratorSet:
     """One inversion per facet ball of the arrangement.
 
     The arrangement must know its dual, either through an attached set of
-    facet balls (see packings.with_dual) or through its polytope.
+    facet balls (see packings.with_dual), which it reads as they are, or
+    through its polytope.
     """
-    facets = dual(a).balls
+    facets = a.dual_balls if a.dual_balls is not None else dual(a).balls
     gens = tuple(
         Generator(f"s{i}", ROLE_DUAL_INVERSION, inversion_map(b))
         for i, b in enumerate(facets)

@@ -20,6 +20,7 @@ Relative ``--out`` paths are placed under ``$BALLPACK_OUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -46,8 +47,8 @@ from .apollonian import (
 )
 from .packings import (
     BallArrangement,
-    centered_projection,
     dual,
+    face_to_north,
     first_overlap,
     grouped_spectra,
     pair_screen,
@@ -158,14 +159,16 @@ def _recorded(record: dict, key: str, kind: type):
         ) from None
 
 
-def _made_by(record: dict, mode: str = "exact"):
+def _made_by(record: dict, mode: str = "exact", frame=None):
     """What a seed record describes: the BallArrangement of a projection or
     dual-projection record, with the face that its center names at the
     origin, or the Cluster of a cluster record, grown in ``mode``.
 
     ``project``, ``dual`` and ``cluster`` build what they write from the
     record that they store with it, and the descartes check rebuilds a
-    document from its record.
+    document from its record.  A projection's polytope comes from
+    ``frame(solid)``, ``regular_edge_scribed`` unless ``verify`` passes the
+    builder that it shares between its checks.
     """
     kind = record.get("kind")
     if kind in ("projection", "dual-projection"):
@@ -176,10 +179,11 @@ def _made_by(record: dict, mode: str = "exact"):
                 "polytope is edge-scribed only for polyhedra"
             )
         center = _recorded(record, "center", str)
+        frame = frame or regular_edge_scribed
         if center == "none":
-            arr = project(regular_edge_scribed(s))
+            arr = project(frame(s))
         elif center in CENTER_RANKS:
-            arr = centered_projection(s, CENTER_RANKS[center])
+            arr = project(face_to_north(frame(s), CENTER_RANKS[center]))
         else:
             raise ValueError(f"seed record field 'center' is {center!r}, not none, vertex, edge or face")
         return arr if kind == "projection" else dual(arr)
@@ -253,7 +257,7 @@ def cmd_squares(args) -> int:
     return 0
 
 
-def _check_packing(doc: PackingDocument, balls):
+def _check_packing(doc: PackingDocument, balls, frame):
     bad = first_overlap(balls)
     if bad is not None:
         i, j, c = bad
@@ -284,7 +288,7 @@ def _residual_check(cases, unit: str, empty: str, note: str = ""):
     return "ok", f"{count} {unit}, max relative residual {worst:.3g}{note}"
 
 
-def _check_descartes(doc: PackingDocument, balls):
+def _check_descartes(doc: PackingDocument, balls, frame):
     """The document against what its seed record makes, row by row, then
     the flag relation (the paper's Descartes relation) on one flag of the
     seed image.  That image is the one window: a Mobius image of the solid."""
@@ -293,7 +297,7 @@ def _check_descartes(doc: PackingDocument, balls):
     if record.get("kind") == "cluster" and depth != deepest:
         # before rebuilding: each level multiplies the time a rebuild takes
         return "FAILED", f"the record's depth is {depth!r}, the deepest entry's {deepest}"
-    made = _made_by(record, "float" if doc.is_float else "exact")
+    made = _made_by(record, "float" if doc.is_float else "exact", frame)
     if isinstance(made, BallArrangement):
         image, expected = made, document_from_arrangement(made)
     elif made.flavor != record.get("flavor"):
@@ -337,7 +341,7 @@ def _tangent_cliques(balls, size: int):
     return out
 
 
-def _check_soddy(doc: PackingDocument, balls):
+def _check_soddy(doc: PackingDocument, balls, frame):
     cases = (
         (f"tuple {idx}", soddy_gosset_residual(ks), ks)
         for idx in _tangent_cliques(balls, doc.dimension + 2)
@@ -348,12 +352,12 @@ def _check_soddy(doc: PackingDocument, balls):
     return _residual_check(cases, "tangent tuples", "no mutually tangent tuples found", sampled)
 
 
-def _check_flags(doc: PackingDocument, balls):
+def _check_flags(doc: PackingDocument, balls, frame):
     seed = doc.seed
     if seed.get("kind") != "projection":
         raise ValueError("flag check applies only to project documents")
     s = solid_from_name(_recorded(seed, "solid", str))
-    p = regular_edge_scribed(s)
+    p = frame(s)
     if len(balls) != len(p.vertices):
         raise ValueError("document does not hold one ball per vertex")
     arr = BallArrangement(tuple(balls))
@@ -377,6 +381,8 @@ def _check_flags(doc: PackingDocument, balls):
     return _residual_check(cases, "flags", "no flags")
 
 
+# each check takes the document, its balls and the polytope builder that the
+# checks of one command share
 _CHECKS = {
     "packing": _check_packing,
     "descartes": _check_descartes,
@@ -407,9 +413,10 @@ def cmd_verify(args) -> int:
     else:
         names = _applicable_checks(doc)
     balls = doc.balls()  # validates every ball's norm, once for all checks
+    frame = functools.cache(regular_edge_scribed)  # each solid built once per command
     failed = False
     for name in names:
-        status, detail = _CHECKS[name](doc, balls)
+        status, detail = _CHECKS[name](doc, balls, frame)
         print(f"{name}: {status} ({detail})")
         failed = failed or status == "FAILED"
     return 1 if failed else 0

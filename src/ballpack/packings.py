@@ -305,7 +305,12 @@ def centered_projection(s: Solid, k: int) -> BallArrangement:
     projection, so e.g. vertex-centering produces one ball containing all
     the others (its curvature is the only negative entry).
     """
-    p = regular_edge_scribed(s)
+    return project(face_to_north(regular_edge_scribed(s), k))
+
+
+def face_to_north(p: Polytope, k: int) -> Polytope:
+    """The polytope rotated, in floats, so that the barycenter of its first
+    k-face lies on the north ray; the face lattice is unchanged."""
     if k not in p.faces_by_rank:
         raise ValueError(f"rank {k} out of range 0..{p.dimension}")
     f = p.faces_by_rank[k][0]
@@ -315,8 +320,7 @@ def centered_projection(s: Solid, k: int) -> BallArrangement:
         tuple(float(approx(x)) for x in linalg.mat_vec(rot, tuple(map(approx, u))))
         for u in p.vertices
     )
-    rotated = Polytope(verts, p.faces_by_rank, family=p.family)
-    return project(rotated)
+    return Polytope(verts, p.faces_by_rank, family=p.family)
 
 
 def dual(a: BallArrangement) -> BallArrangement:
@@ -333,14 +337,11 @@ def dual(a: BallArrangement) -> BallArrangement:
         raise ValueError(
             "a polygon has no dual arrangement: its polar's vertices lie on the unit circle"
         )
-    if a.dual_balls is not None:
-        dual_poly = polar_dual(a.polytope) if a.polytope is not None else None
-        return BallArrangement(a.dual_balls, dual_poly, a.balls)
-    if a.polytope is None:
+    if a.dual_balls is None and a.polytope is None:
         raise ValueError("dual needs the arrangement's polytope")
-    return BallArrangement(
-        project(polar_dual(a.polytope)).balls, polar_dual(a.polytope), a.balls
-    )
+    dual_poly = polar_dual(a.polytope) if a.polytope is not None else None
+    balls = a.dual_balls if a.dual_balls is not None else project(dual_poly).balls
+    return BallArrangement(balls, dual_poly, a.balls)
 
 
 def gram(a: BallArrangement):

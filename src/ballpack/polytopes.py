@@ -16,7 +16,11 @@ quadratic field hosts them they are exact, otherwise floats.
 Face lattices are generated combinatorially per family (subsets for
 simplices, coordinate masks for cubes, axis/sign sets for cross-polytopes)
 or, for the exceptional polyhedra, by selecting supporting-plane vertex sets
-along the dual solid's directions.
+along the dual solid's directions.  Those are decided on integer rows: each
+vertex's :func:`exactnum.exact_row` is taken once and put over a common
+denominator, so every squared distance and dot product is an integer pair
+X + Y sqrt m whose sign :func:`exactnum.quad_sign` reads.  A polar dual
+takes each facet's vertex from the facet's barycenter (:func:`polar_dual`).
 """
 
 from __future__ import annotations
@@ -25,20 +29,27 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import Optional
 
 from .exactnum import (
     QuadScalar,
     compare,
+    exact_row,
     exact_sqrt,
     phi,
+    quad_sign,
     ratio,
+    scalar_parts,
     sqrt_int,
     sqrt_rational,
 )
+from .lorentz import product_scale
 
 PHI = phi()
 INV_PHI = PHI - 1  # 1/phi
+INV_PHI2 = INV_PHI * INV_PHI
+ZERO, ONE = QuadScalar(0), QuadScalar(1)
 SQRT2 = sqrt_int(2)
 SQRT3 = sqrt_int(3)
 
@@ -155,7 +166,7 @@ def solid_from_name(name: str) -> Solid:
     if key in _NAME_TABLE:
         return _NAME_TABLE[key]
     if key.endswith("-gon"):
-        return Solid("ngon", int(key[: -len("-gon")]))
+        return Solid("ngon", _named_size(name, key[: -len("-gon")]))
     for prefix, kind in (
         ("simplex-", "simplex"),
         ("cube-", "cube"),
@@ -164,8 +175,16 @@ def solid_from_name(name: str) -> Solid:
         ("ngon-", "ngon"),
     ):
         if key.startswith(prefix):
-            return Solid(kind, int(key[len(prefix):]))
+            return Solid(kind, _named_size(name, key[len(prefix):]))
     raise ValueError(f"unknown solid {name!r}")
+
+
+def _named_size(name: str, text: str) -> int:
+    """The size that a solid's name spells, or the unknown-solid error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"unknown solid {name!r}") from None
 
 
 # -- half edge-lengths ---------------------------------------------------------
@@ -370,34 +389,71 @@ def _cross_lattice(n: int) -> dict:
     return lattice
 
 
+def _integer_coords(verts) -> tuple:
+    """(rows, m): each vertex as a pair (a, b) of int lists, the vertex being
+    (a + b sqrt m) / D over one common positive denominator D.
+
+    Each vertex's :func:`exact_row` is taken once; D drops out of every
+    comparison below, which compares values of equal scale only.
+    """
+    parts = [exact_row([scalar_parts(x) for x in v]) for v in verts]
+    moduli = set().union(*(r[4] for r in parts))
+    if len(moduli) > 1:
+        raise ValueError(f"cannot mix fields {sorted(moduli)}")
+    lcm = math.lcm(*(den for _, _, _, den, _ in parts))
+    rows = []
+    for A, B, num, den, _ in parts:
+        k = num * (lcm // den)
+        rows.append(([x * k for x in A], [x * k for x in B]))
+    return rows, max(moduli, default=0)
+
+
+def _quad_dot(u, v, m: int) -> tuple:
+    """D^2 <u, v> as the integer pair (X, Y) of X + Y sqrt m, for two rows of
+    :func:`_integer_coords`."""
+    (ua, ub), (va, vb) = u, v
+    return (
+        sum(map(mul, ua, va)) + m * sum(map(mul, ub, vb)),
+        sum(map(mul, ua, vb)) + sum(map(mul, ub, va)),
+    )
+
+
+def _extreme_keys(values: dict, m: int, sign: int) -> list:
+    """The keys whose integer pair X + Y sqrt m is the largest (sign 1) or the
+    smallest (sign -1) of ``values``."""
+    best = None
+    for x, y in values.values():
+        if best is None or quad_sign(x - best[0], y - best[1], m) == sign:
+            best = (x, y)
+    return [k for k, v in values.items() if v == best]  # X, Y determine the value
+
+
 def _min_distance_edges(verts) -> tuple:
-    n = len(verts)
+    rows, m = _integer_coords(verts)
     d2 = {}
-    for i, j in combinations(range(n), 2):
-        diff = [x - y for x, y in zip(verts[i], verts[j])]
-        d2[(i, j)] = sum(x * x for x in diff)
-    lo = min(d2.values())
-    pairs = [ij for ij, v in d2.items() if compare(v, lo, lambda: lo) == 0]
-    return _sorted_faces(frozenset(ij) for ij in pairs)
+    for (i, (ua, ub)), (j, (va, vb)) in combinations(enumerate(rows), 2):
+        diff = ([x - y for x, y in zip(ua, va)], [x - y for x, y in zip(ub, vb)])
+        d2[(i, j)] = _quad_dot(diff, diff, m)
+    return _sorted_faces(frozenset(ij) for ij in _extreme_keys(d2, m, -1))
 
 
 def _supported_faces(verts, directions) -> tuple:
     # face selected by direction w: the vertices maximizing <v, w>
+    rows, m = _integer_coords(tuple(verts) + tuple(directions))
+    n = len(verts)
     fs = []
-    for w in directions:
-        dots = [sum(x * y for x, y in zip(v, w)) for v in verts]
-        m = max(dots)
-        scale = lambda: max(sum(abs(x * y) for x, y in zip(v, w)) for v in verts)
-        fs.append(frozenset(i for i, t in enumerate(dots) if compare(t, m, scale) == 0))
+    for w in rows[n:]:
+        dots = {i: _quad_dot(v, w, m) for i, v in enumerate(rows[:n])}
+        fs.append(frozenset(_extreme_keys(dots, m, 1)))
     return _sorted_faces(fs)
 
 
 def _icosahedron_vertices():
     # cyclic shifts of (0, +-1/phi, +-1); vertex norm sqrt(1 + 1/phi^2)
     base = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            trip = (QuadScalar(0), s1 * INV_PHI, QuadScalar(s2))
+    for y in (INV_PHI, -INV_PHI):
+        for z in (ONE, -ONE):
+            trip = (ZERO, y, z)
             for r in range(3):
                 base.append(tuple(trip[(i - r) % 3] for i in range(3)))
     return tuple(base)
@@ -405,17 +461,13 @@ def _icosahedron_vertices():
 
 def _dodecahedron_vertices():
     # (+-1,+-1,+-1)/phi together with cyclic shifts of (0, +-1/phi^2, +-1)
-    out = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                out.append((sx * INV_PHI, sy * INV_PHI, sz * INV_PHI))
-    inv2 = INV_PHI * INV_PHI
-    for s1 in (1, -1):
-        for s2 in (1, -1):
+    signed = (INV_PHI, -INV_PHI)
+    out = [(x, y, z) for x in signed for y in signed for z in signed]
+    for y in (ONE, -ONE):
+        for z in (INV_PHI2, -INV_PHI2):
             # note the chirality: this orbit, not its mirror, is polar to the
             # icosahedron orbit above
-            trip = (QuadScalar(0), QuadScalar(s1), s2 * inv2)
+            trip = (ZERO, y, z)
             for r in range(3):
                 out.append(tuple(trip[(i - r) % 3] for i in range(3)))
     return tuple(out)
@@ -522,28 +574,31 @@ def dual_solid(s: Solid) -> Solid:
 
 
 def polar_dual(p: Polytope) -> Polytope:
-    """The polar polytope: one vertex per facet f, at v_f with <u, v_f> = 1."""
-    from . import linalg
+    """The polar polytope: one vertex per facet f, at v_f with <u, v_f> = 1.
 
+    v_f = c / <u, c> for the facet's barycenter c and its first vertex u,
+    checked to give <u, v_f> = 1 on every vertex u of the facet.  That holds
+    when the facet is perpendicular to its barycenter, as for every regular
+    polytope centered at the origin; any other facet is refused.
+    """
     d = p.dimension
-    n = d + 1
     facets = p.faces_by_rank[d]
     dual_verts = []
     for f in facets:
         idx = sorted(f)
-        rows = [p.vertices[i] for i in idx]
-        # pick n affinely spanning rows, then solve rows * v = 1
-        chosen: list = []
-        for r in rows:
-            trial = chosen + [r]
-            if linalg.rank(linalg.mat(trial)) == len(trial):
-                chosen = trial
-            if len(chosen) == n:
-                break
-        if len(chosen) < n:
-            raise ValueError("facet does not span; origin may not be interior")
-        v = linalg.solve(linalg.mat(chosen), tuple([1] * n))
-        dual_verts.append(tuple(v))
+        c = face_barycenter(p, f)
+        u = p.vertices[idx[0]]
+        uc = sum(x * y for x, y in zip(u, c))
+        if compare(uc, 0, lambda: product_scale(u, c)) == 0:
+            raise ValueError(f"facet {idx} has no polar vertex: <u, c> = 0 at its barycenter c")
+        v = tuple(ratio(x, uc) for x in c)
+        for u in (p.vertices[i] for i in idx):
+            if compare(sum(x * y for x, y in zip(u, v)), 1, lambda: product_scale(u, v)) != 0:
+                raise ValueError(
+                    f"facet {idx} is not perpendicular to its barycenter: "
+                    "its polar vertex is not c / <u, c>"
+                )
+        dual_verts.append(v)
     lattice: dict = {}
     for kk in range(d + 1):
         src = p.faces_by_rank[d - kk]

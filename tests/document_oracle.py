@@ -290,7 +290,7 @@ def render_svg(doc: OracleDocument, spec: Optional[RenderSpec] = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _check_descartes(doc: OracleDocument, balls: list):
+def _check_descartes(doc: OracleDocument, balls: list, frame):
     record, n = doc.seed, len(doc.entries)
     depth, deepest = record.get("depth"), max((e.depth for e in doc.entries), default=0)
     if record.get("kind") == "cluster" and depth != deepest:
@@ -339,7 +339,7 @@ def classify_pair(b1: Ball, b2: Ball) -> str:
     return NESTED if s > 0 else OVERLAPPING
 
 
-def check_flags(doc, balls):
+def check_flags(doc, balls, frame):
     """The flags check with every flag's residual in exact scalars."""
     seed = doc.seed
     if seed.get("kind") != "projection":
@@ -383,7 +383,7 @@ def verify(text: str, checks: Optional[str] = None) -> tuple:
             failed = False
             for name in names:
                 check = {"descartes": _check_descartes, "flags": check_flags}.get(name, cli._CHECKS[name])
-                status, detail = check(doc, balls)
+                status, detail = check(doc, balls, regular_edge_scribed)
                 print(f"{name}: {status} ({detail})")
                 failed = failed or status == "FAILED"
             rc = 1 if failed else 0

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,12 @@ def test_solid_from_name():
     assert solid_from_name("7-gon") == Solid("ngon", 7)
     with pytest.raises(ValueError):
         solid_from_name("rhombicuboctahedron")
+
+
+@pytest.mark.parametrize("name", ["simplex-x", "ngon-x", "5.5-gon", "cube-", "-gon", "orthoplex-4d"])
+def test_solid_from_name_refuses_a_malformed_size(name):
+    with pytest.raises(ValueError, match=f"^unknown solid '{re.escape(name)}'$"):
+        solid_from_name(name)
 
 
 @pytest.mark.parametrize("solid", REALIZABLE, ids=_solid_id)

@@ -455,6 +455,12 @@ def test_cli_spectra_prints_the_cube_signature(capsys):
     assert capsys.readouterr().out == "-16:1 0:4 8:3\n"
 
 
+@pytest.mark.parametrize("name", ["simplex-x", "ngon-x", "5.5-gon", "cube-"])
+def test_cli_names_a_malformed_solid(name, capsys):
+    assert main(["spectra", "--solid", name]) == 2
+    assert capsys.readouterr() == ("", f"error: unknown solid '{name}'\n")
+
+
 def test_cli_squares_lists_perfect_squares(capsys):
     assert main(["squares", "--p", "3", "--n-max", "5"]) == 0
     out = capsys.readouterr().out.splitlines()
