@@ -21,6 +21,11 @@ records the first shortest generator word that produces it (ties broken by
 generator position).  A cluster hands out its balls as :class:`lorentz.Entry`
 objects, the inversive vector plus that word, depth and seed orbit: the same
 entries that a document stores.
+
+An exact seed's balls and facet balls, its normalizing reflection and the
+facet-ball inversions are made on integer rows (see :mod:`lorentz`), and
+the cluster engine and the involution check read those rows as they were
+made; only the light-like vector y of the seed solve is found in scalars.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .exactnum import (
     FLOAT_REL,
     approx,
     compare,
-    exact_row,
     exact_sqrt,
     is_float_data,
     ratio,
@@ -52,6 +56,7 @@ from .lorentz import (
     inversion_map,
     lorentz_product,
     product_scale,
+    row_of,
     x_north,
 )
 from .packings import (
@@ -107,25 +112,25 @@ def canonical_ball_key(b: Ball) -> tuple:
 
 
 def _is_involution(m: MobiusMap) -> bool:
-    """m @ m is the identity.  An exact map is tested on the ``exact_row`` of
-    its flat matrix, (A + B sqrt f) num/den: in python ints, (A A + f B B)
-    num^2 = den^2 I and A B + B A = 0.  Float maps, and maps whose entries
-    lie in two fields, take the scalar product and ``compare``."""
+    """m @ m is the identity.  An exact map is tested on its kept row
+    (:func:`lorentz.row_of`), (A + B sqrt f) num/den: in python ints,
+    (A A + f B B) num^2 = den^2 I and A B + B A = 0.  Float maps, and maps
+    whose entries lie in two fields, take the scalar product and
+    ``compare``."""
     n = len(m.mat)
-    flat = [x for r in m.mat for x in r]
-    if not is_float_data(flat):
-        A, B, num, den, fields = exact_row([scalar_parts(x) for x in flat])
-        if len(fields) <= 1:
-            A, B = (linalg.mat(v[i : i + n] for i in range(0, n * n, n)) for v in (A, B))
-            f, mul = next(iter(fields), 0), linalg.mat_mul
-            real = [[x + f * y for x, y in zip(*r)] for r in zip(mul(A, A), mul(B, B))]
-            surd = [[x + y for x, y in zip(*r)] for r in zip(mul(A, B), mul(B, A))]
-            one, scale = den * den, num * num
-            return all(
-                real[i][j] * scale == (one if i == j else 0) and surd[i][j] == 0
-                for i in range(n)
-                for j in range(n)
-            )
+    row = row_of(m)
+    if row is not None and len(row[4]) <= 1:
+        A, B, num, den, fields = row
+        A, B = (linalg.mat(v[i : i + n] for i in range(0, n * n, n)) for v in (A, B))
+        f, mul = next(iter(fields), 0), linalg.mat_mul
+        real = [[x + f * y for x, y in zip(*r)] for r in zip(mul(A, A), mul(B, B))]
+        surd = [[x + y for x, y in zip(*r)] for r in zip(mul(A, B), mul(B, A))]
+        one, scale = den * den, num * num
+        return all(
+            real[i][j] * scale == (one if i == j else 0) and surd[i][j] == 0
+            for i in range(n)
+            for j in range(n)
+        )
     rows, cols = m.mat, tuple(zip(*m.mat))
     sq = (m @ m).mat
     return all(
@@ -406,7 +411,7 @@ def _map_null_to_north(y, d: int) -> MobiusMap:
     target = x_north(d)
     h = lorentz_product(y, target)
     if scalar_sign(h) != 0:
-        m = _reflection_swapping(y, target, d)
+        m = _reflection_swapping(y, target)
         if m is None:  # pragma: no cover - h != 0 guarantees a space-like mirror
             raise ValueError("could not build the normalizing reflection")
         return m
@@ -650,14 +655,10 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
         raise ValueError("depth must be nonnegative")
     if gens.dimension != seed.dimension:
         raise ValueError("generator and seed dimensions differ")
-    mats = [g.map.mat for g in gens.generators]
-    floaty = any(is_float_data(b.v) for b in seed.balls) or any(
-        any(is_float_data(r) for r in m) for m in mats
-    )
-    if floaty:
-        store = _float_cluster(seed, mats, depth)
+    if any(row_of(x) is None for x in (*seed.balls, *gens.maps)):
+        store = _float_cluster(seed, [g.mat for g in gens.maps], depth)
     else:
-        store = _exact_cluster(seed, mats, depth)
+        store = _exact_cluster(seed, gens.maps, depth)
     return Cluster(seed, gens.flavor, depth, gens.names, store)
 
 
@@ -748,11 +749,12 @@ def _close_level(store: _Store, rows: dict, keys, sel, meta: dict) -> None:
     store.close_level(level)
 
 
-def _exact_cluster(seed: BallArrangement, mats, depth: int, dtype=None) -> _Store:
+def _exact_cluster(seed: BallArrangement, maps, depth: int, dtype=None) -> _Store:
     """Exact closure on integer rows: int64 arrays unless a level could
     overflow, then the whole run again on python ints (``dtype=object``).
 
-    Seed balls and generator matrices enter in ``exactnum``'s row form.
+    Seed balls and generator matrices enter in ``exactnum``'s row form, as
+    they keep it (:func:`lorentz.row_of`).
     Each generator's num is folded back into its integer matrix, which
     leaves the matrix over den_g, the lcm of its entries' denominators (the
     content of reduced fractions put over their lcm is prime to it), so a
@@ -761,8 +763,8 @@ def _exact_cluster(seed: BallArrangement, mats, depth: int, dtype=None) -> _Stor
     import numpy as np
 
     nb = seed.dimension + 2
-    seed_rows = [exact_row([scalar_parts(x) for x in b.v]) for b in seed.balls]
-    gen_rows = [exact_row([scalar_parts(x) for r in mt for x in r]) for mt in mats]
+    seed_rows = [row_of(b) for b in seed.balls]
+    gen_rows = [row_of(g) for g in maps]
     moduli = sorted(set().union(*(r[4] for r in seed_rows + gen_rows)))
     if len(moduli) > 1:
         raise ValueError(f"cannot mix the fields Q(sqrt {moduli[0]}) and Q(sqrt {moduli[1]})")

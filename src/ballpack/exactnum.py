@@ -17,8 +17,9 @@ pa/qa + (pb/qb) sqrt(m) with qa, qb nonzero and m = 0 when it is rational
 their entries is 1) and num/den > 0 in lowest terms, or a zero row with
 num/den = 0/1 (:func:`exact_row`, :func:`row_vector`).  The row of a vector is
 unique, so two rows are equal exactly when their vectors are.  Sums and
-products of rows stay integer pairs X + Y sqrt m, and :func:`quad_sign`
-reads their exact sign.
+products of rows stay integer pairs X + Y sqrt m, :func:`quad_sign` reads
+their exact sign, and :func:`scaled_row` puts a vector of such pairs back
+into row form.
 """
 
 from __future__ import annotations
@@ -447,6 +448,21 @@ def exact_row(parts) -> tuple:
         return a, b, 0, 1, moduli
     g = math.gcd(c, lcm)
     return [x // c for x in a], [x // c for x in b], c // g, lcm // g, moduli
+
+
+def scaled_row(A, B, num: int, den: int, m: int) -> tuple:
+    """The :func:`exact_row` of the vector (A + B sqrt m) * num/den, for int
+    lists A and B, an int num and a nonzero int den: the row arithmetic of
+    the exact maps and balls ends here, without a scalar in between."""
+    c = math.gcd(*A, *B)
+    if not c or not num:
+        return [0] * len(A), [0] * len(B), 0, 1, set()
+    if (num < 0) != (den < 0):
+        c = -c
+    num, den = abs(num * c), abs(den)
+    g = math.gcd(num, den)
+    moduli = {m} if m and any(B) else set()
+    return [x // c for x in A], [x // c for x in B], num // g, den // g, moduli
 
 
 def row_vector(A, B, num: int, den: int, m: int) -> tuple:

@@ -18,6 +18,15 @@ FLOAT_REL = 1e-10 times the size of its terms, sum |x_i y_i|, which grows
 with the coordinates of deep balls.  Where that window reaches 1/2, -1, 0
 and 1 are no longer apart, and :func:`classify_pair` refuses the float pair
 instead of guessing.
+
+Exact light sources, maps, inversions and reflections are decided on
+integer rows too: a light source's |u|^2 - 1 and its square root, a map's
+image of a ball (an integer matrix-row product) and the matrix I - 2 x xT Q
+(integer outer products) never pass through Fraction arithmetic, and the
+balls and maps they make keep their rows (:func:`row_of`), so the pair
+classifier and the cluster engine read them as made.  Float data, and data
+whose coordinates lie in two quadratic fields, take the scalar formulas,
+which refuse the mixed fields where two irrational parts meet.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import linalg
@@ -37,9 +47,12 @@ from .exactnum import (
     exact_sqrt,
     is_float_data,
     quad_sign,
+    quad_value,
     ratio,
+    row_vector,
     scalar_parts,
     scalar_sign,
+    scaled_row,
 )
 
 Scalar = Union[int, Fraction, QuadScalar, float]
@@ -77,7 +90,8 @@ def x_north(d: int, one=1, zero=0) -> LVector:
 
 class Ball:
     """A d-ball: a Lorentz vector of norm one.  An exact ball keeps its
-    ``exactnum`` row once :func:`classify_pair` has made it."""
+    ``exactnum`` row once :func:`row_of` has made it; the balls that the
+    exact maps and light sources make are born with it."""
 
     __slots__ = ("v", "_row")
 
@@ -218,19 +232,34 @@ EQUAL = "equal"
 def _is_past_directed(b: Ball) -> bool:
     t = b.v[-1]
     if isinstance(t, QuadScalar) and t.m:  # the sign of the row's last integers
-        A, B = _row(b)[:2]
+        A, B = row_of(b)[:2]
         return quad_sign(A[-1], B[-1], t.m) < 0
     return scalar_sign(t) < 0
 
 
-def _row(b: Ball) -> tuple:
-    """The exact ball's ``exactnum.exact_row``, made once and kept."""
+def row_of(x) -> Optional[tuple]:
+    """The ``exactnum.exact_row`` of an exact ball's vector, or of an exact
+    map's matrix read row by row; None when it holds a float.  Made once and
+    kept."""
     try:
-        return b._row
+        return x._row
     except AttributeError:
-        row = exact_row([scalar_parts(x) for x in b.v])
-        object.__setattr__(b, "_row", row)
+        row = _values_row(x.v if isinstance(x, Ball) else [e for r in x.mat for e in r])
+        object.__setattr__(x, "_row", row)
         return row
+
+
+def _values_row(values) -> Optional[tuple]:
+    """The ``exactnum.exact_row`` of exact values; None when one is a float."""
+    return None if is_float_data(values) else exact_row([scalar_parts(e) for e in values])
+
+
+def _row_ball(row: tuple) -> Ball:
+    """The ball of an exact unit vector's row, keeping the row."""
+    A, B, num, den, fields = row
+    b = Ball(row_vector(A, B, num, den, next(iter(fields), 0)), _checked=True)
+    object.__setattr__(b, "_row", row)
+    return b
 
 
 def _exact_product(b1: Ball, b2: Ball) -> tuple:
@@ -241,8 +270,8 @@ def _exact_product(b1: Ball, b2: Ball) -> tuple:
     Rows in two fields take the product of their scalars, which refuses to
     mix the fields wherever two irrational parts meet.
     """
-    A1, B1, n1, d1, f1 = _row(b1)
-    A2, B2, n2, d2, f2 = _row(b2)
+    A1, B1, n1, d1, f1 = row_of(b1)
+    A2, B2, n2, d2, f2 = row_of(b2)
     fields = f1 | f2
     if len(fields) > 1:
         pa, qa, pb, qb, m = scalar_parts(lorentz_product(b1.v, b2.v))
@@ -287,9 +316,10 @@ def classify_pair(b1: Ball, b2: Ball) -> str:
 
 
 class MobiusMap:
-    """An orthochronous Lorentz matrix acting on balls."""
+    """An orthochronous Lorentz matrix acting on balls.  An exact map keeps
+    the ``exactnum`` row of its matrix once :func:`row_of` has made it."""
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_row")
 
     def __init__(self, mat, check: bool = True):
         mat = linalg.mat(mat)
@@ -350,9 +380,49 @@ def _validate_lorentz(mat) -> None:
         raise ValueError("matrix is not orthochronous")
 
 
+def _one_field(*rows) -> Optional[int]:
+    """The one field modulus (0 for Q) of exact rows, or None when a row
+    holds a float or the rows lie in two quadratic fields."""
+    if any(r is None for r in rows):
+        return None
+    fields = set().union(*(r[4] for r in rows))
+    return None if len(fields) > 1 else next(iter(fields), 0)
+
+
 def inversion_map(b: Ball) -> MobiusMap:
-    """The inversion in b as a Lorentz matrix, I - 2 x xT Q."""
-    v = b.v
+    """The inversion in b as a Lorentz matrix, I - 2 x xT Q; for an exact
+    x = (A + B sqrt m) num/den, :func:`_integer_reflection` with c =
+    num^2/den^2."""
+    row = row_of(b)
+    m = _one_field(row)
+    if m is None:
+        return _scalar_reflection(b.v)
+    A, B, num, den, _ = row
+    return _integer_reflection(A, B, m, (num * num, 0, den * den))
+
+
+def reflection_map(n, scale=None) -> Optional[MobiusMap]:
+    """The reflection I - 2 n nT Q / <n, n> in a space-like vector n, or
+    None when <n, n> is not positive (for floats: within ``compare``'s
+    window, with terms of size ``scale()``).  For an exact n = (A + B sqrt m)
+    num/den, <n, n> is (X + Y sqrt m) num^2/den^2 and the scale cancels:
+    :func:`_integer_reflection` with c = 1/(X + Y sqrt m)."""
+    row = _values_row(n)
+    m = _one_field(row)
+    if m is None:
+        nn = lorentz_product(n, n)
+        return None if compare(nn, 0, scale) <= 0 else _scalar_reflection(n, nn)
+    A, B = row[:2]
+    X = lorentz_product(A, A) + m * lorentz_product(B, B)
+    Y = 2 * lorentz_product(A, B)
+    if quad_sign(X, Y, m) <= 0:
+        return None
+    return _integer_reflection(A, B, m, (X, -Y, X * X - m * Y * Y))
+
+
+def _scalar_reflection(v, nn=None) -> MobiusMap:
+    """I - 2 v vT Q, over nn when given, in scalar arithmetic: for float
+    vectors and vectors in two fields."""
     n = len(v)
     rows = []
     for i in range(n):
@@ -360,17 +430,53 @@ def inversion_map(b: Ball) -> MobiusMap:
         for j in range(n):
             q = -1 if j == n - 1 else 1
             e = 1 if i == j else 0
-            row.append(e - 2 * v[i] * v[j] * q)
+            t = 2 * v[i] * v[j] * q
+            row.append(e - (t if nn is None else ratio(t, nn)))
         rows.append(tuple(row))
     return MobiusMap(tuple(rows), check=False)
+
+
+def _integer_reflection(A, B, m: int, c: tuple) -> MobiusMap:
+    """I - 2 c x xT Q for x = A + B sqrt m and c = (cp + cq sqrt m)/cd, in
+    python ints: with P = A AT + m B BT and R = A BT + B AT, the matrix is
+    (cd I - 2 (cp P + m cq R) Q + (-2 (cp R + cq P) Q) sqrt m) / cd.  The map
+    keeps that row."""
+    cp, cq, cd = c
+    n = len(A)
+    MA, MB = [], []
+    for i in range(n):
+        for j in range(n):
+            p, r = A[i] * A[j] + m * B[i] * B[j], A[i] * B[j] + B[i] * A[j]
+            q = -2 if j == n - 1 else 2
+            MA.append((cd if i == j else 0) - q * (cp * p + m * cq * r))
+            MB.append(-q * (cp * r + cq * p))
+    row = scaled_row(MA, MB, 1, cd, m)
+    flat = row_vector(*row[:4], m)
+    out = MobiusMap(tuple(flat[i : i + n] for i in range(0, n * n, n)), check=False)
+    object.__setattr__(out, "_row", row)
+    return out
 
 
 def apply_map(m: MobiusMap, b: Ball) -> Ball:
     """The image ball m(b); a float image is renormalized onto the unit shell.
 
-    The float drift allowed is the rounding of w = M b, whose norm's terms
-    have size sum_i (sum_k |M_ik b_k|)^2.
+    An exact image is the integer product of the map's row and the ball's,
+    (MA + MB sqrt f)(A + B sqrt f) over den_M den_b.  The float drift
+    allowed is the rounding of w = M b, whose norm's terms have size
+    sum_i (sum_k |M_ik b_k|)^2.
     """
+    mrow, brow = row_of(m), row_of(b)
+    f = _one_field(mrow, brow)
+    if f is not None:
+        MA, MB, mn, md, _ = mrow
+        A, B, n, d, _ = brow
+        k = len(m.mat)
+        xa, xb = [], []
+        for i in range(0, k * k, k):
+            ra, rb = MA[i : i + k], MB[i : i + k]
+            xa.append(sum(map(mul, ra, A)) + f * sum(map(mul, rb, B)))
+            xb.append(sum(map(mul, ra, B)) + sum(map(mul, rb, A)))
+        return _row_ball(scaled_row(xa, xb, mn * n, md * d, f))
     w = linalg.mat_vec(m.mat, b.v)
     if is_float_data(w):
         n = lorentz_product(w, w)
@@ -395,7 +501,50 @@ def light_source(b: Ball) -> tuple:
 
 def ball_from_light_source(u: Sequence[Scalar]) -> Ball:
     """Ball whose boundary is the horizon of a light source u, |u| > 1."""
-    u = tuple(u)
+    return light_source_balls([u])[0]
+
+
+def light_source_balls(points) -> tuple:
+    """The balls whose boundaries are the horizons of light sources u,
+    |u| > 1: (u, 1)/s with s^2 = |u|^2 - 1.
+
+    An exact u is taken on its row (A + B sqrt m) num/den: |u|^2 - 1 is
+    the integer pair (X + Y sqrt m)/den^2, and 1/s multiplies the row's
+    integers.  Each distinct |u|^2 has its square root taken once.  Float
+    sources, and sources whose coordinates lie in two fields, take the
+    scalar formula, which refuses the mixed fields.
+    """
+    inverse_roots = {}
+    out = []
+    for u in points:
+        u = tuple(u)
+        row = _values_row(u)
+        m = _one_field(row)
+        if m is None:
+            out.append(_scalar_light_source_ball(u))
+            continue
+        A, B, num, den, _ = row
+        n2, one = num * num, den * den
+        X = (sum(map(mul, A, A)) + m * sum(map(mul, B, B))) * n2 - one
+        Y = 2 * sum(map(mul, A, B)) * n2
+        if quad_sign(X, Y, m) <= 0:
+            raise ValueError("light source must lie strictly outside the unit sphere")
+        key = quad_value((X, one, Y, one), m)
+        if key not in inverse_roots:
+            inverse_roots[key] = scalar_parts(ratio(1, exact_sqrt(key)))
+        pa, qa, pb, qb, r = inverse_roots[key]
+        if pb and row[4] and r != m:  # as the scalar division u_i / s refuses
+            raise ValueError(f"cannot mix fields Q(sqrt {m}) and Q(sqrt {r})")
+        # (u, 1)/s = (A num + B num sqrt m, den) (pa qb + pb qa sqrt r) / (den qa qb)
+        f, P, Q = m or r, pa * qb, pb * qa
+        UA, UB = [a * num for a in A] + [den], [b * num for b in B] + [0]
+        VA = [a * P + f * b * Q for a, b in zip(UA, UB)]
+        VB = [b * P + a * Q for a, b in zip(UA, UB)]
+        out.append(_row_ball(scaled_row(VA, VB, 1, den * qa * qb, f)))
+    return tuple(out)
+
+
+def _scalar_light_source_ball(u: tuple) -> Ball:
     u2 = sum(x * x for x in u)
     if compare(u2, 1) <= 0:
         raise ValueError("light source must lie strictly outside the unit sphere")

@@ -5,7 +5,11 @@ arrangement of those balls is the polytope's projection.  Edge-scribed
 realizations project to packings whose tangency graph is the polytope graph.
 This module adds centered projections (a chosen face sent to infinity),
 polar-dual arrangements, the two-half-space standard form, Gramians, and
-Mobius spectra/equivalence.
+Mobius spectra/equivalence.  An exact projection takes its balls from the
+vertices' integer rows (:func:`lorentz.light_source_balls`, one square root
+per distinct |u|^2), its facet balls from the polar vertices that
+:func:`polytopes.polar_dual` computes on rows, and a Mobius image of either
+is an integer matrix-row product (:func:`lorentz.apply_map`).
 """
 
 from __future__ import annotations
@@ -32,11 +36,12 @@ from .lorentz import (
     EXTERNALLY_TANGENT,
     MobiusMap,
     apply_map,
-    ball_from_light_source,
     classify_pair,
     geometry_from_ball,
+    light_source_balls,
     lorentz_product,
     product_scale,
+    reflection_map,
     same_vector,
 )
 from .polytopes import Polytope, Solid, face_barycenter, polar_dual, regular_edge_scribed
@@ -92,15 +97,21 @@ class BallArrangement:
 
 def project(p: Polytope) -> BallArrangement:
     """One ball per vertex, via the light-source correspondence."""
-    return BallArrangement(tuple(ball_from_light_source(u) for u in p.vertices), p)
+    return BallArrangement(light_source_balls(p.vertices), p)
+
+
+_NO_POLYGON_DUAL = "a polygon has no dual arrangement: its polar's vertices lie on the unit circle"
 
 
 def with_dual(a: BallArrangement) -> BallArrangement:
     """A copy of the arrangement with its facet balls attached.
 
     Only an untransformed projection can compute them from the polytope, so
-    call this before applying any Mobius map.
+    call this before applying any Mobius map.  Polygons have none (see
+    :func:`dual`).
     """
+    if a.dimension == 1:
+        raise ValueError(_NO_POLYGON_DUAL)
     if a.dual_balls is not None:
         return a
     if a.polytope is None:
@@ -334,9 +345,7 @@ def dual(a: BallArrangement) -> BallArrangement:
     the circle, and cast no ball.
     """
     if a.dimension == 1:
-        raise ValueError(
-            "a polygon has no dual arrangement: its polar's vertices lie on the unit circle"
-        )
+        raise ValueError(_NO_POLYGON_DUAL)
     if a.dual_balls is None and a.polytope is None:
         raise ValueError("dual needs the arrangement's polytope")
     dual_poly = polar_dual(a.polytope) if a.polytope is not None else None
@@ -361,22 +370,10 @@ def _half_space_x_last(d: int, sign: int) -> Ball:
     return Ball(tuple(v))
 
 
-def _reflection_swapping(x, t, d: int) -> Optional[MobiusMap]:
+def _reflection_swapping(x, t) -> Optional[MobiusMap]:
     """Lorentz reflection exchanging unit space-like vectors x and t, if sound."""
     n = tuple(a - b for a, b in zip(x, t))
-    nn = lorentz_product(n, n)
-    if compare(nn, 0, lambda: sum((abs(a) + abs(b)) ** 2 for a, b in zip(x, t))) <= 0:
-        return None
-    size = d + 2
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            q = -1 if j == size - 1 else 1
-            e = 1 if i == j else 0
-            row.append(e - ratio(2 * n[i] * n[j] * q, nn))
-        rows.append(tuple(row))
-    return MobiusMap(rows, check=False)
+    return reflection_map(n, lambda: sum((abs(a) + abs(b)) ** 2 for a, b in zip(x, t)))
 
 
 def _two_reflections(x_i, x_j, t_i, t_j, d: int) -> Optional[MobiusMap]:
@@ -384,13 +381,13 @@ def _two_reflections(x_i, x_j, t_i, t_j, d: int) -> Optional[MobiusMap]:
     if same_vector(x_i, t_i):
         m1 = MobiusMap.identity(d)
     else:
-        m1 = _reflection_swapping(x_i, t_i, d)
+        m1 = _reflection_swapping(x_i, t_i)
         if m1 is None:
             return None
     moved = linalg.mat_vec(m1.mat, x_j)
     if same_vector(moved, t_j):
         return m1
-    m2 = _reflection_swapping(moved, t_j, d)
+    m2 = _reflection_swapping(moved, t_j)
     if m2 is None:
         return None
     m = m2 @ m1

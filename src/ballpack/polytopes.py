@@ -20,7 +20,8 @@ along the dual solid's directions.  Those are decided on integer rows: each
 vertex's :func:`exactnum.exact_row` is taken once and put over a common
 denominator, so every squared distance and dot product is an integer pair
 X + Y sqrt m whose sign :func:`exactnum.quad_sign` reads.  A polar dual
-takes each facet's vertex from the facet's barycenter (:func:`polar_dual`).
+takes each facet's vertex from the facet's barycenter (:func:`polar_dual`),
+on the same integer rows when the vertices are exact.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ from .exactnum import (
     compare,
     exact_row,
     exact_sqrt,
+    is_float_data,
     phi,
     quad_sign,
     ratio,
+    row_vector,
     scalar_parts,
+    scaled_row,
     sqrt_int,
     sqrt_rational,
 )
@@ -389,23 +393,26 @@ def _cross_lattice(n: int) -> dict:
     return lattice
 
 
-def _integer_coords(verts) -> tuple:
-    """(rows, m): each vertex as a pair (a, b) of int lists, the vertex being
-    (a + b sqrt m) / D over one common positive denominator D.
+def _integer_coords(verts) -> Optional[tuple]:
+    """(rows, m, D): each vertex as a pair (a, b) of int lists, the vertex
+    being (a + b sqrt m) / D over one common positive denominator D; None
+    when a coordinate is a float or the vertices lie in two fields.
 
     Each vertex's :func:`exact_row` is taken once; D drops out of every
     comparison below, which compares values of equal scale only.
     """
+    if any(is_float_data(v) for v in verts):
+        return None
     parts = [exact_row([scalar_parts(x) for x in v]) for v in verts]
     moduli = set().union(*(r[4] for r in parts))
     if len(moduli) > 1:
-        raise ValueError(f"cannot mix fields {sorted(moduli)}")
+        return None
     lcm = math.lcm(*(den for _, _, _, den, _ in parts))
     rows = []
     for A, B, num, den, _ in parts:
         k = num * (lcm // den)
         rows.append(([x * k for x in A], [x * k for x in B]))
-    return rows, max(moduli, default=0)
+    return rows, max(moduli, default=0), lcm
 
 
 def _quad_dot(u, v, m: int) -> tuple:
@@ -429,7 +436,7 @@ def _extreme_keys(values: dict, m: int, sign: int) -> list:
 
 
 def _min_distance_edges(verts) -> tuple:
-    rows, m = _integer_coords(verts)
+    rows, m, _ = _integer_coords(verts)
     d2 = {}
     for (i, (ua, ub)), (j, (va, vb)) in combinations(enumerate(rows), 2):
         diff = ([x - y for x, y in zip(ua, va)], [x - y for x, y in zip(ub, vb)])
@@ -439,7 +446,7 @@ def _min_distance_edges(verts) -> tuple:
 
 def _supported_faces(verts, directions) -> tuple:
     # face selected by direction w: the vertices maximizing <v, w>
-    rows, m = _integer_coords(tuple(verts) + tuple(directions))
+    rows, m, _ = _integer_coords(tuple(verts) + tuple(directions))
     n = len(verts)
     fs = []
     for w in rows[n:]:
@@ -579,26 +586,16 @@ def polar_dual(p: Polytope) -> Polytope:
     v_f = c / <u, c> for the facet's barycenter c and its first vertex u,
     checked to give <u, v_f> = 1 on every vertex u of the facet.  That holds
     when the facet is perpendicular to its barycenter, as for every regular
-    polytope centered at the origin; any other facet is refused.
+    polytope centered at the origin; any other facet is refused.  Exact
+    vertices are taken on integer rows (:func:`_row_polar_vertex`).
     """
     d = p.dimension
     facets = p.faces_by_rank[d]
-    dual_verts = []
-    for f in facets:
-        idx = sorted(f)
-        c = face_barycenter(p, f)
-        u = p.vertices[idx[0]]
-        uc = sum(x * y for x, y in zip(u, c))
-        if compare(uc, 0, lambda: product_scale(u, c)) == 0:
-            raise ValueError(f"facet {idx} has no polar vertex: <u, c> = 0 at its barycenter c")
-        v = tuple(ratio(x, uc) for x in c)
-        for u in (p.vertices[i] for i in idx):
-            if compare(sum(x * y for x, y in zip(u, v)), 1, lambda: product_scale(u, v)) != 0:
-                raise ValueError(
-                    f"facet {idx} is not perpendicular to its barycenter: "
-                    "its polar vertex is not c / <u, c>"
-                )
-        dual_verts.append(v)
+    coords = _integer_coords(p.vertices)
+    if coords is None:
+        dual_verts = [_scalar_polar_vertex(p, sorted(f)) for f in facets]
+    else:
+        dual_verts = [_row_polar_vertex(coords, sorted(f)) for f in facets]
     lattice: dict = {}
     for kk in range(d + 1):
         src = p.faces_by_rank[d - kk]
@@ -609,3 +606,41 @@ def polar_dual(p: Polytope) -> Polytope:
         lattice[kk] = _sorted_faces(fs)
     dual_family = None if p.family is None else dual_solid(p.family)
     return Polytope(tuple(dual_verts), lattice, family=dual_family)
+
+
+_NO_POLAR_VERTEX = "facet {} has no polar vertex: <u, c> = 0 at its barycenter c"
+_NOT_PERPENDICULAR = (
+    "facet {} is not perpendicular to its barycenter: its polar vertex is not c / <u, c>"
+)
+
+
+def _row_polar_vertex(coords, idx) -> tuple:
+    """c / <u, c> on the rows of :func:`_integer_coords`.  With the facet's
+    vertices (a + b sqrt m)/D summing to S, it is S D / <u, S>, and each
+    vertex u' of the facet must have <u', S> = <u, S>."""
+    rows, m, D = coords
+    S = tuple([sum(col) for col in zip(*(rows[i][k] for i in idx))] for k in (0, 1))
+    X, Y = _quad_dot(rows[idx[0]], S, m)
+    if not (X or Y):
+        raise ValueError(_NO_POLAR_VERTEX.format(idx))
+    if any(_quad_dot(rows[i], S, m) != (X, Y) for i in idx):
+        raise ValueError(_NOT_PERPENDICULAR.format(idx))
+    # S D / (X + Y sqrt m) = S D (X - Y sqrt m) / (X^2 - m Y^2)
+    VA = [a * X - m * b * Y for a, b in zip(*S)]
+    VB = [b * X - a * Y for a, b in zip(*S)]
+    return row_vector(*scaled_row(VA, VB, D, X * X - m * Y * Y, m)[:4], m)
+
+
+def _scalar_polar_vertex(p: Polytope, idx) -> tuple:
+    """c / <u, c> in scalar arithmetic, for float vertices and vertices in
+    two fields."""
+    c = face_barycenter(p, idx)
+    u = p.vertices[idx[0]]
+    uc = sum(x * y for x, y in zip(u, c))
+    if compare(uc, 0, lambda: product_scale(u, c)) == 0:
+        raise ValueError(_NO_POLAR_VERTEX.format(idx))
+    v = tuple(ratio(x, uc) for x in c)
+    for u in (p.vertices[i] for i in idx):
+        if compare(sum(x * y for x, y in zip(u, v)), 1, lambda: product_scale(u, v)) != 0:
+            raise ValueError(_NOT_PERPENDICULAR.format(idx))
+    return v

@@ -1,23 +1,30 @@
-"""The frame layer in exact scalars.
+"""The frame and Mobius layers in exact scalars.
 
 `ballpack.polytopes` decides the icosahedron's and the dodecahedron's face
 lattices on integer rows, and takes each polar vertex from its facet's
-barycenter.  This module keeps the scalar versions: distances and dot
-products in QuadScalar arithmetic, and each polar vertex solved from an
-affinely spanning set of its facet's vertices by Gauss-Jordan elimination.
-They are the reference that the tests compare the program against.
+barycenter; `ballpack.lorentz` takes light sources, maps, inversions and
+reflections on integer rows.  This module keeps the scalar versions:
+distances and dot products in QuadScalar arithmetic, each polar vertex
+solved from an affinely spanning set of its facet's vertices by
+Gauss-Jordan elimination, a ball as (u, 1)/s with s = sqrt(|u|^2 - 1) for
+each light source u, a map's image as its matrix times the vector, and an
+inversion as I - 2 x xT Q entry by entry.  They are the reference that the
+tests compare the program against.
 """
 
 from itertools import combinations
 
-from ballpack import linalg
-from ballpack.exactnum import compare
+from ballpack import apollonian, linalg
+from ballpack.exactnum import compare, exact_sqrt, ratio, scalar_sign
+from ballpack.lorentz import Ball, MobiusMap, lorentz_product, x_north
+from ballpack.packings import BallArrangement
 from ballpack.polytopes import (
     Polytope,
     _dodecahedron_vertices,
     _icosahedron_vertices,
     _sorted_faces,
     dual_solid,
+    face_cycle,
     regular_edge_scribed as _program_edge_scribed,
 )
 
@@ -90,3 +97,79 @@ def polar_dual(p: Polytope) -> Polytope:
         lattice[kk] = _sorted_faces(fs)
     dual_family = None if p.family is None else dual_solid(p.family)
     return Polytope(tuple(dual_verts), lattice, family=dual_family)
+
+
+# -- the Mobius layer ---------------------------------------------------------------
+
+
+def ball_from_light_source(u) -> Ball:
+    """Ball whose boundary is the horizon of a light source u, |u| > 1."""
+    u = tuple(u)
+    u2 = sum(x * x for x in u)
+    if compare(u2, 1) <= 0:
+        raise ValueError("light source must lie strictly outside the unit sphere")
+    s = exact_sqrt(u2 - 1)
+    v = tuple(ratio(x, s) for x in u) + (ratio(1, s),)
+    return Ball(v)
+
+
+def project(p: Polytope) -> BallArrangement:
+    return BallArrangement(tuple(ball_from_light_source(u) for u in p.vertices), p)
+
+
+def apply_map(m: MobiusMap, b: Ball) -> Ball:
+    """The image of an exact ball under an exact map."""
+    return Ball(linalg.mat_vec(m.mat, b.v), _checked=True)
+
+
+def inversion_map(b: Ball) -> MobiusMap:
+    """The inversion in b as a Lorentz matrix, I - 2 x xT Q."""
+    v = b.v
+    n = len(v)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            q = -1 if j == n - 1 else 1
+            e = 1 if i == j else 0
+            row.append(e - 2 * v[i] * v[j] * q)
+        rows.append(tuple(row))
+    return MobiusMap(tuple(rows), check=False)
+
+
+def reflection_swapping(x, t):
+    """Lorentz reflection exchanging unit space-like vectors x and t, if sound."""
+    n = tuple(a - b for a, b in zip(x, t))
+    nn = lorentz_product(n, n)
+    if compare(nn, 0, lambda: sum((abs(a) + abs(b)) ** 2 for a, b in zip(x, t))) <= 0:
+        return None
+    size = len(n)
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            q = -1 if j == size - 1 else 1
+            e = 1 if i == j else 0
+            row.append(e - ratio(2 * n[i] * n[j] * q, nn))
+        rows.append(tuple(row))
+    return MobiusMap(rows, check=False)
+
+
+def packing_from_curvatures(s, triple) -> tuple:
+    """(balls, dual balls) of an exact seed, as the program builds them but
+    from the scalar pieces above.  The light-like vector y comes from the
+    program's solve, which stays in scalars; a y off the probe's light ray
+    is sent to it by the scalar reflection (the program's boost on it is
+    scalar code too)."""
+    triple = tuple(triple)
+    poly = regular_edge_scribed(s)
+    balls, duals = project(poly).balls, project(polar_dual(poly)).balls
+    anchors = face_cycle(poly, poly.faces(2)[0])[:3]
+    order = list(anchors) + [v for v in range(len(balls)) if v not in anchors]
+    y = apollonian._future_null_with_products([balls[v].v for v in order], triple, True)
+    d = poly.dimension
+    if scalar_sign(lorentz_product(y, x_north(d))) != 0:
+        m = reflection_swapping(y, x_north(d))
+    else:
+        m = apollonian._map_null_to_north(y, d)
+    return tuple(apply_map(m, b) for b in balls), tuple(apply_map(m, b) for b in duals)

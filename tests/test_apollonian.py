@@ -502,7 +502,7 @@ def test_cluster_object_mode_agrees_with_vectorized(case):
         seed = packing_from_curvatures(*README_SEEDS[case])
         gens, depth = apollonian_group_from_packing(seed), 2
     fast = generate_cluster(seed, gens, depth)
-    store = mod._exact_cluster(seed, [g.map.mat for g in gens], depth, dtype=object)
+    store = mod._exact_cluster(seed, gens.maps, depth, dtype=object)
     slow = mod.Cluster(seed, gens.flavor, depth, gens.names, store)
     assert slow._store.mode == "obj" and fast._store.mode == "i64"
     assert len(fast) == len(slow)

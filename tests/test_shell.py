@@ -25,7 +25,7 @@ from ballpack.apollonian import (
     generate_cluster,
     packing_from_curvatures,
 )
-from ballpack.packings import BallArrangement, dual, project
+from ballpack.packings import BallArrangement, dual, project, with_dual
 from ballpack.polytopes import CUBE, TETRAHEDRON, regular_edge_scribed, solid_from_name
 from ballpack.svgout import DEFAULT_PALETTE, RenderSpec, render_svg
 
@@ -607,6 +607,17 @@ def test_dual_refuses_polygons(solid, tmp_path, capsys):
     assert main(["project", "--solid", solid, "--out", str(doc)]) == 0
     capsys.readouterr()
     assert main(["dual", "--in", str(doc), "--out", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
+@pytest.mark.parametrize("solid", ["triangle", "square", "6-gon", "7-gon"])
+def test_with_dual_and_cluster_refuse_polygons_with_the_dual_reason(solid, tmp_path, capsys):
+    """No facet balls to attach, so no seed to grow: the reason is dual's."""
+    why = "a polygon has no dual arrangement: its polar's vertices lie on the unit circle"
+    with pytest.raises(ValueError, match=why):
+        with_dual(project(regular_edge_scribed(solid_from_name(solid))))
+    out = str(tmp_path / "c.json")
+    assert main(["cluster", "--solid", solid, "--initial=1,1,1", "--depth", "1", "--out", out]) == 2
     assert capsys.readouterr().err == f"error: {why}\n"
 
 
