@@ -76,7 +76,7 @@ TANGENT_TUPLES = 200  # ... and checks at most this many of them
 
 # -- curvature tokens ---------------------------------------------------------
 
-_TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?(phi|sqrt(\d+))?$")
+_TERM_RE = re.compile(r"^(\d+(?:/\d*[1-9]\d*)?)?(phi|sqrt(\d+))?$")  # no zero denominator
 
 
 def parse_exact_curvature(token: str):
@@ -91,7 +91,7 @@ def parse_exact_curvature(token: str):
         mt = _TERM_RE.match(body)
         if not mt or (mt[1] is None and mt[2] is None):
             raise ValueError(f"malformed curvature {token!r}")
-        coef = Fraction(mt[1]) if mt[1] else Fraction(1)
+        coef = Fraction(mt[1] or 1)
         if mt[2] is None:
             val = coef
         elif mt[2] == "phi":
@@ -423,6 +423,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_integrality(args) -> int:
+    if args.certify_depth is not None and args.certify_depth < 0:
+        raise ValueError("depth must be nonnegative")
     s = solid_from_name(args.solid)
     initial = parse_initial(args.initial, "exact")
     cert = integrality_condition(s, initial)

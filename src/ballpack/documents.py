@@ -9,8 +9,9 @@ row in the canonical form that ``exactnum`` defines, and a float row as a
 float64 vector.  Every layer works on the rows: the writer prints each
 scalar's canonical text straight from the integers, the loader parses the
 text into rows, :meth:`PackingDocument.balls` checks every Lorentz norm on
-them and builds a ball only when a check reads it, and
-``svgout.render_svg`` takes its floats from them.  :class:`lorentz.Entry`
+them and makes a ball only when a check reads it, an exact one born with
+its row, and ``svgout.render_svg`` and ``packings.pair_screen`` take their
+floats from the rows through ``exactnum.quad_float``.  :class:`lorentz.Entry`
 objects are built only on demand (:attr:`PackingDocument.entries`).
 
 The writer adds each ball's curvature and Euclidean geometry
@@ -41,10 +42,9 @@ from .exactnum import (
     is_float_data,
     quad_sign,
     quad_value,
-    row_vector,
     scalar_parts,
 )
-from .lorentz import Ball, Entry
+from .lorentz import Ball, Entry, ball_from_row
 
 RADICAL = "√"
 
@@ -71,14 +71,6 @@ def _quad_text(x, m: int) -> str:
         sign = "+" if (pb > 0) == (qb > 0) else "-"
         out += sign + _ratio_text(abs(pb), abs(qb)) + RADICAL + str(m)
     return out
-
-
-def quad_float(x, root: float) -> float:
-    """float(x) for x = (pa, qa, pb, qb) and root = sqrt(m), as
-    ``QuadScalar.__float__`` computes it; int division is correctly rounded,
-    so the unreduced fractions give the same floats."""
-    pa, qa, pb, qb = x
-    return pa / qa + (pb / qb) * root if pb else pa / qa
 
 
 def scalar_to_text(x) -> str:
@@ -172,7 +164,7 @@ def _exact_mode(m: int) -> str:
 
 
 class _Balls(Sequence):
-    """A document's balls, each built from its row when a check first reads it."""
+    """A document's balls, each made when a check first reads it."""
 
     def __init__(self, doc: "PackingDocument"):
         self._doc = doc
@@ -186,7 +178,7 @@ class _Balls(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         ball = self._built[i]
         if ball is None:
-            ball = self._built[i] = Ball(self._doc.vector(i), _checked=True)
+            ball = self._built[i] = self._doc.ball(i)
         return ball
 
 
@@ -234,12 +226,18 @@ class PackingDocument:
 
     __hash__ = None
 
+    def ball(self, i: int) -> Ball:
+        """Ball i, its norm unchecked: a float one from its vector, an exact
+        one born with its ``exactnum.exact_row`` (:func:`lorentz.ball_from_row`)."""
+        if self.is_float:
+            return Ball(tuple(self.rows["V"][i].tolist()), _checked=True)
+        r, B = self.rows, self.rows["B"][i].tolist()
+        fields = {self.m} if self.m and any(B) else set()
+        return ball_from_row((r["A"][i].tolist(), B, r["num"][i], r["den"][i], fields))
+
     def vector(self, i: int) -> tuple:
         """The inversive vector of ball i: floats, or Fractions and QuadScalars."""
-        if self.is_float:
-            return tuple(self.rows["V"][i].tolist())
-        r = self.rows
-        return row_vector(r["A"][i], r["B"][i], r["num"][i], r["den"][i], self.m)
+        return self.ball(i).v
 
     @property
     def entries(self) -> tuple:

@@ -470,6 +470,14 @@ def row_vector(A, B, num: int, den: int, m: int) -> tuple:
     return tuple(quad_value((a * num, den, b * num, den), m) for a, b in zip(A, B))
 
 
+def quad_float(x, root: float) -> float:
+    """float(x) for parts x = (pa, qa, pb, qb) and root = sqrt(m), as
+    ``QuadScalar.__float__`` computes it, also from unreduced fractions:
+    int division is correctly rounded.  The one row-to-float conversion."""
+    pa, qa, pb, qb = x
+    return pa / qa + (pb / qb) * root if pb else pa / qa
+
+
 def quad_sign(a: int, b: int, m: int) -> int:
     """Exact sign of a + b sqrt(m) for ints a, b, and m square-free > 1 (or
     any m when b = 0)."""

@@ -10,23 +10,25 @@ word that produced it, with everything else derived from the vector.
 All functions run in either exact mode (int/Fraction/QuadScalar entries) or
 float mode; the two never mix inside one vector.  :func:`classify_pair`
 decides an exact pair on the balls' ``exactnum`` rows: the Lorentz product
-is two integers X + Y sqrt m over a positive integer, and its exact sign
-against -1, 0 and 1 is ``quad_sign`` of integers.  Every other test of a
-Lorentz product x.y against -1, 0 or 1 goes through
-:func:`exactnum.compare`: exact in exact mode, and in float mode within
-FLOAT_REL = 1e-10 times the size of its terms, sum |x_i y_i|, which grows
-with the coordinates of deep balls.  Where that window reaches 1/2, -1, 0
-and 1 are no longer apart, and :func:`classify_pair` refuses the float pair
-instead of guessing.
+is two integers X + Y sqrt m over a positive integer, its exact sign
+against -1, 0 and 1 is ``quad_sign`` of integers, a ball is past-directed
+when its row's last integers are negative, and two balls are EQUAL when
+their rows are.  Every other test of a Lorentz product x.y against -1, 0
+or 1 goes through :func:`exactnum.compare`: exact in exact mode, and in
+float mode within FLOAT_REL = 1e-10 times the size of its terms,
+sum |x_i y_i|, which grows with the coordinates of deep balls.  Where that
+window reaches 1/2, -1, 0 and 1 are no longer apart, and
+:func:`classify_pair` refuses the float pair instead of guessing.
 
 Exact light sources, maps, inversions and reflections are decided on
 integer rows too: a light source's |u|^2 - 1 and its square root, a map's
 image of a ball (an integer matrix-row product) and the matrix I - 2 x xT Q
-(integer outer products) never pass through Fraction arithmetic, and the
-balls and maps they make keep their rows (:func:`row_of`), so the pair
-classifier and the cluster engine read them as made.  Float data, and data
-whose coordinates lie in two quadratic fields, take the scalar formulas,
-which refuse the mixed fields where two irrational parts meet.
+(integer outer products) never pass through Fraction arithmetic.  The balls
+they and the documents make are born with their rows (:func:`ball_from_row`)
+and build their scalar vectors only when read, so classifying two of them
+reads no scalar.  Float data, and data whose coordinates lie in two
+quadratic fields, take the scalar formulas, which refuse the mixed fields
+where two irrational parts meet.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def x_north(d: int, one=1, zero=0) -> LVector:
 
 class Ball:
     """A d-ball: a Lorentz vector of norm one.  An exact ball keeps its
-    ``exactnum`` row once :func:`row_of` has made it; the balls that the
-    exact maps and light sources make are born with it."""
+    ``exactnum`` row once :func:`row_of` has made it; a ball born with it
+    (:func:`ball_from_row`) builds its vector ``v`` when ``v`` is first read."""
 
     __slots__ = ("v", "_row")
 
@@ -106,9 +108,16 @@ class Ball:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Ball is immutable")
 
+    def __getattr__(self, name):  # only for an unset slot: a row-born ball's vector
+        if name != "v":
+            raise AttributeError(name)
+        object.__setattr__(self, "v", row_vector(*self._row[:4], next(iter(self._row[4]), 0)))
+        return self.v
+
     @property
     def dimension(self) -> int:
-        return len(self.v) - 2
+        row = getattr(self, "_row", None)
+        return len(self.v if row is None else row[0]) - 2
 
     @property
     def curvature(self) -> Scalar:
@@ -230,11 +239,10 @@ EQUAL = "equal"
 
 
 def _is_past_directed(b: Ball) -> bool:
-    t = b.v[-1]
-    if isinstance(t, QuadScalar) and t.m:  # the sign of the row's last integers
-        A, B = row_of(b)[:2]
-        return quad_sign(A[-1], B[-1], t.m) < 0
-    return scalar_sign(t) < 0
+    """Whether b's last coordinate is negative, read on its row when exact."""
+    row = row_of(b)
+    m = _one_field(row)
+    return (scalar_sign(b.v[-1]) if m is None else quad_sign(row[0][-1], row[1][-1], m)) < 0
 
 
 def row_of(x) -> Optional[tuple]:
@@ -254,10 +262,9 @@ def _values_row(values) -> Optional[tuple]:
     return None if is_float_data(values) else exact_row([scalar_parts(e) for e in values])
 
 
-def _row_ball(row: tuple) -> Ball:
-    """The ball of an exact unit vector's row, keeping the row."""
-    A, B, num, den, fields = row
-    b = Ball(row_vector(A, B, num, den, next(iter(fields), 0)), _checked=True)
+def ball_from_row(row: tuple) -> Ball:
+    """The ball born with an exact unit vector's ``exactnum`` row."""
+    b = Ball.__new__(Ball)
     object.__setattr__(b, "_row", row)
     return b
 
@@ -289,8 +296,9 @@ def classify_pair(b1: Ball, b2: Ball) -> str:
     sound there."""
     if _is_past_directed(b1) and _is_past_directed(b2):
         raise ValueError("cannot classify a pair of past-directed balls")
-    x, y = b1.v, b2.v
-    if is_float_data(x) or is_float_data(y):
+    r1, r2 = row_of(b1), row_of(b2)
+    if r1 is None or r2 is None:
+        x, y = b1.v, b2.v
         p = lorentz_product(x, y)
         scale = lambda: product_scale(x, y)
         if same_vector(x, y):
@@ -307,8 +315,8 @@ def classify_pair(b1: Ball, b2: Ball) -> str:
     if side(0) == 0:
         return ORTHOGONAL
     s = side(1)
-    if s == 0:  # equal exact vectors have p = 1; equal float ones returned above
-        return EQUAL if x == y else INTERNALLY_TANGENT
+    if s == 0:  # equal exact rows have p = 1; equal float vectors returned above
+        return EQUAL if r1 is not None and r1 == r2 else INTERNALLY_TANGENT
     return NESTED if s > 0 else OVERLAPPING
 
 
@@ -476,7 +484,7 @@ def apply_map(m: MobiusMap, b: Ball) -> Ball:
             ra, rb = MA[i : i + k], MB[i : i + k]
             xa.append(sum(map(mul, ra, A)) + f * sum(map(mul, rb, B)))
             xb.append(sum(map(mul, ra, B)) + sum(map(mul, rb, A)))
-        return _row_ball(scaled_row(xa, xb, mn * n, md * d, f))
+        return ball_from_row(scaled_row(xa, xb, mn * n, md * d, f))
     w = linalg.mat_vec(m.mat, b.v)
     if is_float_data(w):
         n = lorentz_product(w, w)
@@ -540,7 +548,7 @@ def light_source_balls(points) -> tuple:
         UA, UB = [a * num for a in A] + [den], [b * num for b in B] + [0]
         VA = [a * P + f * b * Q for a, b in zip(UA, UB)]
         VB = [b * P + a * Q for a, b in zip(UA, UB)]
-        out.append(_row_ball(scaled_row(VA, VB, 1, den * qa * qb, f)))
+        out.append(ball_from_row(scaled_row(VA, VB, 1, den * qa * qb, f)))
     return tuple(out)
 
 

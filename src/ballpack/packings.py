@@ -15,18 +15,19 @@ is an integer matrix-row product (:func:`lorentz.apply_map`).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 
 from . import linalg
 from .exactnum import (
     FLOAT_REL,
-    QuadScalar,
     approx,
     compare,
     is_float_data,
+    quad_float,
     ratio,
     scalar_sign,
 )
@@ -35,6 +36,7 @@ from .lorentz import (
     DISJOINT,
     EXTERNALLY_TANGENT,
     MobiusMap,
+    _is_past_directed,
     apply_map,
     classify_pair,
     geometry_from_ball,
@@ -42,6 +44,7 @@ from .lorentz import (
     lorentz_product,
     product_scale,
     reflection_map,
+    row_of,
     same_vector,
 )
 from .polytopes import Polytope, Solid, face_barycenter, polar_dual, regular_edge_scribed
@@ -122,56 +125,30 @@ def with_dual(a: BallArrangement) -> BallArrangement:
 _SCREEN_ROWS = 64  # rows of float products pair_screen holds at once
 
 
-def _row_kind(v) -> Optional[tuple]:
-    """(holds a float, holds a QuadScalar, its field m or 0) for one vector;
-    None when the vector mixes them so that no product with it is sound."""
-    has_float = has_quad = False
-    m = 0
-    for x in v:
-        if isinstance(x, float):
-            has_float = True
-        elif isinstance(x, QuadScalar):
-            has_quad = True
-            if x.m and m and x.m != m:
-                return None
-            m = x.m or m
-    return None if has_float and has_quad else (has_float, has_quad, m)
-
-
-def _kinds_mix(k1: tuple, k2: tuple) -> bool:
-    """Whether Lorentz products between vectors of these kinds are defined:
-    floats never meet QuadScalars, and two quadratic fields never meet."""
-    (f1, q1, m1), (f2, q2, m2) = k1, k2
-    return not ((f1 and q2) or (q1 and f2) or (m1 and m2 and m1 != m2))
-
-
-def _magnitude(x) -> float:
-    """A float bound on |x|: |a| + |b| sqrt(m) for a QuadScalar a + b sqrt(m)."""
-    if isinstance(x, QuadScalar):
-        return abs(float(x.a)) + abs(float(x.b)) * math.sqrt(x.m or 0)
-    return abs(float(x))
-
-
 def pair_screen(balls):
     """The pairs (i, j), i < j in row-major order, that are not proven DISJOINT.
 
     Every pair this skips is one that :func:`lorentz.classify_pair` calls
     DISJOINT, without raising; every other pair is yielded for it to decide.
     The proof is a float64 product with a rigorous error bound (a filtered
-    predicate).  Write X for the float rows float(x), M for the magnitude
-    rows (|x|, or |a| + |b| sqrt(m) for a QuadScalar, floored at the
-    smallest normal float 2^-1022), P = X Q X^T for the float Lorentz
-    products and S = M M^T, all computed in floats, and u = 2^-53.  A pair
-    is proven DISJOINT when
+    predicate) on a list of one kind: all balls float vectors of floats,
+    or all exact rows in one field Q(sqrt m), of d+2 coordinates each.  A
+    list of any other make-up yields every pair, so its answer, and any
+    error, is that of the loop over all pairs.
+
+    Write u = 2^-53, X for the float rows and M for the magnitude rows,
+    floored at 2^-1022: x and |x| for a float ball, and for an exact row
+    (A + B sqrt m) num/den its value and (|A| + |B| sqrt m) num/den, through
+    ``exactnum.quad_float``.  With P = X Q X^T and S = M M^T computed in
+    floats, a pair is proven DISJOINT when
 
     * P + slack < -1, with slack = c u S and c = 8(d+2) + 32;
-    * the two balls are not both past-directed (exact ``scalar_sign`` of the
-      last coordinates), a pair ``classify_pair`` refuses;
-    * both rows have d+2 coordinates that convert to finite floats, and
-      their kinds multiply (no float meets a QuadScalar, no two quadratic
-      fields meet); a row that fails this keeps all its pairs;
+    * the two balls are not both past-directed, by ``classify_pair``'s
+      own test: it refuses such a pair;
+    * both rows convert to finite floats; a row that does not keeps all
+      its pairs;
 
-    and, when any row holds floats,
+    and, in a float list,
 
     * the slack also holds FLOAT_REL max(1, S), the window of the float
       comparison, and FLOAT_REL (S + c u S) < 1/2, so that the pairs
@@ -180,16 +157,16 @@ def pair_screen(balls):
       coordinate), the very float test of ``same_vector``, so that no pair
       it calls EQUAL is skipped.
 
-    Why the slack suffices: float() is correctly rounded on rationals and
-    within 4u M of a QuadScalar, with the floor of M covering underflow, so
-    each term x_k y_k moves by at most about 8u M_k(x) M_k(y).  The float
-    dot product adds at most (d+2) u S in any summation order, and in float
-    mode ``classify_pair``'s own sum differs from the true one by as much
-    again.  Rounding P + slack, and ``compare``'s p + 1, adds about 3u S,
-    as S >= 1 whenever |p| > 1, and S itself is computed to (d+2) u.  All
-    of that stays below (3(d+2) + 16) u S, so P + slack < -1 puts the exact
-    product, and the float product ``classify_pair`` compares, below -1 by
-    more than its window: DISJOINT.
+    Why the slack suffices: X is correctly rounded on rationals and within
+    4u M of an irrational coordinate, with the floor of M covering
+    underflow, so each term x_k y_k moves by at most about 8u M_k(x) M_k(y).
+    The float dot product adds at most (d+2) u S in any summation order,
+    and in float mode ``classify_pair``'s own sum differs from the true one
+    by as much again.  Rounding P + slack, and ``compare``'s p + 1, adds
+    about 3u S, as S >= 1 whenever |p| > 1, and S itself is computed to
+    (d+2) u.  All of that stays below (3(d+2) + 16) u S, so P + slack < -1
+    puts the exact product, and the float product ``classify_pair``
+    compares, below -1 by more than its window: DISJOINT.
 
     The rows are screened 64 at a time against the rows after them, so
     memory stays O(64 n) and a caller that stops early skips the rest.
@@ -199,26 +176,33 @@ def pair_screen(balls):
     n = len(balls)
     if n < 2:
         return
-    width = len(balls[0].v)
-    kinds = [_row_kind(b.v) if len(b.v) == width else None for b in balls]
-    # a row that does not convert stays zero, and a zero row proves nothing
-    x = np.zeros((n, width))
-    mag = np.zeros((n, width))
-    for i, b in enumerate(balls):
-        if kinds[i] is None:
-            continue
-        try:
-            x[i], mag[i] = [float(c) for c in b.v], [_magnitude(c) for c in b.v]
-        except OverflowError:
-            pass
+    rows = [row_of(b) for b in balls]
+    floaty = all(r is None for r in rows)
+    fields = set().union(*(r[4] for r in rows if r is not None))
+    one_kind = (
+        all(isinstance(c, float) for b in balls for c in b.v) if floaty
+        else all(r is not None for r in rows) and len(fields) < 2
+    )
+    width = balls[0].dimension + 2
+    if not one_kind or any(b.dimension + 2 != width for b in balls):
+        yield from combinations(range(n), 2)
+        return
+    if floaty:
+        x = np.array([b.v for b in balls])
+        mag = np.abs(x)
+    else:  # a row that does not convert stays zero, and a zero row proves nothing
+        x, mag = np.zeros((n, width)), np.zeros((n, width))
+        root = math.sqrt(next(iter(fields), 0))
+        for i, (A, B, num, den, _) in enumerate(rows):
+            with suppress(OverflowError):
+                x[i], mag[i] = (
+                    [quad_float((a * num, den, b * num, den), root) for a, b in zip(A, B)],
+                    [quad_float((abs(a) * num, den, abs(b) * num, den), root) for a, b in zip(A, B)],
+                )
     bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(mag).all(axis=1))
     x[bad] = mag[bad] = 0.0
     np.maximum(mag, 2.0**-1022, out=mag)
-    past = np.array([scalar_sign(b.v[-1]) < 0 for b in balls])
-    found = sorted({k for k in kinds if k is not None})
-    tag = np.array([found.index(k) if k is not None else 0 for k in kinds])
-    mixes = np.array([[_kinds_mix(a, b) for b in found] for a in found], dtype=bool)
-    floaty = any(k[0] for k in found)
+    past = np.array([_is_past_directed(b) for b in balls])
     cu = (8 * width + 32) * 2.0**-53  # c u
     xq = x.copy()
     xq[:, -1] = -xq[:, -1]
@@ -232,8 +216,6 @@ def pair_screen(balls):
             bound += FLOAT_REL * np.maximum(1.0, s)
         proven = bound < -1
         proven &= ~(past[lo:hi, None] & past[None, lo:])
-        if not mixes.all():
-            proven &= mixes[tag[lo:hi, None], tag[None, lo:]]
         if floaty:
             proven &= FLOAT_REL * (1 + cu) * s < 0.5
             tol = FLOAT_REL * np.maximum(1.0, np.maximum(top[lo:hi, None], top[None, lo:]))
@@ -242,8 +224,8 @@ def pair_screen(balls):
                 apart |= np.abs(x[lo:hi, k, None] - x[None, lo:, k]) > tol
             proven &= apart
         upper = np.arange(n - lo)[None, :] > np.arange(hi - lo)[:, None]
-        rows, cols = np.nonzero(upper & ~proven)
-        yield from zip((rows + lo).tolist(), (cols + lo).tolist())
+        i, j = np.nonzero(upper & ~proven)
+        yield from zip((i + lo).tolist(), (j + lo).tolist())
 
 
 def first_overlap(balls) -> Optional[tuple]:

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .documents import PackingDocument, derived_rows, quad_float
+from .documents import PackingDocument, derived_rows
+from .exactnum import quad_float
 
 DEFAULT_PALETTE = (
     "#4e79a7",

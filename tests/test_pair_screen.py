@@ -6,8 +6,11 @@ subsets of Platonic clusters in exact and float mode with planted special
 pairs, that nothing it skips could change an answer: ``first_overlap`` and
 the tangent cliques of ``verify --checks soddy`` agree with the all-pairs
 loop, down to the pair that raises, and every skipped pair is DISJOINT.
+The subsets are drawn from the cluster's entries (balls made from scalar
+vectors) or from its document (balls born with their integer rows).
 """
 
+import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +24,9 @@ from ballpack.apollonian import (
     generate_cluster,
     packing_from_curvatures,
 )
-from ballpack.cli import TANGENT_NODES, TANGENT_TUPLES, _tangent_cliques, parse_initial
+from ballpack import cli
+from ballpack.cli import TANGENT_NODES, TANGENT_TUPLES, _tangent_cliques, main, parse_initial
+from ballpack.documents import document_from_cluster
 from ballpack.exactnum import QuadScalar, phi, scalar_sign, sqrt_int
 from ballpack.lorentz import (
     DISJOINT,
@@ -30,6 +35,7 @@ from ballpack.lorentz import (
     ball_from_geometry,
     classify_pair,
     geometry_from_ball,
+    row_of,
 )
 from ballpack.packings import first_overlap, pair_screen
 from ballpack.polytopes import solid_from_name
@@ -46,10 +52,19 @@ PLANTS = ("equal", "nested", "internally_tangent", "orthogonal", "overlapping",
 
 
 @lru_cache(maxsize=None)
-def cluster_balls(solid: str, initial: str, depth: int, mode: str) -> tuple:
+def cluster(solid: str, initial: str, depth: int, mode: str):
     seed = packing_from_curvatures(solid_from_name(solid), parse_initial(initial, mode))
-    cluster = generate_cluster(seed, apollonian_group_from_packing(seed), depth)
-    return tuple(e.ball for e in cluster)
+    return generate_cluster(seed, apollonian_group_from_packing(seed), depth)
+
+
+@lru_cache(maxsize=None)
+def cluster_balls(solid: str, initial: str, depth: int, mode: str) -> tuple:
+    return tuple(e.ball for e in cluster(solid, initial, depth, mode))
+
+
+@lru_cache(maxsize=None)
+def cluster_document(solid: str, initial: str, depth: int, mode: str):
+    return document_from_cluster(cluster(solid, initial, depth, mode))
 
 
 def _disk(center, curvature, floaty: bool) -> Ball:
@@ -91,10 +106,12 @@ def planted(kind: str, host: Ball, floaty: bool) -> list:
 def ball_lists(draw):
     solid, initial, depth = draw(st.sampled_from(SEEDS))
     mode = draw(st.sampled_from(["exact", "float"]))
-    pool = cluster_balls(solid, initial, depth, mode)
+    entries = cluster_balls(solid, initial, depth, mode)
+    # fresh row-born balls from the document, whose vectors nothing has read
+    pool = cluster_document(solid, initial, depth, mode).balls() if draw(st.booleans()) else entries
     idx = draw(st.lists(st.integers(0, len(pool) - 1), max_size=20, unique=True))
     balls = [pool[i] for i in idx]
-    disks = [b for b in pool if scalar_sign(b.curvature) > 0]
+    disks = [b for b in entries if scalar_sign(b.curvature) > 0]
     for kind in draw(st.lists(st.sampled_from(PLANTS), max_size=3)):
         for b in planted(kind, draw(st.sampled_from(disks)), mode == "float"):
             balls.insert(draw(st.integers(0, len(balls))), b)
@@ -144,6 +161,43 @@ def assert_screen_changes_nothing(balls):
 @given(ball_lists())
 def test_the_screen_matches_the_all_pairs_loop(balls):
     assert_screen_changes_nothing(balls)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ball_lists())
+def test_row_born_balls_screen_as_their_scalar_copies(balls):
+    # on a list of one kind the screen reads the same floats from a row as
+    # from the scalar vector; on any other list both yield every pair
+    copies = [Ball(b.v) for b in balls]
+    assert list(pair_screen(balls)) == list(pair_screen(copies))
+
+
+@pytest.mark.parametrize("solid,initial,depth", SEEDS)
+def test_a_document_ball_is_born_with_the_row_of_its_vector(solid, initial, depth):
+    # rows are canonical, so classify_pair's EQUAL by rows is EQUAL by vectors
+    entries = cluster(solid, initial, depth, "exact")
+    balls = cluster_document(solid, initial, depth, "exact").balls()
+    assert len(balls) == len(entries)
+    for b, e in zip(balls, entries):
+        assert b._row == row_of(e.ball)
+        assert b.dimension == e.ball.dimension and b.v == e.inversive
+
+
+def test_the_packing_check_derives_no_row_and_builds_no_vector(tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", "--initial=-3,5,8", "--depth", "4"]
+    assert main([*argv, "--out", str(path)]) == 0
+    doc = cli._read_doc(str(path))
+    monkeypatch.setattr(cli, "_read_doc", lambda _: doc)  # loading parses rows
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("ballpack")]:
+        for name in ("exact_row", "row_vector"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                spy = lambda *args, real=real, name=name: calls.append(name) or real(*args)  # noqa: E731
+                monkeypatch.setattr(module, name, spy)
+    assert main(["verify", "--in", str(path), "--checks", "packing"]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -431,7 +431,7 @@ def test_curvature_tokens(token, value):
     assert type(got) is type(value)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1..2", "phi5", "sqrt", "1,2"])
+@pytest.mark.parametrize("bad", ["", "x", "1..2", "phi5", "sqrt", "1,2", "1/0", "00/00", "1/0phi"])
 def test_curvature_tokens_reject_garbage(bad):
     with pytest.raises(ValueError):
         parse_exact_curvature(bad)
@@ -674,6 +674,49 @@ def test_cli_integrality_of_a_seed_outside_the_ring_is_not_certified(solid, caps
     # mixes Q(sqrt 2) with the solid's Q(sqrt 5)
     assert main(["integrality", "--solid", solid, "--initial=sqrt2,1,1"]) == 1
     assert capsys.readouterr() == ("certificate: not-certified\n", "")
+
+
+ZERO_DENOMINATORS = ("1/0", "00/00")
+
+
+def zero_denominator_error(bad: str, mode: str) -> str:
+    if mode == "float":  # a float token that is no exact value is read by float()
+        return f"error: could not convert string to float: {bad!r}\n"
+    return f"error: malformed curvature {bad!r}\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("bad", ZERO_DENOMINATORS)
+def test_cli_cluster_refuses_a_zero_denominator(bad, mode, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", f"--initial={bad},1,1", "--mode", mode]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", zero_denominator_error(bad, mode))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ZERO_DENOMINATORS)
+def test_cli_integrality_refuses_a_zero_denominator(bad, capsys):
+    assert main(["integrality", "--solid", "tetrahedron", f"--initial={bad},1,1"]) == 2
+    assert capsys.readouterr() == ("", zero_denominator_error(bad, "exact"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cli_verify_refuses_a_seed_record_with_a_zero_denominator(mode, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", "--initial=-3,5,8", "--depth", "1"]
+    assert main([*argv, "--mode", mode, "--out", str(path)]) == 0
+    set_initial = lambda d: d["seed"].update(initial=["1/0", "5", "8"])  # noqa: E731
+    path.write_text(edited(path.read_text(encoding="utf-8"), set_initial), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--checks", "descartes"]) == 2
+    assert capsys.readouterr() == ("", zero_denominator_error("1/0", mode))
+
+
+def test_cli_integrality_refuses_a_negative_certify_depth_before_any_output(capsys):
+    argv = ["integrality", "--solid", "tetrahedron", "--initial=-3,5,8", "--certify-depth", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: depth must be nonnegative\n")
 
 
 def test_cli_integrality_uncertified_exits_one(capsys):
