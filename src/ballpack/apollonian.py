@@ -41,6 +41,7 @@ from .exactnum import (
     compare,
     exact_sqrt,
     is_float_data,
+    one_field,
     ratio,
     row_vector,
     scalar_parts,
@@ -114,15 +115,14 @@ def canonical_ball_key(b: Ball) -> tuple:
 def _is_involution(m: MobiusMap) -> bool:
     """m @ m is the identity.  An exact map is tested on its kept row
     (:func:`lorentz.row_of`), (A + B sqrt f) num/den: in python ints,
-    (A A + f B B) num^2 = den^2 I and A B + B A = 0.  Float maps, and maps
-    whose entries lie in two fields, take the scalar product and
-    ``compare``."""
+    (A A + f B B) num^2 = den^2 I and A B + B A = 0.  Float maps take the
+    scalar product and ``compare``."""
     n = len(m.mat)
     row = row_of(m)
-    if row is not None and len(row[4]) <= 1:
-        A, B, num, den, fields = row
+    if row is not None:
+        A, B, num, den, f = row
         A, B = (linalg.mat(v[i : i + n] for i in range(0, n * n, n)) for v in (A, B))
-        f, mul = next(iter(fields), 0), linalg.mat_mul
+        mul = linalg.mat_mul
         real = [[x + f * y for x, y in zip(*r)] for r in zip(mul(A, A), mul(B, B))]
         surd = [[x + y for x, y in zip(*r)] for r in zip(mul(A, B), mul(B, A))]
         one, scale = den * den, num * num
@@ -439,8 +439,12 @@ def packing_from_curvatures(s: Solid, triple) -> BallArrangement:
     tangent to the next).  The image is pinned by a future light-like vector
     reproducing the curvature functional, so all remaining curvatures follow
     from the solid's own relations.  Facet balls are attached and ride along.
-    The packing is exact unless a curvature is a float.
+    The packing is exact unless a curvature is a float.  In dimension d >= 3
+    three products and the light cone leave a family of y, so it is refused.
     """
+    if s.dimension >= 3:
+        why = f"in dimension {s.dimension} they leave a family of seeds"
+        raise ValueError(f"three curvatures do not determine a seed of {s.name}: {why}")
     triple = tuple(triple)
     if len(triple) != 3:
         raise ValueError("need exactly three consecutive curvatures")
@@ -765,10 +769,7 @@ def _exact_cluster(seed: BallArrangement, maps, depth: int, dtype=None) -> _Stor
     nb = seed.dimension + 2
     seed_rows = [row_of(b) for b in seed.balls]
     gen_rows = [row_of(g) for g in maps]
-    moduli = sorted(set().union(*(r[4] for r in seed_rows + gen_rows)))
-    if len(moduli) > 1:
-        raise ValueError(f"cannot mix the fields Q(sqrt {moduli[0]}) and Q(sqrt {moduli[1]})")
-    m = moduli[0] if moduli else 0
+    m = one_field(*(r[4] for r in seed_rows + gen_rows))
     mats_int = [([a * num for a in A], [b * num for b in B]) for A, B, num, _, _ in gen_rows]
     den_gens = [den for *_, den, _ in gen_rows]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -107,15 +108,22 @@ def parse_initial(text: str, mode: str) -> tuple:
     toks = [t for t in text.split(",") if t.strip()]
     if len(toks) != 3:
         raise ValueError(f"--initial needs three comma-separated values, got {text!r}")
-    if mode == "float":
-        out = []
-        for t in toks:
-            try:
-                out.append(approx(parse_exact_curvature(t)))
-            except ValueError:
-                out.append(float(t))
-        return tuple(out)
-    return tuple(parse_exact_curvature(t) for t in toks)
+    return tuple(map(_float_curvature if mode == "float" else parse_exact_curvature, toks))
+
+
+def _float_curvature(token: str) -> float:
+    """A float literal, or else an exact curvature rounded: a token neither
+    reads keeps the exact parser's error.  Non-finite values are refused."""
+    try:
+        x = float(token)
+    except ValueError:
+        try:
+            x = approx(parse_exact_curvature(token))
+        except OverflowError:
+            x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"curvature {token.strip()!r} is not finite")
+    return x
 
 
 # -- small I/O helpers --------------------------------------------------------
@@ -570,15 +578,11 @@ def _fold_value_options(argv) -> list:
     lets curvature lists start with a negative entry.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a == "--initial" and i + 1 < len(argv):
-            out.append(f"{a}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(a)
-        i += 1
+    for a in argv:
+        if out and out[-1] == "--initial":
+            out[-1] += f"={a}"
+        else:
+            out.append(a)
     return out
 
 

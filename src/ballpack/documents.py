@@ -40,6 +40,7 @@ from .exactnum import (
     exact_row,
     field_modulus,
     is_float_data,
+    one_field,
     quad_sign,
     quad_value,
     scalar_parts,
@@ -145,10 +146,13 @@ def _matrix(rows: list, width: int, dtype) -> np.ndarray:
 
 
 def _stack(rows: list, width: int) -> tuple:
-    """The row arrays of a list of :func:`exactnum.exact_row` results, and
-    their one field modulus (0 for Q)."""
-    moduli = set().union(*(r[4] for r in rows))
-    if len(moduli) > 1:
+    """The row arrays of :func:`exactnum.exact_row` results, None for a vector
+    in two fields, and their one field modulus (0 for Q)."""
+    try:
+        m = None if None in rows else one_field(*(r[4] for r in rows))
+    except ValueError:
+        m = None
+    if m is None:
         raise ValueError("document mixes quadratic fields")
     arrays = {
         "A": _matrix([r[0] for r in rows], width, object),
@@ -156,7 +160,7 @@ def _stack(rows: list, width: int) -> tuple:
         "num": np.array([r[2] for r in rows], dtype=object),
         "den": np.array([r[3] for r in rows], dtype=object),
     }
-    return arrays, moduli.pop() if moduli else 0
+    return arrays, m
 
 
 def _exact_mode(m: int) -> str:
@@ -232,8 +236,8 @@ class PackingDocument:
         if self.is_float:
             return Ball(tuple(self.rows["V"][i].tolist()), _checked=True)
         r, B = self.rows, self.rows["B"][i].tolist()
-        fields = {self.m} if self.m and any(B) else set()
-        return ball_from_row((r["A"][i].tolist(), B, r["num"][i], r["den"][i], fields))
+        m = self.m if any(B) else 0
+        return ball_from_row((r["A"][i].tolist(), B, r["num"][i], r["den"][i], m))
 
     def vector(self, i: int) -> tuple:
         """The inversive vector of ball i: floats, or Fractions and QuadScalars."""
@@ -545,7 +549,10 @@ def from_json(text: str) -> PackingDocument:
         v, *provenance = _entry_from_dict(raw, floaty)
         raw_entries[i] = None  # the parsed JSON is freed as its rows are made
         entries.append((len(v), *provenance))
-        vectors.append(v if floaty else exact_row(v))
+        try:
+            vectors.append(v if floaty else exact_row(v))
+        except ValueError:  # refused with the document's other vectors, below
+            vectors.append(None)
     solid = _field(payload, "solid", str, None, nullable=True)
     seed = _field(payload, "seed", dict, None, nullable=True) or {}
     width = dimension + 2

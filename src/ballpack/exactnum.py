@@ -2,7 +2,7 @@
 
 A :class:`QuadScalar` stores a + b*sqrt(m) with rational a, b.  Values with
 b == 0 are field-agnostic (m is ``None``) and combine freely with values from
-any concrete field; combining two values with different concrete m raises.
+any concrete field; two concrete fields are refused (:func:`one_field`).
 
 Floats never silently mix with exact values: arithmetic between a QuadScalar
 and a float raises TypeError, so a computation is either exact end to end or
@@ -14,12 +14,12 @@ documents share.  A scalar travels as its parts (pa, qa, pb, qb, m), the value
 pa/qa + (pb/qb) sqrt(m) with qa, qb nonzero and m = 0 when it is rational
 (:func:`scalar_parts`, :func:`quad_value`).  A vector travels as one row
 (A + B sqrt m) * num/den: A and B a primitive integer vector (the gcd of all
-their entries is 1) and num/den > 0 in lowest terms, or a zero row with
-num/den = 0/1 (:func:`exact_row`, :func:`row_vector`).  The row of a vector is
-unique, so two rows are equal exactly when their vectors are.  Sums and
-products of rows stay integer pairs X + Y sqrt m, :func:`quad_sign` reads
-their exact sign, and :func:`scaled_row` puts a vector of such pairs back
-into row form.
+their entries is 1), num/den > 0 in lowest terms or 0/1 for a zero row, and
+m one int, 0 when B is zero (:func:`exact_row`, :func:`row_vector`); a
+vector in two fields has no row.  The row of a vector is unique, so two rows
+are equal exactly when their vectors are.  Sums and products of rows stay
+integer pairs X + Y sqrt m, :func:`quad_sign` reads their exact sign, and
+:func:`scaled_row` puts a vector of such pairs back into row form.
 """
 
 from __future__ import annotations
@@ -56,6 +56,18 @@ def _square_part(n: int) -> tuple:
             m *= d
         d += 1
     return k, m * n
+
+
+def one_field(*moduli) -> int:
+    """The one field modulus among ``moduli`` (0 or None for Q), 0 if none;
+    two fields are refused, the first operand's named first."""
+    m = 0
+    for f in moduli:
+        if f and f != m:
+            if m:
+                raise ValueError(f"cannot mix fields Q(sqrt {m}) and Q(sqrt {f})")
+            m = f
+    return m
 
 
 def field_modulus(m: int) -> int:
@@ -105,7 +117,7 @@ class QuadScalar:
             return other.m
         if other.m is None or other.m == self.m:
             return self.m
-        raise ValueError(f"cannot mix fields Q(sqrt {self.m}) and Q(sqrt {other.m})")
+        return one_field(self.m, other.m)  # two fields: refused
 
     @property
     def is_rational(self) -> bool:
@@ -306,10 +318,7 @@ def sqrt_if_expressible(x: ScalarLike, m: Optional[int] = None) -> Optional[Quad
         raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
     if q.sign() < 0:
         raise ValueError("square root of a negative value")
-    if m is None:
-        m = q.m
-    elif q.m is not None and q.m != m:
-        raise ValueError(f"value lives in Q(sqrt {q.m}), not Q(sqrt {m})")
+    m = one_field(q.m, m) or None
 
     if q.b == 0:
         r = _rational_sqrt(q.a)
@@ -399,12 +408,10 @@ def is_ring_integer(x: ScalarLike, ring: str) -> bool:
     if ring == RING_Z:
         return q.b == 0 and q.a.denominator == 1
     if ring == RING_Z_SQRT2:
-        if q.m not in (None, 2):
-            raise ValueError(f"value lives in Q(sqrt {q.m}), incompatible with {ring}")
+        one_field(q.m, 2)
         return q.a.denominator == 1 and q.b.denominator == 1
     if ring == RING_Z_PHI:
-        if q.m not in (None, 5):
-            raise ValueError(f"value lives in Q(sqrt {q.m}), incompatible with {ring}")
+        one_field(q.m, 5)
         # a + b sqrt5 = (a - b) + 2b * phi
         return (q.a - q.b).denominator == 1 and (2 * q.b).denominator == 1
     raise ValueError(f"unknown ring {ring!r}")
@@ -433,21 +440,22 @@ def quad_value(parts, m: int):
 
 
 def exact_row(parts) -> tuple:
-    """(A, B, num, den, moduli) of a vector given as the parts of its scalars.
+    """(A, B, num, den, m) of a vector given as the parts of its scalars.
 
     The vector is put over the lcm of its denominators and its content is
     pulled out as num/den, so A and B are lists of ints that form a primitive
-    row.  ``moduli`` is the set of field moduli of the irrational scalars.
+    row.  m is the one field modulus of the irrational scalars
+    (:func:`one_field`), 0 when B is zero.
     """
+    m = one_field(*(x[4] for x in parts))
     lcm = math.lcm(*(x[1] for x in parts), *(x[3] for x in parts))
     a = [pa * (lcm // qa) for pa, qa, _, _, _ in parts]
     b = [pb * (lcm // qb) for _, _, pb, qb, _ in parts]
     c = math.gcd(*a, *b)
-    moduli = {x[4] for x in parts} - {0}
     if not c:
-        return a, b, 0, 1, moduli
+        return a, b, 0, 1, m
     g = math.gcd(c, lcm)
-    return [x // c for x in a], [x // c for x in b], c // g, lcm // g, moduli
+    return [x // c for x in a], [x // c for x in b], c // g, lcm // g, m
 
 
 def scaled_row(A, B, num: int, den: int, m: int) -> tuple:
@@ -456,13 +464,12 @@ def scaled_row(A, B, num: int, den: int, m: int) -> tuple:
     the exact maps and balls ends here, without a scalar in between."""
     c = math.gcd(*A, *B)
     if not c or not num:
-        return [0] * len(A), [0] * len(B), 0, 1, set()
+        return [0] * len(A), [0] * len(B), 0, 1, 0
     if (num < 0) != (den < 0):
         c = -c
     num, den = abs(num * c), abs(den)
     g = math.gcd(num, den)
-    moduli = {m} if m and any(B) else set()
-    return [x // c for x in A], [x // c for x in B], num // g, den // g, moduli
+    return [x // c for x in A], [x // c for x in B], num // g, den // g, m if any(B) else 0
 
 
 def row_vector(A, B, num: int, den: int, m: int) -> tuple:

@@ -26,9 +26,10 @@ image of a ball (an integer matrix-row product) and the matrix I - 2 x xT Q
 (integer outer products) never pass through Fraction arithmetic.  The balls
 they and the documents make are born with their rows (:func:`ball_from_row`)
 and build their scalar vectors only when read, so classifying two of them
-reads no scalar.  Float data, and data whose coordinates lie in two
-quadratic fields, take the scalar formulas, which refuse the mixed fields
-where two irrational parts meet.
+reads no scalar.  Only float data takes the scalar formulas.  Exact data
+whose coordinates lie in two quadratic fields has no row: it is refused
+where its row is made, or where two rows in different fields meet
+(:func:`exactnum.one_field`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .exactnum import (
     exact_row,
     exact_sqrt,
     is_float_data,
+    one_field,
     quad_sign,
     quad_value,
     ratio,
@@ -111,7 +113,7 @@ class Ball:
     def __getattr__(self, name):  # only for an unset slot: a row-born ball's vector
         if name != "v":
             raise AttributeError(name)
-        object.__setattr__(self, "v", row_vector(*self._row[:4], next(iter(self._row[4]), 0)))
+        object.__setattr__(self, "v", row_vector(*self._row))
         return self.v
 
     @property
@@ -241,14 +243,14 @@ EQUAL = "equal"
 def _is_past_directed(b: Ball) -> bool:
     """Whether b's last coordinate is negative, read on its row when exact."""
     row = row_of(b)
-    m = _one_field(row)
-    return (scalar_sign(b.v[-1]) if m is None else quad_sign(row[0][-1], row[1][-1], m)) < 0
+    sign = scalar_sign(b.v[-1]) if row is None else quad_sign(row[0][-1], row[1][-1], row[4])
+    return sign < 0
 
 
 def row_of(x) -> Optional[tuple]:
     """The ``exactnum.exact_row`` of an exact ball's vector, or of an exact
-    map's matrix read row by row; None when it holds a float.  Made once and
-    kept."""
+    map's matrix read row by row; None when it holds a float, and refused
+    when it lies in two fields.  Made once and kept."""
     try:
         return x._row
     except AttributeError:
@@ -274,16 +276,11 @@ def _exact_product(b1: Ball, b2: Ball) -> tuple:
 
     With rows x = (A1 + B1 sqrt m) n1/d1 and y = (A2 + B2 sqrt m) n2/d2,
     X = (A1.A2 + m B1.B2) n1 n2, Y = (A1.B2 + B1.A2) n1 n2 and D = d1 d2.
-    Rows in two fields take the product of their scalars, which refuses to
-    mix the fields wherever two irrational parts meet.
+    Rows in two fields are refused.
     """
     A1, B1, n1, d1, f1 = row_of(b1)
     A2, B2, n2, d2, f2 = row_of(b2)
-    fields = f1 | f2
-    if len(fields) > 1:
-        pa, qa, pb, qb, m = scalar_parts(lorentz_product(b1.v, b2.v))
-        return pa * qb, pb * qa, qa * qb, m
-    m, n = next(iter(fields), 0), n1 * n2
+    m, n = one_field(f1, f2), n1 * n2
     x = lorentz_product(A1, A2) + m * lorentz_product(B1, B2)
     y = lorentz_product(A1, B2) + lorentz_product(B1, A2)
     return x * n, y * n, d1 * d2, m
@@ -388,24 +385,14 @@ def _validate_lorentz(mat) -> None:
         raise ValueError("matrix is not orthochronous")
 
 
-def _one_field(*rows) -> Optional[int]:
-    """The one field modulus (0 for Q) of exact rows, or None when a row
-    holds a float or the rows lie in two quadratic fields."""
-    if any(r is None for r in rows):
-        return None
-    fields = set().union(*(r[4] for r in rows))
-    return None if len(fields) > 1 else next(iter(fields), 0)
-
-
 def inversion_map(b: Ball) -> MobiusMap:
     """The inversion in b as a Lorentz matrix, I - 2 x xT Q; for an exact
     x = (A + B sqrt m) num/den, :func:`_integer_reflection` with c =
     num^2/den^2."""
     row = row_of(b)
-    m = _one_field(row)
-    if m is None:
+    if row is None:
         return _scalar_reflection(b.v)
-    A, B, num, den, _ = row
+    A, B, num, den, m = row
     return _integer_reflection(A, B, m, (num * num, 0, den * den))
 
 
@@ -416,11 +403,10 @@ def reflection_map(n, scale=None) -> Optional[MobiusMap]:
     num/den, <n, n> is (X + Y sqrt m) num^2/den^2 and the scale cancels:
     :func:`_integer_reflection` with c = 1/(X + Y sqrt m)."""
     row = _values_row(n)
-    m = _one_field(row)
-    if m is None:
+    if row is None:
         nn = lorentz_product(n, n)
         return None if compare(nn, 0, scale) <= 0 else _scalar_reflection(n, nn)
-    A, B = row[:2]
+    A, B, _, _, m = row
     X = lorentz_product(A, A) + m * lorentz_product(B, B)
     Y = 2 * lorentz_product(A, B)
     if quad_sign(X, Y, m) <= 0:
@@ -430,7 +416,7 @@ def reflection_map(n, scale=None) -> Optional[MobiusMap]:
 
 def _scalar_reflection(v, nn=None) -> MobiusMap:
     """I - 2 v vT Q, over nn when given, in scalar arithmetic: for float
-    vectors and vectors in two fields."""
+    vectors only."""
     n = len(v)
     rows = []
     for i in range(n):
@@ -459,7 +445,7 @@ def _integer_reflection(A, B, m: int, c: tuple) -> MobiusMap:
             MA.append((cd if i == j else 0) - q * (cp * p + m * cq * r))
             MB.append(-q * (cp * r + cq * p))
     row = scaled_row(MA, MB, 1, cd, m)
-    flat = row_vector(*row[:4], m)
+    flat = row_vector(*row)
     out = MobiusMap(tuple(flat[i : i + n] for i in range(0, n * n, n)), check=False)
     object.__setattr__(out, "_row", row)
     return out
@@ -469,16 +455,16 @@ def apply_map(m: MobiusMap, b: Ball) -> Ball:
     """The image ball m(b); a float image is renormalized onto the unit shell.
 
     An exact image is the integer product of the map's row and the ball's,
-    (MA + MB sqrt f)(A + B sqrt f) over den_M den_b.  The float drift
-    allowed is the rounding of w = M b, whose norm's terms have size
+    (MA + MB sqrt f)(A + B sqrt f) over den_M den_b, with f the one field of
+    the two rows.  Only a float map or ball takes the scalar product; its
+    drift allowed is the rounding of w = M b, whose norm's terms have size
     sum_i (sum_k |M_ik b_k|)^2.
     """
     mrow, brow = row_of(m), row_of(b)
-    f = _one_field(mrow, brow)
-    if f is not None:
-        MA, MB, mn, md, _ = mrow
-        A, B, n, d, _ = brow
-        k = len(m.mat)
+    if mrow is not None and brow is not None:
+        MA, MB, mn, md, fm = mrow
+        A, B, n, d, fb = brow
+        f, k = one_field(fm, fb), len(m.mat)
         xa, xb = [], []
         for i in range(0, k * k, k):
             ra, rb = MA[i : i + k], MB[i : i + k]
@@ -486,14 +472,12 @@ def apply_map(m: MobiusMap, b: Ball) -> Ball:
             xb.append(sum(map(mul, ra, B)) + sum(map(mul, rb, A)))
         return ball_from_row(scaled_row(xa, xb, mn * n, md * d, f))
     w = linalg.mat_vec(m.mat, b.v)
-    if is_float_data(w):
-        n = lorentz_product(w, w)
-        terms = lambda: sum(product_scale(r, b.v) ** 2 for r in m.mat)
-        if n <= 0 or compare(n, 1, terms) != 0:
-            raise ValueError(f"map output drifted off the unit shell by {abs(n - 1)}")
-        r = math.sqrt(n)
-        w = tuple(x / r for x in w)
-    return Ball(w, _checked=True)
+    n = lorentz_product(w, w)
+    terms = lambda: sum(product_scale(r, b.v) ** 2 for r in m.mat)
+    if n <= 0 or compare(n, 1, terms) != 0:
+        raise ValueError(f"map output drifted off the unit shell by {abs(n - 1)}")
+    r = math.sqrt(n)
+    return Ball(tuple(x / r for x in w), _checked=True)
 
 
 # -- the projective light-source model ----------------------------------------
@@ -518,20 +502,19 @@ def light_source_balls(points) -> tuple:
 
     An exact u is taken on its row (A + B sqrt m) num/den: |u|^2 - 1 is
     the integer pair (X + Y sqrt m)/den^2, and 1/s multiplies the row's
-    integers.  Each distinct |u|^2 has its square root taken once.  Float
-    sources, and sources whose coordinates lie in two fields, take the
-    scalar formula, which refuses the mixed fields.
+    integers.  Each distinct |u|^2 has its square root taken once, and a
+    root in another field than u's is refused.  Only float sources take the
+    scalar formula.
     """
     inverse_roots = {}
     out = []
     for u in points:
         u = tuple(u)
         row = _values_row(u)
-        m = _one_field(row)
-        if m is None:
+        if row is None:
             out.append(_scalar_light_source_ball(u))
             continue
-        A, B, num, den, _ = row
+        A, B, num, den, m = row
         n2, one = num * num, den * den
         X = (sum(map(mul, A, A)) + m * sum(map(mul, B, B))) * n2 - one
         Y = 2 * sum(map(mul, A, B)) * n2
@@ -541,10 +524,8 @@ def light_source_balls(points) -> tuple:
         if key not in inverse_roots:
             inverse_roots[key] = scalar_parts(ratio(1, exact_sqrt(key)))
         pa, qa, pb, qb, r = inverse_roots[key]
-        if pb and row[4] and r != m:  # as the scalar division u_i / s refuses
-            raise ValueError(f"cannot mix fields Q(sqrt {m}) and Q(sqrt {r})")
         # (u, 1)/s = (A num + B num sqrt m, den) (pa qb + pb qa sqrt r) / (den qa qb)
-        f, P, Q = m or r, pa * qb, pb * qa
+        f, P, Q = one_field(m, r), pa * qb, pb * qa
         UA, UB = [a * num for a in A] + [den], [b * num for b in B] + [0]
         VA = [a * P + f * b * Q for a, b in zip(UA, UB)]
         VB = [b * P + a * Q for a, b in zip(UA, UB)]
@@ -553,9 +534,9 @@ def light_source_balls(points) -> tuple:
 
 
 def _scalar_light_source_ball(u: tuple) -> Ball:
+    """(u, 1)/s with s^2 = |u|^2 - 1, in scalar arithmetic: for a float u only."""
     u2 = sum(x * x for x in u)
     if compare(u2, 1) <= 0:
         raise ValueError("light source must lie strictly outside the unit sphere")
-    s = exact_sqrt(u2 - 1)
-    v = tuple(ratio(x, s) for x in u) + (ratio(1, s),)
-    return Ball(v)
+    s = math.sqrt(u2 - 1)
+    return Ball(tuple(x / s for x in u) + (1 / s,))

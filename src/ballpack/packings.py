@@ -178,7 +178,7 @@ def pair_screen(balls):
         return
     rows = [row_of(b) for b in balls]
     floaty = all(r is None for r in rows)
-    fields = set().union(*(r[4] for r in rows if r is not None))
+    fields = {r[4] for r in rows if r is not None} - {0}
     one_kind = (
         all(isinstance(c, float) for b in balls for c in b.v) if floaty
         else all(r is not None for r in rows) and len(fields) < 2
@@ -192,7 +192,7 @@ def pair_screen(balls):
         mag = np.abs(x)
     else:  # a row that does not convert stays zero, and a zero row proves nothing
         x, mag = np.zeros((n, width)), np.zeros((n, width))
-        root = math.sqrt(next(iter(fields), 0))
+        root = math.sqrt(max(fields, default=0))
         for i, (A, B, num, den, _) in enumerate(rows):
             with suppress(OverflowError):
                 x[i], mag[i] = (
@@ -209,8 +209,8 @@ def pair_screen(balls):
     top = np.abs(x).max(axis=1)
     for lo in range(0, n, _SCREEN_ROWS):
         hi = min(lo + _SCREEN_ROWS, n)
-        s = sum(mag[lo:hi, k, None] * mag[None, lo:, k] for k in range(width))
-        bound = sum(xq[lo:hi, k, None] * x[None, lo:, k] for k in range(width))
+        s = mag[lo:hi] @ mag[lo:].T
+        bound = xq[lo:hi] @ x[lo:].T
         bound += cu * s
         if floaty:
             bound += FLOAT_REL * np.maximum(1.0, s)

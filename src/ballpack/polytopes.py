@@ -21,7 +21,9 @@ vertex's :func:`exactnum.exact_row` is taken once and put over a common
 denominator, so every squared distance and dot product is an integer pair
 X + Y sqrt m whose sign :func:`exactnum.quad_sign` reads.  A polar dual
 takes each facet's vertex from the facet's barycenter (:func:`polar_dual`),
-on the same integer rows when the vertices are exact.
+on the same integer rows when the vertices are exact.  Only float vertices
+take the scalar formulas; exact vertices in two quadratic fields are refused
+(:func:`exactnum.one_field`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .exactnum import (
     exact_row,
     exact_sqrt,
     is_float_data,
+    one_field,
     phi,
     quad_sign,
     ratio,
@@ -396,7 +399,7 @@ def _cross_lattice(n: int) -> dict:
 def _integer_coords(verts) -> Optional[tuple]:
     """(rows, m, D): each vertex as a pair (a, b) of int lists, the vertex
     being (a + b sqrt m) / D over one common positive denominator D; None
-    when a coordinate is a float or the vertices lie in two fields.
+    when a coordinate is a float.  Vertices in two fields are refused.
 
     Each vertex's :func:`exact_row` is taken once; D drops out of every
     comparison below, which compares values of equal scale only.
@@ -404,15 +407,12 @@ def _integer_coords(verts) -> Optional[tuple]:
     if any(is_float_data(v) for v in verts):
         return None
     parts = [exact_row([scalar_parts(x) for x in v]) for v in verts]
-    moduli = set().union(*(r[4] for r in parts))
-    if len(moduli) > 1:
-        return None
     lcm = math.lcm(*(den for _, _, _, den, _ in parts))
     rows = []
     for A, B, num, den, _ in parts:
         k = num * (lcm // den)
         rows.append(([x * k for x in A], [x * k for x in B]))
-    return rows, max(moduli, default=0), lcm
+    return rows, one_field(*(r[4] for r in parts)), lcm
 
 
 def _quad_dot(u, v, m: int) -> tuple:
@@ -628,12 +628,11 @@ def _row_polar_vertex(coords, idx) -> tuple:
     # S D / (X + Y sqrt m) = S D (X - Y sqrt m) / (X^2 - m Y^2)
     VA = [a * X - m * b * Y for a, b in zip(*S)]
     VB = [b * X - a * Y for a, b in zip(*S)]
-    return row_vector(*scaled_row(VA, VB, D, X * X - m * Y * Y, m)[:4], m)
+    return row_vector(*scaled_row(VA, VB, D, X * X - m * Y * Y, m))
 
 
 def _scalar_polar_vertex(p: Polytope, idx) -> tuple:
-    """c / <u, c> in scalar arithmetic, for float vertices and vertices in
-    two fields."""
+    """c / <u, c> in scalar arithmetic: for float vertices only."""
     c = face_barycenter(p, idx)
     u = p.vertices[idx[0]]
     uc = sum(x * y for x, y in zip(u, c))

@@ -33,6 +33,7 @@ from .exactnum import (
     exact_sqrt,
     is_float_data,
     is_ring_integer,
+    one_field,
     phi,
     ratio,
     scalar_parts,
@@ -164,7 +165,7 @@ def verify_flag_relation(s: Solid, kappas):
 def exact_flag_residuals(s: Solid, chains, kappas):
     """Each flag's :func:`verify_flag_relation` residual, up to one positive
     factor, as integers (x, y) for x + y sqrt m; None when a curvature or the
-    L ladder is a float, or when the two lie in different fields.
+    L ladder is a float.  Values in two fields are refused.
 
     ``kappas`` are the exact vertex curvatures of a projection of ``s`` and
     ``chains`` its flags, each a chain of faces of rank 0..d given as sets of
@@ -184,10 +185,7 @@ def exact_flag_residuals(s: Solid, chains, kappas):
     coeffs = [1, *(-ratio(lv[-1], lv[i + 1] - lv[i]) for i in range(top))]
     E, F, _, _, f1 = exact_row([scalar_parts(c) for c in coeffs])
     A, B, _, _, f2 = exact_row([scalar_parts(k) for k in kappas])
-    fields = f1 | f2
-    if len(fields) > 1:
-        return None
-    m = next(iter(fields), 0)
+    m = one_field(f1, f2)
     faces = {f for chain in chains for f in chain}
     n = math.lcm(len(kappas), *map(len, faces))
 

@@ -6,7 +6,9 @@ curvature sums, and `apollonian._is_involution` squares an exact map on
 its integer row.  Each must give the answer of the same computation in
 Fraction and QuadScalar arithmetic: the relation, or the error type and
 message, of every pair; a zero residual on exactly the flags whose scalar
-residual is zero; and the same involution verdicts.
+residual is zero; and the same involution verdicts.  The one exception is a
+pair of balls in two quadratic fields, which is refused even where the
+scalar product would never multiply two irrational parts.
 """
 
 import contextlib
@@ -94,6 +96,7 @@ def built(b: Ball, relation: str) -> Ball:
 
 
 BUILT = (EQUAL, NESTED, INTERNALLY_TANGENT, OVERLAPPING, ORTHOGONAL)
+PAST_DIRECTED = "cannot classify a pair of past-directed balls"
 
 
 def outcome(classify, b1, b2):
@@ -105,6 +108,21 @@ def outcome(classify, b1, b2):
 
 def negated(b: Ball) -> Ball:
     return Ball(tuple(-x for x in b.v))
+
+
+def field_of(b: Ball) -> int:
+    """The modulus of b's irrational coordinates, 0 when it has none."""
+    return next((x.m for x in b.v if isinstance(x, QuadScalar) and x.m), 0)
+
+
+def expected(b1: Ball, b2: Ball):
+    """The oracle's outcome, but balls in two fields are refused, both
+    fields named in operand order, unless both are past-directed."""
+    want = outcome(oracle.classify_pair, b1, b2)
+    f1, f2 = field_of(b1), field_of(b2)
+    if f1 and f2 and f1 != f2 and want != (ValueError, PAST_DIRECTED):
+        return ValueError, f"cannot mix fields Q(sqrt {f1}) and Q(sqrt {f2})"
+    return want
 
 
 @st.composite
@@ -128,8 +146,8 @@ def pairs(draw):
 @given(pairs())
 def test_an_exact_pair_is_classified_as_the_scalar_oracle_does(pair):
     b1, b2 = pair
-    assert outcome(classify_pair, b1, b2) == outcome(oracle.classify_pair, b1, b2)
-    assert outcome(classify_pair, b2, b1) == outcome(oracle.classify_pair, b2, b1)
+    assert outcome(classify_pair, b1, b2) == expected(b1, b2)
+    assert outcome(classify_pair, b2, b1) == expected(b2, b1)
 
 
 @pytest.mark.parametrize("source", [SOURCES[2], SOURCES[11], SOURCES[-3]], ids=["Q2", "Q5", "Q"])
@@ -153,12 +171,14 @@ def test_refusals_keep_their_messages():
         assert outcome(oracle.classify_pair, b1, b2) == (ValueError, error)
 
 
-def test_two_fields_whose_irrational_parts_never_meet_classify():
-    """A product that the scalars can form is formed, whatever the fields."""
+def test_two_fields_whose_irrational_parts_never_meet_are_refused():
+    """The scalars could form this product, but two rows meet in two fields."""
     root2, root3 = QuadScalar(0, 1, 2), QuadScalar(0, 1, 3)
     a = ball_from_geometry(2, center=(root2, 0), curvature=1)
     b = ball_from_geometry(2, center=(0, root3), curvature=1)
-    assert classify_pair(a, b) == oracle.classify_pair(a, b) == "disjoint"
+    assert oracle.classify_pair(a, b) == "disjoint"
+    assert outcome(classify_pair, a, b) == (ValueError, "cannot mix fields Q(sqrt 2) and Q(sqrt 3)")
+    assert outcome(classify_pair, b, a) == (ValueError, "cannot mix fields Q(sqrt 3) and Q(sqrt 2)")
 
 
 # -- the flag kernel ------------------------------------------------------------

@@ -162,10 +162,15 @@ def test_light_sources_on_or_inside_the_sphere_are_refused_as_the_oracle_refuses
             build(p)
 
 
-def test_light_sources_in_two_fields_take_the_scalar_path():
+def test_light_sources_in_two_fields_are_refused():
+    """The scalar formula would divide each coordinate by s = 2 and never
+    multiply sqrt 2 by sqrt 3, but a source in two fields has no row."""
     r2, r3 = sqrt_int(2), sqrt_int(3)
     p = Polytope(((r2, r3, 0), (r3, 0, r2)), {0: (frozenset([0]), frozenset([1]))})
-    assert project(p).balls == frame_oracle.project(p).balls
+    assert len(frame_oracle.project(p).balls) == 2
+    with pytest.raises(ValueError) as got:
+        project(p)
+    assert str(got.value) == "cannot mix fields Q(sqrt 2) and Q(sqrt 3)"
 
 
 @pytest.mark.parametrize(

@@ -679,9 +679,8 @@ def test_cli_integrality_of_a_seed_outside_the_ring_is_not_certified(solid, caps
 ZERO_DENOMINATORS = ("1/0", "00/00")
 
 
-def zero_denominator_error(bad: str, mode: str) -> str:
-    if mode == "float":  # a float token that is no exact value is read by float()
-        return f"error: could not convert string to float: {bad!r}\n"
+def zero_denominator_error(bad: str) -> str:
+    # float() reads no such token either, so float mode keeps the exact error
     return f"error: malformed curvature {bad!r}\n"
 
 
@@ -691,14 +690,14 @@ def test_cli_cluster_refuses_a_zero_denominator(bad, mode, tmp_path, capsys):
     out = tmp_path / "c.json"
     argv = ["cluster", "--solid", "tetrahedron", f"--initial={bad},1,1", "--mode", mode]
     assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", zero_denominator_error(bad, mode))
+    assert capsys.readouterr() == ("", zero_denominator_error(bad))
     assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ZERO_DENOMINATORS)
 def test_cli_integrality_refuses_a_zero_denominator(bad, capsys):
     assert main(["integrality", "--solid", "tetrahedron", f"--initial={bad},1,1"]) == 2
-    assert capsys.readouterr() == ("", zero_denominator_error(bad, "exact"))
+    assert capsys.readouterr() == ("", zero_denominator_error(bad))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -710,13 +709,48 @@ def test_cli_verify_refuses_a_seed_record_with_a_zero_denominator(mode, tmp_path
     path.write_text(edited(path.read_text(encoding="utf-8"), set_initial), encoding="utf-8")
     capsys.readouterr()
     assert main(["verify", "--in", str(path), "--checks", "descartes"]) == 2
-    assert capsys.readouterr() == ("", zero_denominator_error("1/0", mode))
+    assert capsys.readouterr() == ("", zero_denominator_error("1/0"))
 
 
 def test_cli_integrality_refuses_a_negative_certify_depth_before_any_output(capsys):
     argv = ["integrality", "--solid", "tetrahedron", "--initial=-3,5,8", "--certify-depth", "-1"]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: depth must be nonnegative\n")
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0phi", "sqrt"])
+def test_cli_float_cluster_keeps_the_exact_parsers_error(bad, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", f"--initial=1,{bad},1", "--mode", "float"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed curvature {bad!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "1" + "0" * 400])
+def test_cli_float_cluster_refuses_a_curvature_that_is_not_finite(bad, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", f"--initial={bad},1,1", "--mode", "float"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: curvature {bad!r} is not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("solid, d", [("orthoplex-4", 3), ("cube-5", 4)])
+def test_cli_cluster_refuses_a_seed_beyond_polyhedra(solid, d, mode, tmp_path, capsys):
+    """In d >= 3 three curvatures leave a family of seeds, not one."""
+    why = (
+        f"three curvatures do not determine a seed of {solid}: "
+        f"in dimension {d} they leave a family of seeds"
+    )
+    with pytest.raises(ValueError, match=why):
+        packing_from_curvatures(solid_from_name(solid), (-1, 2, 2))
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", solid, "--initial=-1,2,2", "--depth", "1", "--mode", mode]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+    assert not out.exists()
 
 
 def test_cli_integrality_uncertified_exits_one(capsys):
