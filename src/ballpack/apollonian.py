@@ -25,7 +25,8 @@ entries that a document stores.
 An exact seed's balls and facet balls, its normalizing reflection and the
 facet-ball inversions are made on integer rows (see :mod:`lorentz`), and
 the cluster engine and the involution check read those rows as they were
-made; only the light-like vector y of the seed solve is found in scalars.
+made; only the seed's light-like vector y is found in scalars, by one Gram
+solve and one square root along the first face's dual ball.
 """
 
 from __future__ import annotations
@@ -320,89 +321,38 @@ def _solve_gram(g3, rhs, exact: bool):
     return tuple(float(x) for x in out)
 
 
-def _future_null_with_products(vectors, ks, exact: bool):
-    """A future light-like y with <y, x_i> = -k_i for the three anchors.
+def _future_null_with_products(anchors, b, ks, exact: bool):
+    """A future light-like y with <y, a_i> = -k_i for the three anchors.
 
-    The anchors span a rank-3 subspace; adding one more vertex vector turns
-    the constraints into a line, and the light-cone condition into a
-    quadratic whose two roots are the mirror completions.  The root with the
-    larger free coefficient is preferred.
+    The anchors, consecutive vertex balls of a 2-face, span the complement
+    of the face's unit dual ball b.  One Gram solve gives the y0 in their
+    span, and the light cone leaves y = y0 -+ t b, t = sqrt(-<y0, y0>): the
+    two solids over the face.  y0 - t b, tried first, gives each off-face
+    vertex ball x (<x, b> < 0) its smaller curvature.  A float -<y0, y0>
+    within rounding of 0 is a double root.
     """
-    anchors = vectors[:3]
     g3 = linalg.mat([[lorentz_product(u, v) for v in anchors] for u in anchors])
-    rhs = tuple(-k for k in ks)
     try:
-        c0 = _solve_gram(g3, rhs, exact)
+        c = _solve_gram(g3, tuple(-k for k in ks), exact)
     except ValueError:
         raise ValueError("anchor balls do not span a rank-3 subspace")
-    y0 = tuple(sum(c * x for c, x in zip(c0, cols)) for cols in zip(*anchors))
-    last_error = "curvature triple has no future-pointing realization"
-    for u in vectors[3:]:
-        gu = tuple(-lorentz_product(u, v) for v in anchors)
-        cn = _solve_gram(g3, gu, exact)
-        yn = tuple(
-            sum(c * x for c, x in zip(cn, cols)) + ux
-            for ux, cols in zip(u, zip(*anchors))
-        )
-        qa = lorentz_product(yn, yn)
-        qb = 2 * lorentz_product(y0, yn)
-        qc = lorentz_product(y0, y0)
-        # the terms of qa, qb and qc are at most (|y0| + |yn|)^2 <= size() in size
-        size = lambda: 2 * (product_scale(y0, y0) + product_scale(yn, yn))
-        try:
-            roots = _quadratic_roots(qa, qb, qc, size)
-        except ValueError as err:
-            last_error = str(err)
-            continue
-        for t in roots:
-            try:
-                y = tuple(a + t * b for a, b in zip(y0, yn))
-            except ValueError:
-                # the root lives in a different quadratic field than the
-                # packing's coordinates, so no exact realization exists
-                last_error = (
-                    "the normalizing square root is not expressible in the "
-                    "hosting field; use float mode for this seed"
-                )
-                break
-            if all(scalar_sign(x) == 0 for x in y):
-                continue
-            if scalar_sign(y[-1]) > 0:
-                return y
-    raise ValueError(last_error)
-
-
-def _quadratic_roots(qa, qb, qc, size) -> list:
-    """Real roots of qa t^2 + qb t + qc in a fixed order, exact on exact
-    input; size() bounds the terms of qa, qb and qc."""
-    if compare(qa, 0, size) == 0:
-        if compare(qb, 0, size) == 0:
-            if compare(qc, 0, size) != 0:
-                raise ValueError("curvature triple is not realizable on this solid")
-            return [0]
-        return [ratio(-qc, qb)]
-    disc = qb * qb - 4 * qa * qc
-    # disc's own terms, plus the first-order effect of rounding in qa, qb and qc
-    terms = lambda: qb * qb + 4 * abs(qa * qc) + 4 * size() * (abs(qa) + abs(qb) + abs(qc))
-    s = compare(disc, 0, terms)
+    y0 = tuple(sum(ci * x for ci, x in zip(c, cols)) for cols in zip(*anchors))
+    r = -lorentz_product(y0, y0)
+    s = compare(r, 0, lambda: product_scale(y0, y0))
     if s < 0:
         raise ValueError("curvature triple is not realizable on this solid")
-    if s == 0:  # a double root, exactly or within rounding
-        root = ratio(-qb, 2 * qa)
-        return [root, root]
     try:
-        rad = exact_sqrt(disc)
-    except ValueError:
+        t = exact_sqrt(r) if s else 0
+        ys = [tuple(a - t * x for a, x in zip(y0, b)), tuple(a + t * x for a, x in zip(y0, b))]
+    except ValueError:  # the root lies outside the packing's field
         raise ValueError(
             "the normalizing square root is not expressible in the "
             "hosting field; use float mode for this seed"
         )
-    # q adds qb and the root with one sign, so no float digits cancel; the
-    # roots are (-qb + rad) / 2qa and (-qb - rad) / 2qa, in that order
-    sign = 1 if scalar_sign(qb) >= 0 else -1
-    q = ratio(-(qb + sign * rad), 2)
-    far, near = ratio(q, qa), ratio(qc, q)
-    return [near, far] if sign > 0 else [far, near]
+    for y in ys:
+        if scalar_sign(y[-1]) > 0:
+            return y
+    raise ValueError("curvature triple has no future-pointing realization")
 
 
 def _map_null_to_north(y, d: int) -> MobiusMap:
@@ -437,8 +387,9 @@ def packing_from_curvatures(s: Solid, triple) -> BallArrangement:
     The curvatures are assigned, in order, to the first three vertices in
     cyclic order around the solid's first 2-face ("consecutive" balls: each
     tangent to the next).  The image is pinned by a future light-like vector
-    reproducing the curvature functional, so all remaining curvatures follow
-    from the solid's own relations.  Facet balls are attached and ride along.
+    y reproducing the curvature functional, found by one Gram solve on the
+    three balls and one step along the face's dual ball, so all remaining
+    curvatures follow from the solid's own relations.  Facet balls ride along.
     The packing is exact unless a curvature is a float.  In dimension d >= 3
     three products and the light cone leave a family of y, so it is refused.
     """
@@ -454,11 +405,10 @@ def packing_from_curvatures(s: Solid, triple) -> BallArrangement:
     if not exact:
         arr = arr.approx()
         triple = tuple(approx(k) for k in triple)
-    cyc = face_cycle(poly, poly.faces(2)[0])
-    anchors = cyc[:3]
-    rest = [v for v in range(len(arr.balls)) if v not in anchors]
-    vectors = [arr.balls[v].v for v in list(anchors) + rest]
-    y = _future_null_with_products(vectors, tuple(triple), exact)
+    anchors = face_cycle(poly, poly.faces(2)[0])[:3]
+    # the dual balls follow polar_dual's facet order: the first 2-face's is dual_balls[0]
+    a = [arr.balls[v].v for v in anchors]
+    y = _future_null_with_products(a, arr.dual_balls[0].v, triple, exact)
     m = _map_null_to_north(y, arr.dimension)
     out = arr.transformed(m)
     for v, k in zip(anchors, triple):

@@ -39,7 +39,7 @@ from .documents import (
     to_json,
 )
 from .exactnum import RING_Z, RING_Z_PHI, approx, phi, scalar_sign, sqrt_rational
-from .lorentz import EXTERNALLY_TANGENT, classify_pair
+from .lorentz import EXTERNALLY_TANGENT, classify_pair  # noqa: F401 (perfbench reads cli.classify_pair)
 from .apollonian import (
     apollonian_group_from_packing,
     generate_cluster,
@@ -48,11 +48,11 @@ from .apollonian import (
 )
 from .packings import (
     BallArrangement,
+    classified_pairs,
     dual,
     face_to_north,
     first_overlap,
     grouped_spectra,
-    pair_screen,
     project,
 )
 from .polytopes import dual_solid, flags, regular_edge_scribed, solid_from_name
@@ -82,10 +82,15 @@ _TERM_RE = re.compile(r"^(\d+(?:/\d*[1-9]\d*)?)?(phi|sqrt(\d+))?$")  # no zero d
 
 def parse_exact_curvature(token: str):
     """Parse "-3", "5/2", "phi+1", "2phi", "1/2sqrt2-1" into an exact scalar."""
+    return sum(_curvature_terms(token), Fraction(0))
+
+
+def _curvature_terms(token: str) -> list:
+    """The signed exact terms of a curvature token, in order."""
     t = token.strip().replace(" ", "")
     if not t:
         raise ValueError("empty curvature value")
-    total = Fraction(0)
+    terms = []
     for part in re.findall(r"[+-]?[^+-]+", t):
         sign = -1 if part.startswith("-") else 1
         body = part.lstrip("+-")
@@ -100,25 +105,36 @@ def parse_exact_curvature(token: str):
         else:
             root = sqrt_rational(int(mt[3]))
             val = coef * (root.a if root.is_rational else root)
-        total = total + sign * val
-    return total
+        terms.append(sign * val)
+    return terms
+
+
+def _initial_tokens(text: str) -> list:
+    """The three stripped tokens of an --initial value; an empty one is refused."""
+    toks = [t.strip() for t in text.split(",")]
+    if len(toks) != 3 or not all(toks):
+        raise ValueError(f"--initial needs three comma-separated values, got {text!r}")
+    return toks
 
 
 def parse_initial(text: str, mode: str) -> tuple:
-    toks = [t for t in text.split(",") if t.strip()]
-    if len(toks) != 3:
-        raise ValueError(f"--initial needs three comma-separated values, got {text!r}")
-    return tuple(map(_float_curvature if mode == "float" else parse_exact_curvature, toks))
+    parse = _float_curvature if mode == "float" else parse_exact_curvature
+    return tuple(map(parse, _initial_tokens(text)))
 
 
 def _float_curvature(token: str) -> float:
     """A float literal, or else an exact curvature rounded: a token neither
-    reads keeps the exact parser's error.  Non-finite values are refused."""
+    reads keeps the exact parser's error.  Terms in two quadratic fields have
+    no exact sum, so their floats are added.  Non-finite values are refused."""
     try:
         x = float(token)
     except ValueError:
+        terms = _curvature_terms(token)
         try:
-            x = approx(parse_exact_curvature(token))
+            try:
+                x = approx(sum(terms, Fraction(0)))
+            except ValueError:  # the terms mix two fields
+                x = math.fsum(map(approx, terms))
         except OverflowError:
             x = math.inf
     if not math.isfinite(x):
@@ -242,7 +258,7 @@ def cmd_spectra(args) -> int:
 
 def cmd_cluster(args) -> int:
     s = solid_from_name(args.solid)
-    initial = [t.strip() for t in args.initial.split(",")]
+    initial = _initial_tokens(args.initial)
     record = {"kind": "cluster", "solid": s.name, "initial": initial, "depth": args.depth}
     cluster = _made_by(record, args.mode)
     record["flavor"] = cluster.flavor
@@ -329,8 +345,8 @@ def _tangent_cliques(balls, size: int):
     ``size``-tuples (by index) among the first TANGENT_NODES balls."""
     m = min(len(balls), TANGENT_NODES)
     adj = [[False] * m for _ in range(m)]
-    for i, j in pair_screen(balls[:m]):  # the pairs it skips are disjoint
-        adj[i][j] = adj[j][i] = classify_pair(balls[i], balls[j]) == EXTERNALLY_TANGENT
+    for i, j, c in classified_pairs(balls[:m]):  # the pairs it skips are disjoint
+        adj[i][j] = adj[j][i] = c == EXTERNALLY_TANGENT
     out = []
 
     def grow(clique, start):
@@ -434,18 +450,13 @@ def cmd_integrality(args) -> int:
     if args.certify_depth is not None and args.certify_depth < 0:
         raise ValueError("depth must be nonnegative")
     s = solid_from_name(args.solid)
-    initial = parse_initial(args.initial, "exact")
-    cert = integrality_condition(s, initial)
+    tokens = _initial_tokens(args.initial)
+    cert = integrality_condition(s, tuple(map(parse_exact_curvature, tokens)))
     print(f"certificate: {cert}")
     if cert == NOT_CERTIFIED:
         return 1
     if args.certify_depth is not None:
-        record = {
-            "kind": "cluster",
-            "solid": s.name,
-            "initial": args.initial.split(","),
-            "depth": args.certify_depth,
-        }
+        record = {"kind": "cluster", "solid": s.name, "initial": tokens, "depth": args.certify_depth}
         cluster = _made_by(record)
         ring = RING_Z if cert == INTEGRAL else RING_Z_PHI
         ok = cluster.curvatures_in_ring(ring)

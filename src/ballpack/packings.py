@@ -19,7 +19,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import linalg
 from .exactnum import (
@@ -228,6 +228,13 @@ def pair_screen(balls):
         yield from zip((i + lo).tolist(), (j + lo).tolist())
 
 
+def classified_pairs(balls) -> Iterator[tuple]:
+    """(i, j, relation) from :func:`lorentz.classify_pair` for each pair
+    :func:`pair_screen` yields, in its order; every other pair is DISJOINT."""
+    for i, j in pair_screen(balls):
+        yield i, j, classify_pair(balls[i], balls[j])
+
+
 def first_overlap(balls) -> Optional[tuple]:
     """The first pair of balls, i < j in row-major order, that is neither
     externally tangent nor disjoint, as (i, j, relation); None for a packing.
@@ -236,8 +243,7 @@ def first_overlap(balls) -> Optional[tuple]:
     classified, so the answer, and any ValueError, is that of the loop
     over all pairs.
     """
-    for i, j in pair_screen(balls):
-        c = classify_pair(balls[i], balls[j])
+    for i, j, c in classified_pairs(balls):
         if c not in (EXTERNALLY_TANGENT, DISJOINT):
             return i, j, c
     return None

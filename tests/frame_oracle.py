@@ -8,8 +8,9 @@ distances and dot products in QuadScalar arithmetic, each polar vertex
 solved from an affinely spanning set of its facet's vertices by
 Gauss-Jordan elimination, a ball as (u, 1)/s with s = sqrt(|u|^2 - 1) for
 each light source u, a map's image as its matrix times the vector, and an
-inversion as I - 2 x xT Q entry by entry.  They are the reference that the
-tests compare the program against.
+inversion as I - 2 x xT Q entry by entry, and a seed's light-like vector y
+from a second Gram solve per remaining vertex and a general quadratic.
+They are the reference that the tests compare the program against.
 """
 
 from itertools import combinations
@@ -155,18 +156,89 @@ def reflection_swapping(x, t):
     return MobiusMap(rows, check=False)
 
 
+def quadratic_roots(qa, qb, qc) -> list:
+    """Real roots of qa t^2 + qb t + qc in a fixed order, for exact input.
+    With qa = qb = 0 and qc != 0 there is none: the vertex that gave the
+    quadratic lies in the anchors' span and says nothing about t."""
+    if scalar_sign(qa) == 0:
+        if scalar_sign(qb) == 0:
+            return [0] if scalar_sign(qc) == 0 else []
+        return [ratio(-qc, qb)]
+    disc = qb * qb - 4 * qa * qc
+    s = scalar_sign(disc)
+    if s < 0:
+        raise ValueError("curvature triple is not realizable on this solid")
+    if s == 0:
+        root = ratio(-qb, 2 * qa)
+        return [root, root]
+    try:
+        rad = exact_sqrt(disc)
+    except ValueError:
+        raise ValueError(
+            "the normalizing square root is not expressible in the "
+            "hosting field; use float mode for this seed"
+        )
+    sign = 1 if scalar_sign(qb) >= 0 else -1
+    q = ratio(-(qb + sign * rad), 2)
+    far, near = ratio(q, qa), ratio(qc, q)
+    return [near, far] if sign > 0 else [far, near]
+
+
+def future_null_with_products(vectors, ks):
+    """A future light-like y with <y, x_i> = -k_i for the first three
+    vectors.  Each further vertex vector u turns the constraints into a
+    line y0 + t yn, with yn = u minus its projection on the anchors' span,
+    and the light cone into a quadratic in t; the first vertex with a future
+    root wins, and the larger root is preferred."""
+    anchors = vectors[:3]
+    g3 = linalg.mat([[lorentz_product(u, v) for v in anchors] for u in anchors])
+    try:
+        c0 = linalg.solve(g3, tuple(-k for k in ks))
+    except ValueError:
+        raise ValueError("anchor balls do not span a rank-3 subspace")
+    y0 = tuple(sum(c * x for c, x in zip(c0, cols)) for cols in zip(*anchors))
+    last_error = "curvature triple has no future-pointing realization"
+    for u in vectors[3:]:
+        cn = linalg.solve(g3, tuple(-lorentz_product(u, v) for v in anchors))
+        yn = tuple(
+            sum(c * x for c, x in zip(cn, cols)) + ux
+            for ux, cols in zip(u, zip(*anchors))
+        )
+        qa = lorentz_product(yn, yn)
+        qb = 2 * lorentz_product(y0, yn)
+        qc = lorentz_product(y0, y0)
+        try:
+            roots = quadratic_roots(qa, qb, qc)
+        except ValueError as err:
+            last_error = str(err)
+            continue
+        for t in roots:
+            try:
+                y = tuple(a + t * b for a, b in zip(y0, yn))
+            except ValueError:
+                last_error = (
+                    "the normalizing square root is not expressible in the "
+                    "hosting field; use float mode for this seed"
+                )
+                break
+            if all(scalar_sign(x) == 0 for x in y):
+                continue
+            if scalar_sign(y[-1]) > 0:
+                return y
+    raise ValueError(last_error)
+
+
 def packing_from_curvatures(s, triple) -> tuple:
     """(balls, dual balls) of an exact seed, as the program builds them but
-    from the scalar pieces above.  The light-like vector y comes from the
-    program's solve, which stays in scalars; a y off the probe's light ray
-    is sent to it by the scalar reflection (the program's boost on it is
-    scalar code too)."""
+    from the scalar pieces above, with y from every vertex rather than the
+    first face's dual ball.  A y off the probe's light ray is sent to it by
+    the scalar reflection (the program's boost on it is scalar code too)."""
     triple = tuple(triple)
     poly = regular_edge_scribed(s)
     balls, duals = project(poly).balls, project(polar_dual(poly)).balls
     anchors = face_cycle(poly, poly.faces(2)[0])[:3]
     order = list(anchors) + [v for v in range(len(balls)) if v not in anchors]
-    y = apollonian._future_null_with_products([balls[v].v for v in order], triple, True)
+    y = future_null_with_products([balls[v].v for v in order], triple)
     d = poly.dimension
     if scalar_sign(lorentz_product(y, x_north(d))) != 0:
         m = reflection_swapping(y, x_north(d))

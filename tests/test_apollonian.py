@@ -29,6 +29,7 @@ from ballpack.exactnum import (
     approx,
     is_ring_integer,
     ratio,
+    scalar_sign,
 )
 from ballpack.lorentz import (
     Ball,
@@ -41,7 +42,7 @@ from ballpack.lorentz import (
     inversion_map,
     lorentz_product,
 )
-from ballpack.packings import BallArrangement, dual, is_packing
+from ballpack.packings import BallArrangement, dual, is_packing, project, with_dual
 from ballpack.polytopes import (
     CUBE,
     DODECAHEDRON,
@@ -51,6 +52,8 @@ from ballpack.polytopes import (
     PLATONIC,
     SQRT2,
     TETRAHEDRON,
+    face_cycle,
+    regular_edge_scribed,
 )
 
 from matrix_tables import (
@@ -574,8 +577,8 @@ def test_float_cluster_matches_the_exact_one(case):
 
 
 def test_float_seed_discriminant_is_judged_by_its_own_rounding():
-    # qa = 4, qb ~ 0 and qc = 324 carry terms near 1e8 (y0 and yn are large),
-    # but disc = -5184 is far outside the rounding those terms leave in it
+    # <y0, y0> = 324 carries terms near 1e8 (y0 is large), but it is far
+    # outside the rounding those terms leave in it
     with pytest.raises(ValueError, match="not realizable"):
         packing_from_curvatures(TETRAHEDRON, (18.0, -18.0, 7348.396471738055))
 
@@ -723,9 +726,38 @@ def test_cluster_generators_and_level_minima_stay_positive(solid, triple, depth)
         assert a <= b
 
 
-def test_float_seed_quadratic_keeps_its_double_root():
-    from ballpack.apollonian import _quadratic_roots
+@pytest.mark.parametrize("triple", ((5.0, -3.0, 12.0), (5.0, -3.0, 12 + 1e-12), (5.0, -3.0, 12 - 1e-12)))
+def test_float_seed_within_rounding_of_the_light_cone_is_its_double_root(triple):
+    from ballpack.apollonian import _future_null_with_products, _solve_gram
 
-    # disc = -4e-13 is rounding: one double root, not a split pair
-    assert _quadratic_roots(1.0, 2.0, 1.0 + 1e-13, lambda: 4.0) == [-1.0, -1.0]
-    assert _quadratic_roots(1, 2, 1, None) == [-1, -1]
+    # the cube's 5, -3, 12 has -<y0, y0> = 0 exactly; in floats it reads
+    # about -1e-13, and with the last curvature moved by 1e-12 about +-1e-12,
+    # all rounding of terms near 289, so y is y0 itself, on either side
+    poly = regular_edge_scribed(CUBE)
+    arr = with_dual(project(poly)).approx()
+    a = [arr.balls[v].v for v in face_cycle(poly, poly.faces(2)[0])[:3]]
+    g3 = [[lorentz_product(u, v) for v in a] for u in a]
+    c = _solve_gram(g3, tuple(-k for k in triple), False)
+    y0 = tuple(sum(ci * x for ci, x in zip(c, cols)) for cols in zip(*a))
+    assert lorentz_product(y0, y0) != 0
+    assert _future_null_with_products(a, arr.dual_balls[0].v, triple, False) == y0
+
+
+@pytest.mark.parametrize("solid", PLATONIC, ids=lambda s: s.name)
+def test_each_face_dual_ball_is_orthogonal_to_its_vertex_balls_and_faces_the_rest(solid):
+    # the seed solve's premise: the anchors span the complement of the first
+    # face's dual ball, and y0 - t b lowers every off-face curvature
+    poly = regular_edge_scribed(solid)
+    arr = with_dual(project(poly))
+    for face, b in zip(poly.faces(2), arr.dual_balls, strict=True):
+        assert lorentz_product(b.v, b.v) == 1
+        for v, x in enumerate(arr.balls):
+            want = 0 if v in face else -1
+            assert scalar_sign(lorentz_product(x.v, b.v)) == want, (face, v)
+
+
+def test_a_seed_whose_two_solids_are_both_past_directed_says_so():
+    # the cube's -2, -8, -8 is realizable, but both solids over the face are
+    # past-directed
+    with pytest.raises(ValueError, match="^curvature triple has no future-pointing realization$"):
+        packing_from_curvatures(CUBE, (-2, -8, -8))

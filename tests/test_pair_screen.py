@@ -10,6 +10,7 @@ The subsets are drawn from the cluster's entries (balls made from scalar
 vectors) or from its document (balls born with their integer rows).
 """
 
+import inspect
 import sys
 import warnings
 from fractions import Fraction
@@ -37,7 +38,7 @@ from ballpack.lorentz import (
     geometry_from_ball,
     row_of,
 )
-from ballpack.packings import first_overlap, pair_screen
+from ballpack.packings import classified_pairs, first_overlap, pair_screen
 from ballpack.polytopes import solid_from_name
 
 SEEDS = (
@@ -231,3 +232,15 @@ def test_a_pair_classify_pair_calls_equal_is_never_skipped():
     v = Ball((0.0, 0.0, 0.0, 2.0), _checked=True)
     assert list(pair_screen([v, Ball(v.v, _checked=True)])) == [(0, 1)]
     assert first_overlap([v, v]) == (0, 1, "equal")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_classified_pairs_are_the_screened_pairs_classified(mode):
+    balls = cluster_balls("octahedron", "-2,4,5", 2, mode)
+    want = [(i, j, classify_pair(balls[i], balls[j])) for i, j in pair_screen(balls)]
+    assert list(classified_pairs(balls)) == want
+
+
+def test_the_command_line_classifies_pairs_only_through_classified_pairs():
+    source = inspect.getsource(cli)
+    assert "pair_screen" not in source and "classify_pair(" not in source

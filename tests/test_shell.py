@@ -737,6 +737,52 @@ def test_cli_float_cluster_refuses_a_curvature_that_is_not_finite(bad, tmp_path,
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("initial", ["-3,,5,8", "-3,5,8,", ",-3,5,8", "-3, ,5", "-3,5"])
+def test_cli_cluster_and_integrality_refuse_an_empty_initial_token(initial, mode, tmp_path, capsys):
+    error = f"error: --initial needs three comma-separated values, got {initial!r}\n"
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", f"--initial={initial}", "--depth", "1"]
+    assert main([*argv, "--mode", mode, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists()
+    argv = ["integrality", "--solid", "tetrahedron", f"--initial={initial}", "--certify-depth", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", error)
+
+
+def test_cli_cluster_records_the_stripped_tokens_it_read(tmp_path):
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", "--initial=-3, 5 ,8", "--depth", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["seed"]["initial"] == ["-3", "5", "8"]
+
+
+@pytest.mark.parametrize("token", ["sqrt2+sqrt3", "1/2sqrt2+1/3sqrt5+7", "phi+sqrt2"])
+def test_float_curvature_adds_the_floats_of_terms_in_two_fields(token, tmp_path, capsys):
+    with pytest.raises(ValueError, match="cannot mix fields"):
+        parse_exact_curvature(token)
+    terms = {
+        "sqrt2+sqrt3": [math.sqrt(2), math.sqrt(3)],
+        "1/2sqrt2+1/3sqrt5+7": [math.sqrt(2) / 2, math.sqrt(5) / 3, 7.0],
+        "phi+sqrt2": [(1 + math.sqrt(5)) / 2, math.sqrt(2)],
+    }[token]
+    assert parse_initial(f"{token},5,8", "float")[0] == pytest.approx(math.fsum(terms), rel=1e-15)
+
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "tetrahedron", f"--initial={token},5,8", "--depth", "1"]
+    assert main([*argv, "--mode", "float", "--out", str(out)]) == 0
+    assert main(["verify", "--in", str(out)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot mix fields")
+
+
+@pytest.mark.parametrize("token", ["1+phi", "2sqrt2-1", "5/3", "1/2sqrt2+sqrt8", "sqrt2-sqrt2+sqrt3"])
+def test_float_curvature_of_a_one_field_token_is_its_exact_value_rounded(token):
+    assert parse_initial(f"{token},5,8", "float")[0] == approx(parse_exact_curvature(token))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("solid, d", [("orthoplex-4", 3), ("cube-5", 4)])
 def test_cli_cluster_refuses_a_seed_beyond_polyhedra(solid, d, mode, tmp_path, capsys):
     """In d >= 3 three curvatures leave a family of seeds, not one."""

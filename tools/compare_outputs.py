@@ -1,0 +1,237 @@
+"""Compare what two checkouts of ballpack print and write, command by command.
+
+    python3 tools/compare_outputs.py ROOT_A ROOT_B
+
+Each checkout runs the same fixed list of ``ballpack`` commands through
+``ballpack.cli.main``, in one subprocess with PYTHONPATH=<root>/src and
+BALLPACK_OUT_DIR unset.  A case (one command, or a chain such as cluster,
+verify, render) runs in a fresh temporary directory.  For every command the
+exit code, stdout, stderr and the bytes of each file it wrote are recorded.
+The list is:
+
+* ``project``, ``verify``, ``dual`` and ``verify`` of every realized solid
+  under the four centerings, with ``render`` of the planar ones;
+* ``cluster``, ``verify`` and ``render`` of the README seeds, ``0,0,1`` and
+  ``-1,2,2``, exact, at depths 0-2, and ``integrality --certify-depth 2`` of
+  each;
+* ``squares --p 3|4|5``;
+* every operation of perfbench's ``full_verify`` and ``doc_chain``
+  workloads (this checkout's ``perfbench/``, workload seed 5), set-up
+  included;
+* refusals of malformed or two-field ``--initial`` values, and a seed whose
+  two solids are both past-directed.
+
+It prints each command whose outputs differ, and what differs, and exits 1
+if any do.  Paths under the temporary directory are printed as ``<tmp>``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
+
+HERE = Path(__file__).resolve()
+WORKLOAD_SEED = 5
+
+README_SEEDS = (
+    ("tetrahedron", "-3,5,8"),
+    ("octahedron", "-2,4,5"),
+    ("cube", "5,-3,12"),
+    ("icosahedron", "-4,8,9"),
+    ("dodecahedron", "1+phi,-1,2phi"),
+    ("tetrahedron", "0,0,1"),
+    ("tetrahedron", "-1,2,2"),
+)
+POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
+POLYGONS = ("triangle", "square", "5-gon", "6-gon", "7-gon")
+HIGHER = ("simplex-4", "simplex-5", "cube-4", "cube-5", "orthoplex-4", "orthoplex-5")
+REFUSALS = (
+    ("cluster", "tetrahedron", "-3,,5,8", "exact"),
+    ("cluster", "tetrahedron", "-3,5,8,", "exact"),
+    ("cluster", "tetrahedron", "-3,5,8,", "float"),
+    ("cluster", "tetrahedron", "sqrt2+sqrt3,5,8", "exact"),
+    ("cluster", "cube", "-2,-8,-8", "exact"),
+    ("integrality", "tetrahedron", "-3,5,,8", None),
+    ("integrality", "tetrahedron", "sqrt2+sqrt3,5,8", None),
+)
+
+
+def cases() -> list:
+    """The commands, as a list of cases; a case is a list of argv lists."""
+    out = []
+    for solid in POLYHEDRA + POLYGONS + HIGHER:
+        for center in ("none", "vertex", "edge", "face"):
+            if solid in POLYGONS and center == "face":
+                continue
+            case = [["project", "--solid", solid, "--center", center, "--out", "p.json"],
+                    ["verify", "--in", "p.json"]]
+            if solid not in HIGHER:
+                case.append(["render", "--in", "p.json", "--out", "p.svg"])
+            case += [["dual", "--in", "p.json", "--out", "d.json"], ["verify", "--in", "d.json"]]
+            out.append(case)
+    for solid, initial in README_SEEDS:
+        for depth in (0, 1, 2):
+            out.append([
+                ["cluster", "--solid", solid, f"--initial={initial}", "--depth", str(depth),
+                 "--out", "c.json"],
+                ["verify", "--in", "c.json"],
+                ["render", "--in", "c.json", "--out", "c.svg"],
+            ])
+        out.append([["integrality", "--solid", solid, f"--initial={initial}",
+                     "--certify-depth", "2"]])
+    for p in (3, 4, 5):
+        out.append([["squares", "--p", str(p)]])
+    for command, solid, initial, mode in REFUSALS:
+        argv = [command, "--solid", solid, f"--initial={initial}"]
+        if command == "cluster":
+            argv += ["--depth", "1", "--mode", mode, "--out", "c.json"]
+        out.append([argv])
+    out.append([
+        ["cluster", "--solid", "tetrahedron", "--initial=sqrt2+sqrt3,5,8", "--depth", "1",
+         "--mode", "float", "--out", "f.json"],
+        ["verify", "--in", "f.json"],
+    ])
+    return out
+
+
+def _digests(where: Path) -> dict:
+    return {
+        str(p.relative_to(where)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(where.rglob("*")) if p.is_file()
+    }
+
+
+class _Recorder:
+    """Runs commands in one directory and records what each printed and wrote."""
+
+    def __init__(self, where: Path, records: list):
+        self.where, self.records, self.before = where, records, {}
+
+    def record(self, label, rc, stdout, stderr) -> None:
+        after = _digests(self.where)
+        files = {k: v for k, v in after.items() if self.before.get(k) != v}
+        self.before = after
+        tmp = str(self.where)
+        self.records.append({
+            "argv": label, "rc": rc, "files": files,
+            "stdout": stdout.replace(tmp, "<tmp>"), "stderr": stderr.replace(tmp, "<tmp>"),
+        })
+
+    def run(self, argv) -> None:
+        from ballpack import cli
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(list(argv))
+        self.record(argv, rc, out.getvalue(), err.getvalue())
+
+
+def _workload_ops(records: list) -> None:
+    """perfbench's full_verify and doc_chain operations; a workload's output
+    goes to one stream, recorded as stdout."""
+    import ballpack
+
+    sys.path.insert(0, str(HERE.parents[1] / "perfbench"))
+    import workloads
+
+    for name in ("full_verify", "doc_chain"):
+        with tempfile.TemporaryDirectory() as tmp:
+            where = Path(tmp).resolve()
+            os.chdir(where)
+            rec = _Recorder(where, records)
+            ctx = workloads.Context(bp=ballpack, out=where, rng=random.Random(WORKLOAD_SEED))
+            ops = workloads.WORKLOADS[name](ctx)
+            rec.record(f"{name} set-up", 0, "", "")
+            for op in ops:
+                result = op.run()
+                rc, text = result if isinstance(result, tuple) else (0, "")
+                rec.record(f"{name}: {op.name}", rc, text, "")
+
+
+def run_all(path: str) -> None:
+    records = []
+    for case in cases():
+        with tempfile.TemporaryDirectory() as tmp:
+            where = Path(tmp).resolve()
+            os.chdir(where)
+            rec = _Recorder(where, records)
+            for argv in case:
+                rec.run(argv)
+    _workload_ops(records)
+    os.chdir(HERE.parent)
+    Path(path).write_text(json.dumps(records), encoding="utf-8")
+
+
+def _first_difference(a: str, b: str) -> str:
+    for x, y in zip_longest(a.splitlines(), b.splitlines()):
+        if x != y:
+            return " != ".join("(no line)" if t is None else repr(t) for t in (x, y))
+    return "line endings differ"
+
+
+def differences(a: dict, b: dict) -> list:
+    out = []
+    if a["rc"] != b["rc"]:
+        out.append(f"exit code {a['rc']} != {b['rc']}")
+    for stream in ("stdout", "stderr"):
+        if a[stream] != b[stream]:
+            out.append(f"{stream}: {_first_difference(a[stream], b[stream])}")
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(name) != b["files"].get(name):
+            if name in a["files"] and name in b["files"]:
+                out.append(f"file {name}: bytes differ")
+            else:
+                out.append(f"file {name}: " + " != ".join(
+                    "written" if name in r["files"] else "not written" for r in (a, b)
+                ))
+    return out
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--run":
+        run_all(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    env = {k: v for k, v in os.environ.items() if k != "BALLPACK_OUT_DIR"}
+    with tempfile.TemporaryDirectory() as tmp:
+        procs = []
+        for i, root in enumerate(argv):
+            src = Path(root).resolve() / "src"
+            if not (src / "ballpack").is_dir():
+                print(f"error: {root} has no src/ballpack", file=sys.stderr)
+                return 2
+            out = Path(tmp) / f"{i}.json"
+            proc = subprocess.Popen([sys.executable, str(HERE), "--run", str(out)],
+                                    env={**env, "PYTHONPATH": str(src)})
+            procs.append((proc, out))
+        if any(proc.wait() != 0 for proc, _ in procs):
+            print("error: a checkout failed to run the commands", file=sys.stderr)
+            return 2
+        a, b = (json.loads(out.read_text(encoding="utf-8")) for _, out in procs)
+    differ = 0
+    for ra, rb in zip(a, b, strict=True):
+        diffs = differences(ra, rb)
+        if diffs:
+            differ += 1
+            label = ra["argv"] if isinstance(ra["argv"], str) else " ".join(ra["argv"])
+            print(label)
+            for line in diffs:
+                print(f"  {line}")
+    files = sum(len(r["files"]) for r in a)
+    print(f"{differ} of {len(a)} commands differ ({files} files written by the first checkout)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
