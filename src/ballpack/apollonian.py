@@ -22,11 +22,12 @@ generator position).  A cluster hands out its balls as :class:`lorentz.Entry`
 objects, the inversive vector plus that word, depth and seed orbit: the same
 entries that a document stores.
 
-An exact seed's balls and facet balls, its normalizing reflection and the
-facet-ball inversions are made on integer rows (see :mod:`lorentz`), and
-the cluster engine and the involution check read those rows as they were
+A seed's balls and facet balls, its normalizing reflection and the
+facet-ball inversions are made on rows (see :mod:`lorentz`), and the cluster
+engine and the involution check read an exact seed's rows as they were
 made; only the seed's light-like vector y is found in scalars, by one Gram
-solve and one square root along the first face's dual ball.
+solve (:func:`linalg.solve`, in both numeric modes) and one square root
+along the first face's dual ball.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from .exactnum import (
     approx,
     compare,
     exact_sqrt,
+    float_row,
     is_float_data,
     one_field,
+    quad_sign,
     ratio,
     row_vector,
     scalar_parts,
@@ -114,30 +117,26 @@ def canonical_ball_key(b: Ball) -> tuple:
 
 
 def _is_involution(m: MobiusMap) -> bool:
-    """m @ m is the identity.  An exact map is tested on its kept row
-    (:func:`lorentz.row_of`), (A + B sqrt f) num/den: in python ints,
-    (A A + f B B) num^2 = den^2 I and A B + B A = 0.  Float maps take the
-    scalar product and ``compare``."""
+    """m @ m is the identity, tested on the map's row (A + B sqrt f) num/den:
+    (A A + f B B) num^2 = den^2 I and A B + B A = 0, in python ints for an
+    exact map (its kept :func:`lorentz.row_of`), and for a float map (its
+    ``exactnum.float_row``) by ``compare`` with the size of each entry's terms."""
     n = len(m.mat)
-    row = row_of(m)
-    if row is not None:
-        A, B, num, den, f = row
-        A, B = (linalg.mat(v[i : i + n] for i in range(0, n * n, n)) for v in (A, B))
-        mul = linalg.mat_mul
-        real = [[x + f * y for x, y in zip(*r)] for r in zip(mul(A, A), mul(B, B))]
-        surd = [[x + y for x, y in zip(*r)] for r in zip(mul(A, B), mul(B, A))]
-        one, scale = den * den, num * num
-        return all(
-            real[i][j] * scale == (one if i == j else 0) and surd[i][j] == 0
-            for i in range(n)
-            for j in range(n)
-        )
-    rows, cols = m.mat, tuple(zip(*m.mat))
-    sq = (m @ m).mat
+    A, B, num, den, f = row_of(m) or float_row([e for r in m.mat for e in r])
+    A, B = (linalg.mat(v[i : i + n] for i in range(0, n * n, n)) for v in (A, B))
+    mul, cols = linalg.mat_mul, tuple(zip(*A))
+    real = [[x + f * y for x, y in zip(*r)] for r in zip(mul(A, A), mul(B, B))]
+    surd = [[x + y for x, y in zip(*r)] for r in zip(mul(A, B), mul(B, A))]
+    one, scale = den * den, num * num
     return all(
-        compare(sq[i][j], int(i == j), lambda: product_scale(rows[i], cols[j])) == 0
-        for i in range(len(sq))
-        for j in range(len(sq))
+        quad_sign(
+            real[i][j] * scale - (one if i == j else 0),
+            surd[i][j],
+            f,
+            lambda: product_scale(A[i], cols[j]),
+        ) == 0
+        for i in range(n)
+        for j in range(n)
     )
 
 
@@ -187,12 +186,6 @@ class GeneratorSet:
 
     def __iter__(self):
         return iter(self.generators)
-
-    def by_name(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
 
 
 # -- the normalized Platonic frame ----------------------------------------------
@@ -307,21 +300,7 @@ def apollonian_group_from_packing(a: BallArrangement) -> GeneratorSet:
 # -- seeding a packing from three consecutive curvatures -------------------------
 
 
-def _solve_gram(g3, rhs, exact: bool):
-    if exact:
-        return linalg.solve(g3, rhs)
-    import numpy as np
-
-    try:
-        out = np.linalg.solve(
-            np.array(g3, dtype=np.float64), np.array(rhs, dtype=np.float64)
-        )
-    except np.linalg.LinAlgError as err:
-        raise ValueError(str(err))
-    return tuple(float(x) for x in out)
-
-
-def _future_null_with_products(anchors, b, ks, exact: bool):
+def _future_null_with_products(anchors, b, ks):
     """A future light-like y with <y, a_i> = -k_i for the three anchors.
 
     The anchors, consecutive vertex balls of a 2-face, span the complement
@@ -329,13 +308,14 @@ def _future_null_with_products(anchors, b, ks, exact: bool):
     span, and the light cone leaves y = y0 -+ t b, t = sqrt(-<y0, y0>): the
     two solids over the face.  y0 - t b, tried first, gives each off-face
     vertex ball x (<x, b> < 0) its smaller curvature.  A float -<y0, y0>
-    within rounding of 0 is a double root.
+    within rounding of 0 is a double root.  The Gram solve is
+    :func:`linalg.solve` in both numeric modes.
     """
     g3 = linalg.mat([[lorentz_product(u, v) for v in anchors] for u in anchors])
     try:
-        c = _solve_gram(g3, tuple(-k for k in ks), exact)
-    except ValueError:
-        raise ValueError("anchor balls do not span a rank-3 subspace")
+        c = linalg.solve(g3, tuple(-k for k in ks))
+    except linalg.SingularMatrix:
+        raise ValueError("anchor balls do not span a rank-3 subspace") from None
     y0 = tuple(sum(ci * x for ci, x in zip(c, cols)) for cols in zip(*anchors))
     r = -lorentz_product(y0, y0)
     s = compare(r, 0, lambda: product_scale(y0, y0))
@@ -360,7 +340,7 @@ def _map_null_to_north(y, d: int) -> MobiusMap:
     direction e_{d+1} + e_{d+2}."""
     target = x_north(d)
     h = lorentz_product(y, target)
-    if scalar_sign(h) != 0:
+    if compare(h, 0, lambda: product_scale(y, target)) != 0:
         m = _reflection_swapping(y, target)
         if m is None:  # pragma: no cover - h != 0 guarantees a space-like mirror
             raise ValueError("could not build the normalizing reflection")
@@ -401,14 +381,15 @@ def packing_from_curvatures(s: Solid, triple) -> BallArrangement:
         raise ValueError("need exactly three consecutive curvatures")
     poly = regular_edge_scribed(s)
     arr = with_dual(project(poly))
-    exact = not is_float_data(triple)
-    if not exact:
+    if is_float_data(triple):
         arr = arr.approx()
         triple = tuple(approx(k) for k in triple)
+    else:  # a triple in two fields is refused, its fields named in its order
+        one_field(*(scalar_parts(k)[4] for k in triple))
     anchors = face_cycle(poly, poly.faces(2)[0])[:3]
     # the dual balls follow polar_dual's facet order: the first 2-face's is dual_balls[0]
     a = [arr.balls[v].v for v in anchors]
-    y = _future_null_with_products(a, arr.dual_balls[0].v, triple, exact)
+    y = _future_null_with_products(a, arr.dual_balls[0].v, triple)
     m = _map_null_to_north(y, arr.dimension)
     out = arr.transformed(m)
     for v, k in zip(anchors, triple):

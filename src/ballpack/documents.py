@@ -42,7 +42,6 @@ from .exactnum import (
     is_float_data,
     one_field,
     quad_sign,
-    quad_value,
     scalar_parts,
 )
 from .lorentz import Ball, Entry, ball_from_row
@@ -106,12 +105,6 @@ def _parse(s: str) -> tuple:
     if not pb:
         return pa, qa, 0, 1, 0
     return pa, qa, -pb if sign == "-" else pb, int(bd or 1), field_modulus(int(m))
-
-
-def scalar_from_text(s: str):
-    """Inverse of scalar_to_text; returns a Fraction or a QuadScalar."""
-    *quad, m = _parse(s)
-    return quad_value(quad, m)
 
 
 def _float_scalar(x) -> float:

@@ -19,7 +19,10 @@ m one int, 0 when B is zero (:func:`exact_row`, :func:`row_vector`); a
 vector in two fields has no row.  The row of a vector is unique, so two rows
 are equal exactly when their vectors are.  Sums and products of rows stay
 integer pairs X + Y sqrt m, :func:`quad_sign` reads their exact sign, and
-:func:`scaled_row` puts a vector of such pairs back into row form.
+:func:`scaled_row` puts a vector of such pairs back into row form.  A float
+vector takes the same row arithmetic as the row (v, 0, 1.0, 1.0, 0)
+(:func:`float_row`), whose signs :func:`quad_sign` reads through
+:func:`compare`.
 """
 
 from __future__ import annotations
@@ -485,9 +488,19 @@ def quad_float(x, root: float) -> float:
     return pa / qa + (pb / qb) * root if pb else pa / qa
 
 
-def quad_sign(a: int, b: int, m: int) -> int:
+def float_row(values) -> tuple:
+    """The row (v, 0, 1.0, 1.0, 0) in which a float vector takes the row
+    kernels: B zero, scale one, float entries.  An exact entry is rounded."""
+    v = [float(x) for x in values]
+    return v, [0.0] * len(v), 1.0, 1.0, 0
+
+
+def quad_sign(a: int, b: int, m: int, scale: Optional[Callable[[], float]] = None) -> int:
     """Exact sign of a + b sqrt(m) for ints a, b, and m square-free > 1 (or
-    any m when b = 0)."""
+    any m when b = 0).  A float a, from a :func:`float_row` (b = 0), is
+    compared with 0 by :func:`compare`, its terms of size ``scale()``."""
+    if isinstance(a, float):
+        return compare(a, 0, scale)
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sb == 0 or sa == sb:
         return sa

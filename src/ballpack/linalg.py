@@ -2,8 +2,9 @@
 
 Matrices are tuples of row tuples; vectors are flat tuples.  Entries may be
 ints, Fractions, QuadScalars, or floats -- anything with ring operators.
-One exact Gauss-Jordan elimination (with division) backs solve and rank; float
-callers should prefer numpy and only come here for the generic plumbing.
+One Gauss-Jordan elimination (with division) backs solve, in both numeric
+modes: exact entries take any nonzero pivot, floats the largest, with zero
+tests scaled by the entries.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from .exactnum import compare
 
 Vector = tuple
 Matrix = tuple
+
+
+class SingularMatrix(ValueError):
+    """The matrix given to :func:`solve` is singular."""
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -87,10 +92,6 @@ def solve(a: Matrix, b: Vector) -> Vector:
     n = len(a)
     rows = [[_exactify(x) for x in r] + [_exactify(bv)] for r, bv in zip(a, b)]
     if _eliminate(rows, n, a) < n:
-        raise ValueError("singular matrix")
+        raise SingularMatrix("singular matrix")
     return tuple(rows[i][n] for i in range(n))
 
-
-def rank(a: Matrix) -> int:
-    rows = [[_exactify(x) for x in r] for r in a]
-    return _eliminate(rows, len(rows[0]) if rows else 0, a)

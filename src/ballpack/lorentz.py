@@ -20,21 +20,26 @@ sum |x_i y_i|, which grows with the coordinates of deep balls.  Where that
 window reaches 1/2, -1, 0 and 1 are no longer apart, and
 :func:`classify_pair` refuses the float pair instead of guessing.
 
-Exact light sources, maps, inversions and reflections are decided on
-integer rows too: a light source's |u|^2 - 1 and its square root, a map's
-image of a ball (an integer matrix-row product) and the matrix I - 2 x xT Q
-(integer outer products) never pass through Fraction arithmetic.  The balls
-they and the documents make are born with their rows (:func:`ball_from_row`)
-and build their scalar vectors only when read, so classifying two of them
-reads no scalar.  Only float data takes the scalar formulas.  Exact data
-whose coordinates lie in two quadratic fields has no row: it is refused
+Light sources, maps, inversions and reflections are computed on rows,
+one kernel each for both numeric modes: a light source's |u|^2 - 1 and its
+square root, a map's image of a ball (a matrix-row product) and the matrix
+I - 2 x xT Q (outer products).  Exact data takes them in python ints and
+never passes through Fraction arithmetic; a float vector takes them as the
+row (v, 0, 1.0, 1.0, 0) of :func:`exactnum.float_row`, and an operation
+with one float operand takes every operand in floats.  Signs are read by
+:func:`exactnum.quad_sign`, through ``compare`` for floats.  Only the last
+step depends on the numeric type: exact results go through
+``exactnum.scaled_row``, and the balls they and the documents make are born
+with their rows (:func:`ball_from_row`), building their scalar vectors only
+when read, so classifying two of them reads no scalar; float results are
+divided out, and a float image is checked to lie on the unit shell.  Exact
+data whose coordinates lie in two quadratic fields has no row: it is refused
 where its row is made, or where two rows in different fields meet
 (:func:`exactnum.one_field`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -48,6 +53,7 @@ from .exactnum import (
     compare,
     exact_row,
     exact_sqrt,
+    float_row,
     is_float_data,
     one_field,
     quad_sign,
@@ -254,9 +260,14 @@ def row_of(x) -> Optional[tuple]:
     try:
         return x._row
     except AttributeError:
-        row = _values_row(x.v if isinstance(x, Ball) else [e for r in x.mat for e in r])
+        row = _values_row(_values(x))
         object.__setattr__(x, "_row", row)
         return row
+
+
+def _values(x) -> list:
+    """A ball's vector, or a map's matrix read row by row."""
+    return x.v if isinstance(x, Ball) else [e for r in x.mat for e in r]
 
 
 def _values_row(values) -> Optional[tuple]:
@@ -386,157 +397,126 @@ def _validate_lorentz(mat) -> None:
 
 
 def inversion_map(b: Ball) -> MobiusMap:
-    """The inversion in b as a Lorentz matrix, I - 2 x xT Q; for an exact
-    x = (A + B sqrt m) num/den, :func:`_integer_reflection` with c =
+    """The inversion in b as a Lorentz matrix, I - 2 x xT Q; for the row
+    x = (A + B sqrt m) num/den, :func:`_row_reflection` with c =
     num^2/den^2."""
-    row = row_of(b)
-    if row is None:
-        return _scalar_reflection(b.v)
-    A, B, num, den, m = row
-    return _integer_reflection(A, B, m, (num * num, 0, den * den))
+    A, B, num, den, m = row_of(b) or float_row(b.v)
+    return _row_reflection(A, B, m, (num * num, 0, den * den))
 
 
 def reflection_map(n, scale=None) -> Optional[MobiusMap]:
     """The reflection I - 2 n nT Q / <n, n> in a space-like vector n, or
     None when <n, n> is not positive (for floats: within ``compare``'s
-    window, with terms of size ``scale()``).  For an exact n = (A + B sqrt m)
+    window, with terms of size ``scale()``).  For the row n = (A + B sqrt m)
     num/den, <n, n> is (X + Y sqrt m) num^2/den^2 and the scale cancels:
-    :func:`_integer_reflection` with c = 1/(X + Y sqrt m)."""
-    row = _values_row(n)
-    if row is None:
-        nn = lorentz_product(n, n)
-        return None if compare(nn, 0, scale) <= 0 else _scalar_reflection(n, nn)
-    A, B, _, _, m = row
+    :func:`_row_reflection` with c = 1/(X + Y sqrt m), which is 1/X when Y
+    is zero."""
+    A, B, _, _, m = _values_row(n) or float_row(n)
     X = lorentz_product(A, A) + m * lorentz_product(B, B)
     Y = 2 * lorentz_product(A, B)
-    if quad_sign(X, Y, m) <= 0:
+    if quad_sign(X, Y, m, scale) <= 0:
         return None
-    return _integer_reflection(A, B, m, (X, -Y, X * X - m * Y * Y))
+    return _row_reflection(A, B, m, (X, -Y, X * X - m * Y * Y) if Y else (1, 0, X))
 
 
-def _scalar_reflection(v, nn=None) -> MobiusMap:
-    """I - 2 v vT Q, over nn when given, in scalar arithmetic: for float
-    vectors only."""
-    n = len(v)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            q = -1 if j == n - 1 else 1
-            e = 1 if i == j else 0
-            t = 2 * v[i] * v[j] * q
-            row.append(e - (t if nn is None else ratio(t, nn)))
-        rows.append(tuple(row))
-    return MobiusMap(tuple(rows), check=False)
-
-
-def _integer_reflection(A, B, m: int, c: tuple) -> MobiusMap:
-    """I - 2 c x xT Q for x = A + B sqrt m and c = (cp + cq sqrt m)/cd, in
-    python ints: with P = A AT + m B BT and R = A BT + B AT, the matrix is
-    (cd I - 2 (cp P + m cq R) Q + (-2 (cp R + cq P) Q) sqrt m) / cd.  The map
-    keeps that row."""
+def _row_reflection(A, B, m: int, c: tuple) -> MobiusMap:
+    """I - 2 c x xT Q for the row x = A + B sqrt m and c = (cp + cq sqrt m)/cd:
+    with P = A AT + m B BT and R = A BT + B AT, the matrix is
+    I + (-2 (cp P + m cq R) Q + (-2 (cp R + cq P) Q) sqrt m) / cd.  An exact
+    map keeps that row; a float one (B and cq zero) is I - 2 cp P Q / cd."""
     cp, cq, cd = c
     n = len(A)
     MA, MB = [], []
     for i in range(n):
         for j in range(n):
-            p, r = A[i] * A[j] + m * B[i] * B[j], A[i] * B[j] + B[i] * A[j]
+            p, r = A[i] * A[j], 0
+            if m:
+                p, r = p + m * B[i] * B[j], A[i] * B[j] + B[i] * A[j]
             q = -2 if j == n - 1 else 2
-            MA.append((cd if i == j else 0) - q * (cp * p + m * cq * r))
+            MA.append(-q * (cp * p + m * cq * r))
             MB.append(-q * (cp * r + cq * p))
-    row = scaled_row(MA, MB, 1, cd, m)
-    flat = row_vector(*row)
-    out = MobiusMap(tuple(flat[i : i + n] for i in range(0, n * n, n)), check=False)
+    if isinstance(cd, float):
+        row, flat = None, [(1 if k % (n + 1) == 0 else 0) + x / cd for k, x in enumerate(MA)]
+    else:
+        for k in range(0, n * n, n + 1):
+            MA[k] += cd
+        row = scaled_row(MA, MB, 1, cd, m)
+        flat = row_vector(*row)
+    out = MobiusMap(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), check=False)
     object.__setattr__(out, "_row", row)
     return out
 
 
 def apply_map(m: MobiusMap, b: Ball) -> Ball:
-    """The image ball m(b); a float image is renormalized onto the unit shell.
+    """The image ball m(b), as the product of the map's row and the ball's,
+    (MA + MB sqrt f)(A + B sqrt f) over den_M den_b, with f the one field
+    of the two rows; a map or ball holding a float takes both in floats.
 
-    An exact image is the integer product of the map's row and the ball's,
-    (MA + MB sqrt f)(A + B sqrt f) over den_M den_b, with f the one field of
-    the two rows.  Only a float map or ball takes the scalar product; its
-    drift allowed is the rounding of w = M b, whose norm's terms have size
-    sum_i (sum_k |M_ik b_k|)^2.
+    A float image w = M b must lie on the unit shell within the rounding of
+    its norm, whose terms have size sum_i (sum_k |M_ik b_k|)^2, and is kept
+    as it is: dividing w by sqrt(<w, w>) would move it by that rounding
+    relative to its size, far more than the product's own rounding where
+    the coordinates are large.
     """
     mrow, brow = row_of(m), row_of(b)
-    if mrow is not None and brow is not None:
-        MA, MB, mn, md, fm = mrow
-        A, B, n, d, fb = brow
-        f, k = one_field(fm, fb), len(m.mat)
-        xa, xb = [], []
-        for i in range(0, k * k, k):
-            ra, rb = MA[i : i + k], MB[i : i + k]
-            xa.append(sum(map(mul, ra, A)) + f * sum(map(mul, rb, B)))
-            xb.append(sum(map(mul, ra, B)) + sum(map(mul, rb, A)))
+    if mrow is None or brow is None:
+        mrow, brow = float_row(_values(m)), float_row(b.v)
+    MA, MB, mn, md, fm = mrow
+    A, B, n, d, fb = brow
+    f, k = one_field(fm, fb), len(m.mat)
+    xa, xb = [], []
+    for i in range(0, k * k, k):
+        ra, rb = MA[i : i + k], MB[i : i + k]
+        x = sum(map(mul, ra, A))
+        xa.append(x + f * sum(map(mul, rb, B)) if f else x)
+        xb.append(sum(map(mul, ra, B)) + sum(map(mul, rb, A)) if f else 0)
+    if not isinstance(d, float):
         return ball_from_row(scaled_row(xa, xb, mn * n, md * d, f))
-    w = linalg.mat_vec(m.mat, b.v)
+    w = tuple(xa)  # float rows have B zero and scale one
     n = lorentz_product(w, w)
-    terms = lambda: sum(product_scale(r, b.v) ** 2 for r in m.mat)
-    if n <= 0 or compare(n, 1, terms) != 0:
+    terms = lambda: sum(product_scale(MA[i : i + k], A) ** 2 for i in range(0, k * k, k))
+    if compare(n, 1, terms) != 0:
         raise ValueError(f"map output drifted off the unit shell by {abs(n - 1)}")
-    r = math.sqrt(n)
-    return Ball(tuple(x / r for x in w), _checked=True)
+    return Ball(w, _checked=True)
 
 
 # -- the projective light-source model ----------------------------------------
-
-
-def light_source(b: Ball) -> tuple:
-    """Point of E^{d+1} outside the unit sphere whose shadow is the ball b."""
-    t = b.v[-1]
-    if scalar_sign(t) <= 0:
-        raise ValueError("ball vector is past-directed or ideal; no light source")
-    return tuple(ratio(x, t) for x in b.v[:-1])
-
-
-def ball_from_light_source(u: Sequence[Scalar]) -> Ball:
-    """Ball whose boundary is the horizon of a light source u, |u| > 1."""
-    return light_source_balls([u])[0]
 
 
 def light_source_balls(points) -> tuple:
     """The balls whose boundaries are the horizons of light sources u,
     |u| > 1: (u, 1)/s with s^2 = |u|^2 - 1.
 
-    An exact u is taken on its row (A + B sqrt m) num/den: |u|^2 - 1 is
-    the integer pair (X + Y sqrt m)/den^2, and 1/s multiplies the row's
-    integers.  Each distinct |u|^2 has its square root taken once, and a
-    root in another field than u's is refused.  Only float sources take the
-    scalar formula.
+    u is taken on its row (A + B sqrt m) num/den: |u|^2 - 1 is the pair
+    (X + Y sqrt m)/den^2, and 1/s multiplies the row.  Each distinct exact
+    |u|^2 has its square root taken once, and a root in another field than
+    u's is refused; a float u divides by its own s.
     """
     inverse_roots = {}
     out = []
     for u in points:
         u = tuple(u)
-        row = _values_row(u)
-        if row is None:
-            out.append(_scalar_light_source_ball(u))
-            continue
-        A, B, num, den, m = row
+        A, B, num, den, m = _values_row(u) or float_row(u)
         n2, one = num * num, den * den
         X = (sum(map(mul, A, A)) + m * sum(map(mul, B, B))) * n2 - one
         Y = 2 * sum(map(mul, A, B)) * n2
-        if quad_sign(X, Y, m) <= 0:
+        if quad_sign(X, Y, m, lambda: X + 2 * one) <= 0:
             raise ValueError("light source must lie strictly outside the unit sphere")
-        key = quad_value((X, one, Y, one), m)
-        if key not in inverse_roots:
-            inverse_roots[key] = scalar_parts(ratio(1, exact_sqrt(key)))
-        pa, qa, pb, qb, r = inverse_roots[key]
+        floaty = isinstance(X, float)
+        if floaty:  # a float row's den is 1: s = sqrt(X), kept as the parts of 1/s
+            pa, qa, pb, qb, r = 1, exact_sqrt(X), 0, 1, 0
+        else:
+            key = quad_value((X, one, Y, one), m)
+            if key not in inverse_roots:
+                inverse_roots[key] = scalar_parts(ratio(1, exact_sqrt(key)))
+            pa, qa, pb, qb, r = inverse_roots[key]
         # (u, 1)/s = (A num + B num sqrt m, den) (pa qb + pb qa sqrt r) / (den qa qb)
         f, P, Q = one_field(m, r), pa * qb, pb * qa
         UA, UB = [a * num for a in A] + [den], [b * num for b in B] + [0]
-        VA = [a * P + f * b * Q for a, b in zip(UA, UB)]
+        VA = [a * P + f * b * Q for a, b in zip(UA, UB)] if f else [a * P for a in UA]
         VB = [b * P + a * Q for a, b in zip(UA, UB)]
-        out.append(ball_from_row(scaled_row(VA, VB, 1, den * qa * qb, f)))
+        if floaty:
+            out.append(Ball(tuple(a / (den * qa * qb) for a in VA)))
+        else:
+            out.append(ball_from_row(scaled_row(VA, VB, 1, den * qa * qb, f)))
     return tuple(out)
-
-
-def _scalar_light_source_ball(u: tuple) -> Ball:
-    """(u, 1)/s with s^2 = |u|^2 - 1, in scalar arithmetic: for a float u only."""
-    u2 = sum(x * x for x in u)
-    if compare(u2, 1) <= 0:
-        raise ValueError("light source must lie strictly outside the unit sphere")
-    s = math.sqrt(u2 - 1)
-    return Ball(tuple(x / s for x in u) + (1 / s,))

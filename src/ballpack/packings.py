@@ -5,11 +5,12 @@ arrangement of those balls is the polytope's projection.  Edge-scribed
 realizations project to packings whose tangency graph is the polytope graph.
 This module adds centered projections (a chosen face sent to infinity),
 polar-dual arrangements, the two-half-space standard form, Gramians, and
-Mobius spectra/equivalence.  An exact projection takes its balls from the
-vertices' integer rows (:func:`lorentz.light_source_balls`, one square root
-per distinct |u|^2), its facet balls from the polar vertices that
-:func:`polytopes.polar_dual` computes on rows, and a Mobius image of either
-is an integer matrix-row product (:func:`lorentz.apply_map`).
+Mobius spectra.  A projection takes its balls from the vertices' rows
+(:func:`lorentz.light_source_balls`, one square root per distinct |u|^2),
+its facet balls from the polar vertices that :func:`polytopes.polar_dual`
+computes on rows, and a Mobius image of either is a matrix-row product
+(:func:`lorentz.apply_map`): in integers for exact data, in floats for
+float data.
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Optional
 
 from . import linalg
 from .exactnum import (
     FLOAT_REL,
     approx,
-    compare,
-    is_float_data,
     quad_float,
     ratio,
     scalar_sign,
@@ -42,7 +41,6 @@ from .lorentz import (
     geometry_from_ball,
     light_source_balls,
     lorentz_product,
-    product_scale,
     reflection_map,
     row_of,
     same_vector,
@@ -448,25 +446,7 @@ def standard_form(a: BallArrangement, i: int, j: int):
     return a.transformed(m), m
 
 
-# -- Mobius equivalence and spectra ---------------------------------------------
-
-
-def mobius_equivalent(a: BallArrangement, a2: BallArrangement) -> bool:
-    """Gram-matrix test under the given orderings (packings of maximal rank)."""
-    if len(a.balls) != len(a2.balls) or a.dimension != a2.dimension:
-        return False
-    if not (is_packing(a) and is_packing(a2)):
-        raise ValueError("Gram comparison needs packings")
-    if any(is_float_data(b.v) for b in a.balls + a2.balls):
-        a, a2 = a.approx(), a2.approx()
-    d = a.dimension
-    g1, g2 = gram(a), gram(a2)
-    if linalg.rank(g1) != d + 2 or linalg.rank(g2) != d + 2:
-        raise ValueError("Gram comparison needs maximal rank d+2")
-    u, v = [b.v for b in a.balls], [b.v for b in a2.balls]
-    size = lambda i, j: max(product_scale(u[i], u[j]), product_scale(v[i], v[j]))
-    pairs = product(range(len(u)), repeat=2)
-    return all(compare(g1[i][j], g2[i][j], lambda: size(i, j)) == 0 for i, j in pairs)
+# -- Mobius spectra -------------------------------------------------------------
 
 
 EIGEN_GAP = 1e-6  # float eigenvalues closer than this are one eigenvalue

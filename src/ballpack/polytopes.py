@@ -21,9 +21,10 @@ vertex's :func:`exactnum.exact_row` is taken once and put over a common
 denominator, so every squared distance and dot product is an integer pair
 X + Y sqrt m whose sign :func:`exactnum.quad_sign` reads.  A polar dual
 takes each facet's vertex from the facet's barycenter (:func:`polar_dual`),
-on the same integer rows when the vertices are exact.  Only float vertices
-take the scalar formulas; exact vertices in two quadratic fields are refused
-(:func:`exactnum.one_field`).
+on the same rows: integer rows for exact vertices, and for float vertices
+the rows (v, 0) of :func:`exactnum.float_row`, whose signs ``quad_sign``
+reads through ``compare``.  Exact vertices in two quadratic fields are
+refused (:func:`exactnum.one_field`).
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from typing import Optional
 
 from .exactnum import (
     QuadScalar,
-    compare,
     exact_row,
-    exact_sqrt,
+    float_row,
     is_float_data,
     one_field,
     phi,
@@ -216,20 +216,6 @@ def half_edge_length_squared(s: Solid):
     return _half_edge_length_squared(s.schlafli)
 
 
-def half_edge_length(s: Solid):
-    """Half the edge length: exact where the field of its square hosts it."""
-    ell2 = half_edge_length_squared(s)
-    try:
-        return exact_sqrt(ell2)
-    except ValueError:  # the root lies outside the field of ell2
-        return math.sqrt(ell2)
-
-
-def half_edge_length_pq(p: int, q: int) -> float:
-    """The polyhedral half edge-length from the Schlafli symbol {p,q}."""
-    return math.sqrt(_half_edge_length_squared((p, q)))
-
-
 def solid_from_schlafli(symbol) -> Solid:
     """The regular family member carrying the given Schlafli symbol."""
     sym = tuple(int(x) for x in symbol)
@@ -329,27 +315,6 @@ def flags(p: Polytope):
     return out
 
 
-def graph_distance(p: Polytope, u: int, v: int) -> int:
-    if u == v:
-        return 0
-    adj = p.adjacency()
-    seen = {u}
-    frontier = [u]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for w in frontier:
-            for x in adj[w]:
-                if x == v:
-                    return dist
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    raise ValueError("vertices lie in different components")
-
-
 def _sorted_faces(sets) -> tuple:
     return tuple(sorted(set(sets), key=lambda f: tuple(sorted(f))))
 
@@ -396,16 +361,17 @@ def _cross_lattice(n: int) -> dict:
     return lattice
 
 
-def _integer_coords(verts) -> Optional[tuple]:
+def _integer_coords(verts) -> tuple:
     """(rows, m, D): each vertex as a pair (a, b) of int lists, the vertex
-    being (a + b sqrt m) / D over one common positive denominator D; None
-    when a coordinate is a float.  Vertices in two fields are refused.
+    being (a + b sqrt m) / D over one common positive denominator D.  When
+    a coordinate is a float, each vertex is its :func:`exactnum.float_row`
+    pair (v, 0), with m = 0 and D = 1.0.  Vertices in two fields are refused.
 
     Each vertex's :func:`exact_row` is taken once; D drops out of every
     comparison below, which compares values of equal scale only.
     """
     if any(is_float_data(v) for v in verts):
-        return None
+        return [float_row(v)[:2] for v in verts], 0, 1.0
     parts = [exact_row([scalar_parts(x) for x in v]) for v in verts]
     lcm = math.lcm(*(den for _, _, _, den, _ in parts))
     rows = []
@@ -586,16 +552,13 @@ def polar_dual(p: Polytope) -> Polytope:
     v_f = c / <u, c> for the facet's barycenter c and its first vertex u,
     checked to give <u, v_f> = 1 on every vertex u of the facet.  That holds
     when the facet is perpendicular to its barycenter, as for every regular
-    polytope centered at the origin; any other facet is refused.  Exact
-    vertices are taken on integer rows (:func:`_row_polar_vertex`).
+    polytope centered at the origin; any other facet is refused.  The
+    vertices are taken on rows (:func:`_row_polar_vertex`).
     """
     d = p.dimension
     facets = p.faces_by_rank[d]
     coords = _integer_coords(p.vertices)
-    if coords is None:
-        dual_verts = [_scalar_polar_vertex(p, sorted(f)) for f in facets]
-    else:
-        dual_verts = [_row_polar_vertex(coords, sorted(f)) for f in facets]
+    dual_verts = [_row_polar_vertex(coords, sorted(f)) for f in facets]
     lattice: dict = {}
     for kk in range(d + 1):
         src = p.faces_by_rank[d - kk]
@@ -617,29 +580,23 @@ _NOT_PERPENDICULAR = (
 def _row_polar_vertex(coords, idx) -> tuple:
     """c / <u, c> on the rows of :func:`_integer_coords`.  With the facet's
     vertices (a + b sqrt m)/D summing to S, it is S D / <u, S>, and each
-    vertex u' of the facet must have <u', S> = <u, S>."""
+    vertex u' of the facet must have <u', S> = <u, S>: exactly, or for
+    floats within ``compare``'s window."""
     rows, m, D = coords
     S = tuple([sum(col) for col in zip(*(rows[i][k] for i in idx))] for k in (0, 1))
     X, Y = _quad_dot(rows[idx[0]], S, m)
-    if not (X or Y):
+    if quad_sign(X, Y, m, lambda: product_scale(rows[idx[0]][0], S[0])) == 0:
         raise ValueError(_NO_POLAR_VERTEX.format(idx))
-    if any(_quad_dot(rows[i], S, m) != (X, Y) for i in idx):
-        raise ValueError(_NOT_PERPENDICULAR.format(idx))
-    # S D / (X + Y sqrt m) = S D (X - Y sqrt m) / (X^2 - m Y^2)
-    VA = [a * X - m * b * Y for a, b in zip(*S)]
-    VB = [b * X - a * Y for a, b in zip(*S)]
-    return row_vector(*scaled_row(VA, VB, D, X * X - m * Y * Y, m))
-
-
-def _scalar_polar_vertex(p: Polytope, idx) -> tuple:
-    """c / <u, c> in scalar arithmetic: for float vertices only."""
-    c = face_barycenter(p, idx)
-    u = p.vertices[idx[0]]
-    uc = sum(x * y for x, y in zip(u, c))
-    if compare(uc, 0, lambda: product_scale(u, c)) == 0:
-        raise ValueError(_NO_POLAR_VERTEX.format(idx))
-    v = tuple(ratio(x, uc) for x in c)
-    for u in (p.vertices[i] for i in idx):
-        if compare(sum(x * y for x, y in zip(u, v)), 1, lambda: product_scale(u, v)) != 0:
+    for i in idx:
+        x, y = _quad_dot(rows[i], S, m)
+        if quad_sign(x - X, y - Y, m, lambda: product_scale(rows[i][0], S[0])) != 0:
             raise ValueError(_NOT_PERPENDICULAR.format(idx))
-    return v
+    if not Y:  # S D / X
+        VA, VB, den = S[0], S[1], X
+    else:  # S D / (X + Y sqrt m) = S D (X - Y sqrt m) / (X^2 - m Y^2)
+        VA = [a * X - m * b * Y for a, b in zip(*S)]
+        VB = [b * X - a * Y for a, b in zip(*S)]
+        den = X * X - m * Y * Y
+    if isinstance(D, float):
+        return tuple(a * D / den for a in VA)
+    return row_vector(*scaled_row(VA, VB, D, den, m))

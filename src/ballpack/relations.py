@@ -1,13 +1,13 @@
 """Curvature identities on flags of edge-scribed regular polytopes.
 
-Three layers live here.  The bottom is bookkeeping: Lorentzian barycenters of
-faces (plain means of vertex vectors) and the ladder L(0..d+1) of inverse
-squared half edge-lengths attached to the prefixes of a Schlafli symbol.  The
-middle is corner-matrix algebra -- the Gram matrix of a flag's barycenters is
-a "corner" matrix, whose explicit tridiagonal inverse turns the curvature
-null-identity into the quadratic flag relation.  The top is the family of
-small linear/quadratic consequences (consecutive-element relations, the
-two-root next-polyhedron solver, the walk around a face, antipodal rules),
+Three layers live here.  The bottom is bookkeeping: curvatures of Lorentzian
+barycenters of faces (plain means of vertex vectors) and the ladder
+L(0..d+1) of inverse squared half edge-lengths attached to the prefixes of a
+Schlafli symbol.  The middle is the curvature null-identity, which the Gram
+matrix of a flag's barycenters (a "corner" matrix, with an explicit
+tridiagonal inverse) turns into the quadratic flag relation.  The top is the
+family of small linear/quadratic consequences (consecutive-element
+relations, the two-root next-polyhedron solver, the walk around a face),
 each one law evaluated at the Schlafli symbol, that let clusters grow by
 curvature arithmetic alone, plus the ring certificates for integral and
 phi-integral packings.
@@ -34,7 +34,6 @@ from .exactnum import (
     is_float_data,
     is_ring_integer,
     one_field,
-    phi,
     ratio,
     scalar_parts,
     scalar_sign,
@@ -49,22 +48,12 @@ from .polytopes import (
     solid_from_schlafli,
 )
 
-PHI = phi()
-
 INTEGRAL = "integral"
 PHI_INTEGRAL = "phi-integral"
 NOT_CERTIFIED = "not-certified"
 
 
 # -- Lorentzian barycenters ------------------------------------------------------
-
-
-def lorentzian_barycenter(arrangement: BallArrangement, face=None) -> tuple:
-    """Mean of the vertex ball vectors over ``face`` (all vertices if None)."""
-    idx = sorted(face) if face is not None else range(len(arrangement))
-    cols = zip(*(arrangement[i].v for i in idx))
-    n = len(idx)
-    return tuple(ratio(sum(c), n) for c in cols)
 
 
 def lorentzian_curvature(arrangement: BallArrangement, face=None):
@@ -96,37 +85,6 @@ def L_value(s: Solid, i: int):
         return 0
     sub = solid_from_schlafli(s.schlafli[: i - 1])
     return ratio(1, half_edge_length_squared(sub))
-
-
-# -- corner matrices -------------------------------------------------------------
-
-
-def corner_matrix(entries) -> tuple:
-    """The symmetric matrix with (i,j) entry a_max(i,j)."""
-    a = tuple(entries)
-    n = len(a)
-    return tuple(tuple(a[max(i, j)] for j in range(n)) for i in range(n))
-
-
-def corner_inverse(entries) -> tuple:
-    """Tridiagonal inverse of the corner matrix; needs a_i != a_{i+1}, a_n != 0."""
-    a = tuple(entries)
-    n = len(a)
-    if n == 0:
-        raise ValueError("empty corner matrix")
-    if any(a[i] == a[i + 1] for i in range(n - 1)):
-        raise ValueError("corner inverse needs distinct consecutive entries")
-    if a[-1] == 0:
-        raise ValueError("corner inverse needs a nonzero last entry")
-    diffs = [ratio(1, a[i] - a[i + 1]) for i in range(n - 1)]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        total = diffs[i - 1] if i > 0 else 0
-        total = total + (diffs[i] if i < n - 1 else ratio(1, a[-1]))
-        out[i][i] = total
-    for i in range(n - 1):
-        out[i][i + 1] = out[i + 1][i] = -diffs[i]
-    return tuple(tuple(row) for row in out)
 
 
 def gram_curvature_identity(vectors):
@@ -284,14 +242,6 @@ def _need(**kwargs):
         raise ValueError(f"missing curvature(s): {', '.join(missing)}")
 
 
-def face_from_three(p: int, triple):
-    """Face curvature from three consecutive vertex curvatures on a p-gon face."""
-    k_prev, k_mid, k_next = triple
-    exact = not is_float_data(triple)
-    quarter = ratio(1, 4 * _sin2(p, exact))
-    return quarter * (k_next + k_prev) + (1 - 2 * quarter) * k_mid
-
-
 def face_next(p: int, triple):
     """The curvature after k_next around a p-gon face, from three consecutive
     vertex curvatures: k_prev + (4 cos^2(pi/p) - 1)(k_next - k_mid).
@@ -325,44 +275,6 @@ def solve_next_polyhedron(p: int, q: int, triple):
     base = (1 - 2 * c2p) * k_mid + ratio(k_next + k_prev, 2)
     den = 2 * (1 - c2q - c2p)
     return (ratio(base + rad, den), ratio(base - rad, den))
-
-
-# -- per-family recurrences --------------------------------------------------------
-
-
-def antipodal_curvature(k_solid, k_vertex):
-    """Curvature at the antipodal vertex: the solid's is the pair's midpoint."""
-    return 2 * k_solid - k_vertex
-
-
-def dodecahedral_from_vertex_neighbors(k_v, neighbors):
-    """Dodecahedron curvature from one vertex curvature and its three neighbors'."""
-    u1, u2, u3 = neighbors
-    exact = not is_float_data((k_v, u1, u2, u3))
-    phi1 = PHI if exact else approx(PHI)
-    return ratio(phi1 * phi1 * (u1 + u2 + u3) - (1 + 3 * phi1) * k_v, 2)
-
-
-def solid_recurrences(s: Solid, relation: str, values):
-    """A named curvature recurrence of a Platonic solid.
-
-    ``next``: both solids over a face (``solve_next_polyhedron``);
-    ``square_face`` (cube) and ``pentagon`` (dodecahedron): the next vertex
-    around a face (``face_next``); ``antipodal`` (cube, icosahedron) and
-    ``vertex_neighbors`` (dodecahedron): the closed forms above.
-    """
-    values = tuple(values)
-    if s.dimension == 2:
-        p = s.schlafli[0]
-        if relation == "next":
-            return solve_next_polyhedron(*s.schlafli, values)
-        if (relation, p) in (("square_face", 4), ("pentagon", 5)):
-            return face_next(p, values)
-        if relation == "antipodal" and s.kind in ("cube", "icosahedron"):
-            return antipodal_curvature(*values)
-        if relation == "vertex_neighbors" and s.kind == "dodecahedron":
-            return dodecahedral_from_vertex_neighbors(values[0], values[1:])
-    raise ValueError(f"no {relation!r} recurrence for {s.name}")
 
 
 def _any_sqrt(disc, ks):

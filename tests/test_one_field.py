@@ -4,8 +4,9 @@ An exact row carries one int modulus m (0 for Q, and 0 whenever its
 irrational part is zero).  ``exactnum.one_field`` is the one rule for two
 fields: exact data whose values lie in two fields is refused where its row
 is made, or where two rows meet, with one message that names the fields in
-operand order.  It never reaches the scalar formulas, which serve floats
-only, and the message is spelled once in the package.
+operand order.  It never reaches float arithmetic: the row kernels take a
+float vector only through ``exactnum.float_row``, which the refused data
+never reaches, and the message is spelled once in the package.
 """
 
 import functools
@@ -95,7 +96,7 @@ CASES = {
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a scalar formula was reached")
+    raise AssertionError("float arithmetic was reached")
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -103,11 +104,11 @@ def test_two_fields_are_refused_before_any_scalar_formula(case, monkeypatch):
     make, call, fields = CASES[case]
     args = make()
     for module, name in (
-        (lorentz, "_scalar_reflection"),
-        (lorentz, "_scalar_light_source_ball"),
+        (lorentz, "float_row"),
         (lorentz, "same_vector"),
         (linalg, "mat_vec"),
-        (polytopes, "_scalar_polar_vertex"),
+        (polytopes, "float_row"),
+        (apollonian, "float_row"),
         (apollonian, "_float_cluster"),
         (relations, "verify_flag_relation"),
     ):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from closed_forms import graph_distance
 from curvature_tables import CENTERED_CURVATURES, MOBIUS_SPECTRA, multisets_match
+from frame_oracle import mobius_equivalent
 from ballpack.exactnum import approx, is_float_data
 from ballpack.lorentz import (
     Ball,
@@ -20,7 +22,6 @@ from ballpack.packings import (
     gram,
     grouped_spectra,
     is_packing,
-    mobius_equivalent,
     mobius_spectra,
     project,
     standard_form,
@@ -34,7 +35,6 @@ from ballpack.polytopes import (
     TETRAHEDRON,
     Polytope,
     Solid,
-    graph_distance,
     regular_edge_scribed,
 )
 

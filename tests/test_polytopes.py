@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from closed_forms import graph_distance, half_edge_length, half_edge_length_pq
 from ballpack.exactnum import QuadScalar, approx, is_float_data, phi
 from ballpack.polytopes import (
     COS2,
@@ -18,9 +19,6 @@ from ballpack.polytopes import (
     dual_solid,
     face_barycenter,
     flags,
-    graph_distance,
-    half_edge_length,
-    half_edge_length_pq,
     half_edge_length_squared,
     polar_dual,
     regular_edge_scribed,

@@ -60,7 +60,7 @@ def test_barycenter_means():
 def test_barycenter_vector_is_mean():
     a = arrangement(OCTAHEDRON)
     f = a.polytope.faces(2)[0]
-    bary = rel.lorentzian_barycenter(a, f)
+    bary = cf.lorentzian_barycenter(a, f)
     idx = sorted(f)
     for pos, coord in enumerate(bary):
         assert coord == Fraction(1, 3) * sum(a[i].v[pos] for i in idx)
@@ -104,21 +104,21 @@ def test_l_value_rank_range():
 
 
 def test_corner_matrix_layout():
-    assert rel.corner_matrix((1, 0)) == ((1, 0), (0, 0))
-    assert rel.corner_matrix((3, 2, 1)) == ((3, 2, 1), (2, 2, 1), (1, 1, 1))
+    assert cf.corner_matrix((1, 0)) == ((1, 0), (0, 0))
+    assert cf.corner_matrix((3, 2, 1)) == ((3, 2, 1), (2, 2, 1), (1, 1, 1))
 
 
 def test_corner_inverse_is_inverse():
-    c = rel.corner_matrix((3, 2, 1))
-    ci = rel.corner_inverse((3, 2, 1))
+    c = cf.corner_matrix((3, 2, 1))
+    ci = cf.corner_inverse((3, 2, 1))
     assert linalg.mat_mul(c, ci) == linalg.identity(3)
 
 
 def test_corner_inverse_preconditions():
     with pytest.raises(ValueError):
-        rel.corner_inverse((1, 0))
+        cf.corner_inverse((1, 0))
     with pytest.raises(ValueError):
-        rel.corner_inverse((2, 2, 1))
+        cf.corner_inverse((2, 2, 1))
 
 
 @given(st.lists(rationals, min_size=1, max_size=5), st.data())
@@ -126,10 +126,10 @@ def test_corner_quadratic_form(a, data):
     ok = all(a[i] != a[i + 1] for i in range(len(a) - 1)) and a[-1] != 0
     if not ok:
         with pytest.raises(ValueError):
-            rel.corner_inverse(a)
+            cf.corner_inverse(a)
         return
     x = data.draw(st.lists(rationals, min_size=len(a), max_size=len(a)))
-    ci = rel.corner_inverse(a)
+    ci = cf.corner_inverse(a)
     lhs = sum(
         x[i] * ci[i][j] * x[j] for i in range(len(a)) for j in range(len(a))
     )
@@ -144,12 +144,12 @@ def test_corner_quadratic_form(a, data):
 def test_flag_gram_is_corner_matrix(s):
     a = arrangement(s)
     flag = flags(a.polytope)[0]
-    vectors = [rel.lorentzian_barycenter(a, f) for f in flag]
-    vectors.append(rel.lorentzian_barycenter(a))
+    vectors = [cf.lorentzian_barycenter(a, f) for f in flag]
+    vectors.append(cf.lorentzian_barycenter(a))
     from ballpack.lorentz import lorentz_product
 
     gram = [[lorentz_product(u, v) for v in vectors] for u in vectors]
-    want = rel.corner_matrix([-rel.L_value(s, i) for i in range(4)])
+    want = cf.corner_matrix([-rel.L_value(s, i) for i in range(4)])
     for grow, wrow in zip(gram, want):
         for g, w in zip(grow, wrow):
             assert g == w
@@ -172,8 +172,8 @@ def test_gram_identity_descartes_quadruple():
 def test_gram_identity_flag_barycenters(s):
     a = arrangement(s)
     flag = flags(a.polytope)[0]
-    vectors = [rel.lorentzian_barycenter(a, f) for f in flag]
-    vectors.append(rel.lorentzian_barycenter(a))
+    vectors = [cf.lorentzian_barycenter(a, f) for f in flag]
+    vectors.append(cf.lorentzian_barycenter(a))
     assert rel.gram_curvature_identity(vectors) == 0
 
 
@@ -337,10 +337,12 @@ def test_face_relations_fall_back_to_floats_without_an_exact_cos2():
 def test_float_relations_read_the_exact_cos2_table():
     # float data takes the float image of the exact cos^2(pi/p) where there is one
     assert rel.consecutive("edge", 4, 3, vertex=1.0, edge=0.0, face=0.0) == 1.0
-    assert rel.face_from_three(4, (0.0, 1.0, 0.0)) == 0.0
+    assert cf.face_from_three(4, (0.0, 1.0, 0.0)) == 0.0
     with pytest.raises(ValueError, match="no exact cos"):
-        rel.face_from_three(7, (0, 1, 0))
-    assert rel.face_from_three(7, (0.0, 1.0, 0.0)) == pytest.approx(
+        rel.consecutive("edge", 7, 3, vertex=0, edge=1, face=0)
+    with pytest.raises(ValueError, match="no exact cos"):
+        cf.face_from_three(7, (0, 1, 0))
+    assert cf.face_from_three(7, (0.0, 1.0, 0.0)) == pytest.approx(
         1 - 1 / (2 * math.sin(math.pi / 7) ** 2)
     )
 
@@ -409,11 +411,11 @@ def test_consecutive_polyhedron_is_face_inversion(s):
 
 
 def test_face_from_three_triangle():
-    assert rel.face_from_three(3, (0, 0, 1)) == Fraction(1, 3)
+    assert cf.face_from_three(3, (0, 0, 1)) == Fraction(1, 3)
 
 
 def test_face_from_three_square():
-    kf = rel.face_from_three(4, (0, 0, 1))
+    kf = cf.face_from_three(4, (0, 0, 1))
     assert kf == Fraction(1, 2)
     fourth = rel.face_next(4, (0, 0, 1))
     assert Fraction(0 + 0 + 1 + fourth, 4) == kf
@@ -427,7 +429,7 @@ def test_face_from_three_matches_barycenter(s):
     f = poly.faces(2)[0]
     cyc = face_cycle(poly, f)
     ks = [rel.lorentzian_curvature(a, frozenset([i])) for i in cyc]
-    got = rel.face_from_three(p, (ks[0], ks[1], ks[2]))
+    got = cf.face_from_three(p, (ks[0], ks[1], ks[2]))
     assert got == rel.lorentzian_curvature(a, f)
 
 
@@ -467,7 +469,7 @@ def test_roots_sum_matches_consecutive_polyhedra(s):
     p, q = s.schlafli
     triple = SOLVER_TRIPLES[s]
     plus, minus = rel.solve_next_polyhedron(p, q, triple)
-    kf = rel.face_from_three(p, triple)
+    kf = cf.face_from_three(p, triple)
     # sum of curvatures of the two solids sharing the face
     want = rel.consecutive("polyhedron", p, q, face=kf, polyhedron=0)
     assert plus + minus == want
@@ -478,7 +480,7 @@ def test_roots_sum_matches_consecutive_polyhedra(s):
 
 def test_octahedral_next():
     assert set(cf.octahedral_next((-2, 4, 5))) == {9, 5}
-    assert set(rel.solid_recurrences(OCTAHEDRON, "next", (-2, 4, 5))) == {9, 5}
+    assert set(rel.solve_next_polyhedron(3, 4, (-2, 4, 5))) == {9, 5}
 
 
 def test_cubical_next():
@@ -488,8 +490,8 @@ def test_cubical_next():
 
 
 def test_cubical_square_face_and_antipode():
-    assert rel.solid_recurrences(CUBE, "square_face", (0, 0, 1)) == 1
-    assert rel.solid_recurrences(CUBE, "antipodal", (1, 0)) == 2
+    assert rel.face_next(4, (0, 0, 1)) == 1
+    assert cf.antipodal_curvature(1, 0) == 2
 
 
 def test_icosahedral_next():
@@ -515,7 +517,7 @@ def test_next_recurrence_on_projected_face(s):
     f = poly.faces(2)[0]
     cyc = face_cycle(poly, f)
     ks = [rel.lorentzian_curvature(a, frozenset([i])) for i in cyc]
-    roots = rel.solid_recurrences(s, "next", (ks[0], ks[1], ks[2]))
+    roots = rel.solve_next_polyhedron(*s.schlafli, (ks[0], ks[1], ks[2]))
     kp = rel.lorentzian_curvature(a)
     b_f = dual(a)[poly.faces(2).index(f)]
     kp2 = rel.lorentzian_curvature(a.transformed(inversion_map(b_f)))
@@ -525,15 +527,13 @@ def test_next_recurrence_on_projected_face(s):
 def test_icosahedral_antipode_on_projection():
     a = arrangement(ICOSAHEDRON)
     poly = a.polytope
-    from ballpack.polytopes import graph_distance
-
     far = next(
-        j for j in range(1, len(poly.vertices)) if graph_distance(poly, 0, j) == 3
+        j for j in range(1, len(poly.vertices)) if cf.graph_distance(poly, 0, j) == 3
     )
     k0 = rel.lorentzian_curvature(a, frozenset([0]))
     kfar = rel.lorentzian_curvature(a, frozenset([far]))
     kp = rel.lorentzian_curvature(a)
-    assert rel.solid_recurrences(ICOSAHEDRON, "antipodal", (kp, k0)) == kfar
+    assert cf.antipodal_curvature(kp, k0) == kfar
 
 
 def test_pentagon_walk_on_projection():
@@ -542,7 +542,7 @@ def test_pentagon_walk_on_projection():
     f = poly.faces(2)[0]
     cyc = face_cycle(poly, f)
     ks = [rel.lorentzian_curvature(a, frozenset([i])) for i in cyc]
-    got = rel.solid_recurrences(DODECAHEDRON, "pentagon", (ks[0], ks[1], ks[2]))
+    got = rel.face_next(5, (ks[0], ks[1], ks[2]))
     assert got == ks[3]
     assert rel.face_next(5, (ks[1], ks[2], ks[3])) == ks[4]
 
@@ -555,37 +555,8 @@ def test_dodecahedral_vertex_neighbors_on_projection():
     )
     kv = rel.lorentzian_curvature(a, frozenset([0]))
     kn = [rel.lorentzian_curvature(a, frozenset([j])) for j in nbrs]
-    got = rel.solid_recurrences(DODECAHEDRON, "vertex_neighbors", (kv, *kn))
+    got = cf.dodecahedral_from_vertex_neighbors(kv, kn)
     assert got == rel.lorentzian_curvature(a)
-
-
-RECURRENCES = {
-    ("tetrahedron", "next"),
-    ("octahedron", "next"),
-    ("cube", "next"),
-    ("icosahedron", "next"),
-    ("dodecahedron", "next"),
-    ("cube", "square_face"),
-    ("cube", "antipodal"),
-    ("icosahedron", "antipodal"),
-    ("dodecahedron", "pentagon"),
-    ("dodecahedron", "vertex_neighbors"),
-}
-
-
-def test_recurrence_dispatch_errors():
-    """solid_recurrences accepts the pairs above and refuses every other."""
-    solids = (*PLATONIC, Solid("simplex", 2), Solid("cube", 4), Solid("cross", 4), Solid("cell24", 4))
-    relations = ("next", "square_face", "pentagon", "antipodal", "vertex_neighbors", "triangle")
-    values = {"antipodal": (1, 0), "vertex_neighbors": (1, 2, 3, 4)}
-    for s in solids:
-        for relation in relations:
-            args = (s, relation, values.get(relation, (0, 0, 1)))
-            if (s.name, relation) in RECURRENCES:
-                rel.solid_recurrences(*args)
-            else:
-                with pytest.raises(ValueError, match=f"no '{relation}' recurrence for {s.name}"):
-                    rel.solid_recurrences(*args)
 
 
 # -- the general laws against the paper's per-solid forms -------------------------------
@@ -623,7 +594,6 @@ def test_general_laws_match_the_printed_forms(s, triple, flag):
     p, q = s.schlafli
     want = outcome(cf.NEXT[p, q], triple)
     assert outcome(rel.solve_next_polyhedron, p, q, triple) == want
-    assert outcome(rel.solid_recurrences, s, "next", triple) == want
     if p in cf.FACE_NEXT:
         assert outcome(rel.face_next, p, triple) == outcome(cf.FACE_NEXT[p], *triple)
     assert outcome(rel.integrality_condition, s, triple) == outcome(

@@ -13,12 +13,12 @@ from ballpack.documents import (
     PackingDocument,
     document_from_arrangement,
     document_from_cluster,
+    _parse,
     from_json,
-    scalar_from_text,
     scalar_to_text,
     to_json,
 )
-from ballpack.exactnum import QuadScalar, approx, phi, sqrt_int
+from ballpack.exactnum import QuadScalar, approx, phi, quad_value, sqrt_int
 from ballpack.lorentz import Ball, ball_from_geometry
 from ballpack.apollonian import (
     apollonian_group_from_packing,
@@ -34,6 +34,12 @@ SQRT2 = sqrt_int(2)
 
 
 # -- exact scalar text --------------------------------------------------------
+
+
+def scalar_from_text(s: str):
+    """The loader's reading of one exact scalar's text: a Fraction or a QuadScalar."""
+    *quad, m = _parse(s)
+    return quad_value(quad, m)
 
 
 @pytest.mark.parametrize(
@@ -775,6 +781,23 @@ def test_float_curvature_adds_the_floats_of_terms_in_two_fields(token, tmp_path,
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot mix fields")
+
+
+@pytest.mark.parametrize(
+    "initial, fields",
+    [("5+2sqrt5,20+4sqrt2,15", (5, 2)), ("15,20+4sqrt2,5+2sqrt5", (2, 5))],
+)
+def test_cli_cluster_refuses_an_initial_in_two_fields_naming_them_in_its_order(
+    initial, fields, tmp_path, capsys
+):
+    # each token lies in one field; the Gram solve is not singular, and the
+    # refusal is not relabeled as one
+    out = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "cube", f"--initial={initial}", "--depth", "1", "--out", str(out)]
+    assert main(argv) == 2
+    error = "error: cannot mix fields Q(sqrt {}) and Q(sqrt {})\n".format(*fields)
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("token", ["1+phi", "2sqrt2-1", "5/3", "1/2sqrt2+sqrt8", "sqrt2-sqrt2+sqrt3"])

@@ -12,8 +12,10 @@ The list is:
 * ``project``, ``verify``, ``dual`` and ``verify`` of every realized solid
   under the four centerings, with ``render`` of the planar ones;
 * ``cluster``, ``verify`` and ``render`` of the README seeds, ``0,0,1`` and
-  ``-1,2,2``, exact, at depths 0-2, and ``integrality --certify-depth 2`` of
-  each;
+  ``-1,2,2``, exact, at depths 0-2, and float at depths 0-1, and
+  ``integrality --certify-depth 2`` of each;
+* float ``cluster`` and ``verify`` at depth 1 of c times each Platonic
+  projection's own first three face-cycle curvatures, c = 1, 2, 1/3;
 * ``squares --p 3|4|5``;
 * every operation of perfbench's ``full_verify`` and ``doc_chain``
   workloads (this checkout's ``perfbench/``, workload seed 5), set-up
@@ -22,7 +24,11 @@ The list is:
   two solids are both past-directed.
 
 It prints each command whose outputs differ, and what differs, and exits 1
-if any do.  Paths under the temporary directory are printed as ``<tmp>``.
+if any do.  For a float JSON document written by both checkouts with bytes
+that differ, it also prints the largest change of an inversive coordinate x
+relative to max(1, |x|), matching the entries by their (depth, word, orbit),
+and how many entries changed place.  Paths under the temporary directory
+are printed as ``<tmp>``.
 """
 
 from __future__ import annotations
@@ -54,12 +60,22 @@ README_SEEDS = (
 POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
 POLYGONS = ("triangle", "square", "5-gon", "6-gon", "7-gon")
 HIGHER = ("simplex-4", "simplex-5", "cube-4", "cube-5", "orthoplex-4", "orthoplex-5")
+# c times each Platonic projection's own anchor curvatures, c = 1, 2, 1/3
+ANCHOR_SEEDS = (
+    ("tetrahedron", ("0,sqrt2,sqrt2", "0,2sqrt2,2sqrt2", "0,1/3sqrt2,1/3sqrt2")),
+    ("octahedron", ("1,1,1-sqrt2", "2,2,2-2sqrt2", "1/3,1/3,1/3-1/3sqrt2")),
+    ("cube", ("1+sqrt2,sqrt2-1,sqrt2-1", "2+2sqrt2,2sqrt2-2,2sqrt2-2",
+              "1/3+1/3sqrt2,1/3sqrt2-1/3,1/3sqrt2-1/3")),
+    ("icosahedron", ("0,phi-1,phi", "0,2phi-2,2phi", "0,1/3phi-1/3,1/3phi")),
+    ("dodecahedron", ("1,phi,2+phi", "2,2phi,4+2phi", "1/3,1/3phi,2/3+1/3phi")),
+)
 REFUSALS = (
     ("cluster", "tetrahedron", "-3,,5,8", "exact"),
     ("cluster", "tetrahedron", "-3,5,8,", "exact"),
     ("cluster", "tetrahedron", "-3,5,8,", "float"),
     ("cluster", "tetrahedron", "sqrt2+sqrt3,5,8", "exact"),
     ("cluster", "cube", "-2,-8,-8", "exact"),
+    ("cluster", "cube", "5+2sqrt5,20+4sqrt2,15", "exact"),
     ("integrality", "tetrahedron", "-3,5,,8", None),
     ("integrality", "tetrahedron", "sqrt2+sqrt3,5,8", None),
 )
@@ -79,15 +95,23 @@ def cases() -> list:
             case += [["dual", "--in", "p.json", "--out", "d.json"], ["verify", "--in", "d.json"]]
             out.append(case)
     for solid, initial in README_SEEDS:
-        for depth in (0, 1, 2):
-            out.append([
-                ["cluster", "--solid", solid, f"--initial={initial}", "--depth", str(depth),
-                 "--out", "c.json"],
-                ["verify", "--in", "c.json"],
-                ["render", "--in", "c.json", "--out", "c.svg"],
-            ])
+        for mode, depths in (("exact", (0, 1, 2)), ("float", (0, 1))):
+            for depth in depths:
+                out.append([
+                    ["cluster", "--solid", solid, f"--initial={initial}", "--depth", str(depth),
+                     "--mode", mode, "--out", "c.json"],
+                    ["verify", "--in", "c.json"],
+                    ["render", "--in", "c.json", "--out", "c.svg"],
+                ])
         out.append([["integrality", "--solid", solid, f"--initial={initial}",
                      "--certify-depth", "2"]])
+    for solid, initials in ANCHOR_SEEDS:
+        for initial in initials:
+            out.append([
+                ["cluster", "--solid", solid, f"--initial={initial}", "--depth", "1",
+                 "--mode", "float", "--out", "f.json"],
+                ["verify", "--in", "f.json"],
+            ])
     for p in (3, 4, 5):
         out.append([["squares", "--p", str(p)]])
     for command, solid, initial, mode in REFUSALS:
@@ -101,6 +125,24 @@ def cases() -> list:
         ["verify", "--in", "f.json"],
     ])
     return out
+
+
+def _float_entries(path: Path):
+    """The entries of a float JSON document, in order, as pairs of their
+    (depth, word, orbit) in JSON and their inversive coordinates; None for
+    any other file."""
+    if path.suffix != ".json":
+        return None
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if doc.get("mode") != "float":
+            return None
+        return [
+            [json.dumps([e["depth"], e["word"], e["orbit"]]), [float(x) for x in e["inversive"]]]
+            for e in doc["entries"]
+        ]
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return None
 
 
 def _digests(where: Path) -> dict:
@@ -120,9 +162,11 @@ class _Recorder:
         after = _digests(self.where)
         files = {k: v for k, v in after.items() if self.before.get(k) != v}
         self.before = after
+        floats = {k: _float_entries(self.where / k) for k in files}
         tmp = str(self.where)
         self.records.append({
             "argv": label, "rc": rc, "files": files,
+            "floats": {k: v for k, v in floats.items() if v is not None},
             "stdout": stdout.replace(tmp, "<tmp>"), "stderr": stderr.replace(tmp, "<tmp>"),
         })
 
@@ -178,6 +222,23 @@ def _first_difference(a: str, b: str) -> str:
     return "line endings differ"
 
 
+def _float_change(xs, ys) -> str:
+    """The largest coordinate change between the entries of two float
+    documents, as a suffix of the line that says their bytes differ."""
+    if xs is None or ys is None:
+        return ""
+    a, b = dict(xs), dict(ys)
+    if a.keys() != b.keys() or len(a) != len(xs):
+        return f"; the entries differ in (depth, word, orbit): {len(xs)} and {len(ys)} entries"
+    change = max(
+        (abs(x - y) / max(1.0, abs(x)) for k in a for x, y in zip(a[k], b[k], strict=True)),
+        default=0.0,
+    )
+    moved = sum(p != q for (p, _), (q, _) in zip(xs, ys))
+    out = f"; largest float coordinate change {change:.3g} relative to max(1, |x|)"
+    return out + (f", {moved} entries changed place" if moved else "")
+
+
 def differences(a: dict, b: dict) -> list:
     out = []
     if a["rc"] != b["rc"]:
@@ -188,7 +249,8 @@ def differences(a: dict, b: dict) -> list:
     for name in sorted(set(a["files"]) | set(b["files"])):
         if a["files"].get(name) != b["files"].get(name):
             if name in a["files"] and name in b["files"]:
-                out.append(f"file {name}: bytes differ")
+                out.append(f"file {name}: bytes differ" + _float_change(
+                    a["floats"].get(name), b["floats"].get(name)))
             else:
                 out.append(f"file {name}: " + " != ".join(
                     "written" if name in r["files"] else "not written" for r in (a, b)
