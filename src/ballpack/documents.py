@@ -11,8 +11,9 @@ scalar's canonical text straight from the integers, the loader parses the
 text into rows, :meth:`PackingDocument.balls` checks every Lorentz norm on
 them and makes a ball only when a check reads it, an exact one born with
 its row, and ``svgout.render_svg`` and ``packings.pair_screen`` take their
-floats from the rows through ``exactnum.quad_float``.  :class:`lorentz.Entry`
-objects are built only on demand (:attr:`PackingDocument.entries`).
+floats from the rows as ``exactnum.quad_float`` computes them, in
+correctly rounded int division.  :class:`lorentz.Entry` objects are built
+only on demand (:attr:`PackingDocument.entries`).
 
 The writer adds each ball's curvature and Euclidean geometry
 (``center``/``radius``, or a ``halfspace`` normal and offset) for readers
@@ -22,28 +23,33 @@ values: every consumer derives them from ``inversive``.  Float documents
 store plain JSON numbers, which round-trip bit-exactly through the
 shortest decimal representation; exact documents store every scalar as a
 string "a/b" or "a/b+c/d√m" in lowest terms.
+
+Both directions work on blocks of :data:`BLOCK` entries, not on one scalar
+at a time.  The loader checks a block's JSON types in one pass over its
+entries, the grammar of its scalar texts with one regex over their
+newline-joined text, and makes the block's canonical rows at once
+(``exactnum.exact_rows``); each block's parsed JSON is freed as its rows
+are made.  Only a block that these checks refuse is walked entry by entry
+(:func:`_check_entry`), to name its first fault.  The writer derives
+curvature and geometry a block at a time in one column pass
+(:func:`derived_rows`), reduces each column of fractions with ``np.gcd``,
+and prints each entry through one template.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain, compress, repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exactnum import (
-    FLOAT_REL,
-    exact_row,
-    field_modulus,
-    is_float_data,
-    one_field,
-    quad_sign,
-    scalar_parts,
-)
+from .exactnum import FLOAT_REL, exact_rows, field_modulus, is_float_data, scalar_parts
 from .lorentz import Ball, Entry, ball_from_row
 
 RADICAL = "√"
@@ -55,56 +61,41 @@ MODE_FLOAT = "float"
 # to be reduced.
 
 
-def _ratio_text(p: int, q: int) -> str:
-    g = math.gcd(p, q)
-    if q < 0:
-        g = -g
-    p, q = p // g, q // g
-    return str(p) if q == 1 else f"{p}/{q}"
-
-
-def _quad_text(x, m: int) -> str:
-    """Canonical text of x = (pa, qa, pb, qb): "a", "a/b" or "a/b±c/d√m"."""
-    pa, qa, pb, qb = x
-    out = _ratio_text(pa, qa)
-    if pb:
-        sign = "+" if (pb > 0) == (qb > 0) else "-"
-        out += sign + _ratio_text(abs(pb), abs(qb)) + RADICAL + str(m)
-    return out
-
-
 def scalar_to_text(x) -> str:
     """Canonical exact string: "a", "a/b", or "a/b±c/d√m" in lowest terms."""
     *quad, m = scalar_parts(x)
-    return _quad_text(quad, m)
+    return _exact_texts(tuple(np.array([p], dtype=object) for p in quad), m)[0]
 
 
-_SCALAR_RE = re.compile(
-    r"^(?P<an>[+-]?\d+)(?:/(?P<ad>\d+))?"
-    r"(?:(?P<sign>[+-])(?P<bn>\d+)(?:/(?P<bd>\d+))?√(?P<m>\d+))?$"
+# One exact scalar's text a line, ASCII digits only; the groups are (an,
+# ad, bn, bd, m), bn with its sign.  Texts are read newline-joined, one
+# scalar a line: every line is a scalar when the matches and the lines are
+# equally many.
+_LINES_RE = re.compile(
+    r"^([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-][0-9]+)(?:/([0-9]+))?√([0-9]+))?(?:\n|\Z)", re.M
 )
+_ZERO_DENOMINATOR_RE = re.compile(r"/0+(?![0-9])")
 
 
 def _scalar_match(s: str) -> tuple:
-    """The groups (an, ad, sign, bn, bd, m) of a well-formed scalar's text."""
-    mt = _SCALAR_RE.match(s)
-    if mt is None:
+    """The groups (an, ad, bn, bd, m) of a well-formed scalar's text."""
+    found = () if "\n" in s else _LINES_RE.findall(s)
+    if len(found) != 1:
         raise ValueError(f"malformed exact scalar {s!r}")
-    groups = mt.groups()
-    if "/0" in s and any(d is not None and not d.strip("0") for d in groups[1::3]):
+    if "/0" in s and _ZERO_DENOMINATOR_RE.search(s):
         raise ValueError(f"zero denominator in {s!r}")
-    return groups
+    return found[0]
 
 
 def _parse(s: str) -> tuple:
     """(pa, qa, pb, qb, m) of a scalar's text; m = 0 when its radical part
     is absent or zero, and otherwise a square-free integer > 1."""
-    an, ad, sign, bn, bd, m = _scalar_match(s)
+    an, ad, bn, bd, m = _scalar_match(s)
     pa, qa = int(an), int(ad or 1)
     pb = int(bn or 0)
     if not pb:
         return pa, qa, 0, 1, 0
-    return pa, qa, -pb if sign == "-" else pb, int(bd or 1), field_modulus(int(m))
+    return pa, qa, pb, int(bd or 1), field_modulus(int(m))
 
 
 def _float_scalar(x) -> float:
@@ -129,31 +120,6 @@ def _exact_scalar(x, read: bool = True) -> tuple:
 
 
 # -- the row layout -------------------------------------------------------------
-
-
-def _matrix(rows: list, width: int, dtype) -> np.ndarray:
-    out = np.empty((len(rows), max(width, 0)), dtype=dtype)
-    if rows:
-        out[:] = rows
-    return out
-
-
-def _stack(rows: list, width: int) -> tuple:
-    """The row arrays of :func:`exactnum.exact_row` results, None for a vector
-    in two fields, and their one field modulus (0 for Q)."""
-    try:
-        m = None if None in rows else one_field(*(r[4] for r in rows))
-    except ValueError:
-        m = None
-    if m is None:
-        raise ValueError("document mixes quadratic fields")
-    arrays = {
-        "A": _matrix([r[0] for r in rows], width, object),
-        "B": _matrix([r[1] for r in rows], width, object),
-        "num": np.array([r[2] for r in rows], dtype=object),
-        "den": np.array([r[3] for r in rows], dtype=object),
-    }
-    return arrays, m
 
 
 def _exact_mode(m: int) -> str:
@@ -325,11 +291,18 @@ def document_from_entries(dimension: int, entries, *, solid=None, seed=None) -> 
     scalar is a float, exact otherwise."""
     entries = tuple(entries)
     width = dimension + 2
-    if is_float_data([x for e in entries for x in e.inversive]):
-        rows = {"V": _matrix([[float(x) for x in e.inversive] for e in entries], width, np.float64)}
+    if any(len(e.inversive) != width for e in entries):
+        raise ValueError(f"an entry has not {width} coordinates")
+    scalars = [x for e in entries for x in e.inversive]
+    if is_float_data(scalars):
+        rows = {"V": np.array([float(x) for x in scalars], dtype=np.float64).reshape(-1, width)}
         mode, m = MODE_FLOAT, 0
     else:
-        rows, m = _stack([exact_row(list(map(scalar_parts, e.inversive))) for e in entries], width)
+        *parts, moduli = zip(*map(scalar_parts, scalars)) if scalars else ((),) * 5
+        fields = set(moduli) - {0}
+        if len(fields) > 1:
+            raise ValueError("document mixes quadratic fields")
+        rows, m = exact_rows(parts, width), max(fields, default=0)
         mode = _exact_mode(m)
     provenance = ((e.depth for e in entries), (e.word for e in entries), (e.orbit for e in entries))
     return PackingDocument(dimension, mode, solid, dict(seed or {}), rows, *map(tuple, provenance), m)
@@ -368,48 +341,76 @@ def document_from_cluster(cluster, *, solid=None, seed=None) -> PackingDocument:
 # -- derived geometry ------------------------------------------------------------
 
 
-def derived_rows(doc: PackingDocument) -> Iterator[tuple]:
-    """Per entry: (inversive, curvature, orientation, first, second).
+def _sign(x: np.ndarray) -> np.ndarray:
+    """Elementwise sign of an object array of ints, as int64."""
+    return (x > 0).astype(np.int64) - (x < 0).astype(np.int64)
 
-    Orientation is the sign of the curvature; a half-space (orientation 0)
-    has its normal and offset as (first, second), and a sphere its center
-    and radius 1/|curvature|.  Scalars are floats in float documents and
-    (pa, qa, pb, qb) integers in exact ones.  With kappa = (ka + kb sqrt m)
-    num/den, the center is x_i / kappa = ((a_i ka - b_i kb m) + (b_i ka -
-    a_i kb) sqrt m) / (ka^2 - kb^2 m), and the radius has the exact sign of
-    ka + kb sqrt m.
+
+def _where(mask: np.ndarray, x: tuple, y: tuple) -> tuple:
+    """The exact column that takes x's parts where ``mask`` holds, y's elsewhere."""
+    return tuple(np.where(mask, p, q) for p, q in zip(x, y))
+
+
+BLOCK = 256  # entries that the loader checks, or the writer prints, at once
+
+
+def derived_rows(doc: PackingDocument):
+    """For each block of :data:`BLOCK` entries in order, the slice of its
+    entries and their (inversive, curvature, orientation, first, second), as
+    columns computed in one pass over the block's rows.
+
+    Orientation (int64, n) is the sign of the curvature; a half-space
+    (orientation 0) has its normal and offset as (first, second), and a
+    sphere its center and radius 1/|curvature|.  In float documents every
+    other column is a float64 array, (n, d+2), (n), (n, d) and (n).  In
+    exact ones it is a tuple (pa, qa, pb, qb) of object arrays of ints that
+    broadcast to those shapes, each scalar being pa/qa + (pb/qb) sqrt m, the
+    fractions unreduced.  With kappa = (ka + kb sqrt m) num/den, the center
+    is x_i / kappa = ((a_i ka - b_i kb m) + (b_i ka - a_i kb) sqrt m) / (ka^2
+    - kb^2 m), and the radius has the exact sign of ka + kb sqrt m.
     """
+    for lo in range(0, len(doc), BLOCK):
+        entries = slice(lo, lo + BLOCK)
+        yield entries, _derived(doc, {k: v[entries] for k, v in doc.rows.items()})
+
+
+def _derived(doc: PackingDocument, r: dict) -> tuple:
+    """The columns of :func:`derived_rows` for the rows ``r`` of doc."""
     d = doc.dimension
     if doc.is_float:
-        V = doc.rows["V"]
+        V = r["V"]
         k = V[:, -1] - V[:, -2]
+        flat = k == 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             C, R = V[:, :d] / k[:, None], 1 / np.abs(k)
-        for v, kk, c, r in zip(V.tolist(), k.tolist(), C.tolist(), R.tolist()):
-            if kk == 0:
-                yield v, kk, 0, v[:d], v[d]
-            else:
-                yield v, kk, 1 if kk > 0 else -1, c, r
-        return
-    m, r = doc.m, doc.rows
-    for a, b, num, den in zip(r["A"].tolist(), r["B"].tolist(), r["num"].tolist(), r["den"].tolist()):
-        inv = [(x * num, den, y * num, den) for x, y in zip(a, b)]
-        ka, kb = a[-1] - a[-2], b[-1] - b[-2]
-        curvature = (ka * num, den, kb * num, den)
-        if not (ka or kb):
-            yield inv, curvature, 0, inv[:d], inv[d]
-            continue
-        n = ka * ka - kb * kb * m
-        center = [(x * ka - y * kb * m, n, y * ka - x * kb, n) for x, y in zip(a[:d], b[:d])]
-        s = quad_sign(ka, kb, m)
-        yield inv, curvature, s, center, (s * ka * den, n * num, -s * kb * den, n * num)
+        s = np.where(k > 0, 1, np.where(flat, 0, -1))
+        return V, k, s, np.where(flat[:, None], V[:, :d], C), np.where(flat, V[:, d], R)
+    m, A, B, num, den = doc.m, r["A"], r["B"], r["num"], r["den"]
+    inv = (A * num[:, None], den[:, None], B * num[:, None], den[:, None])
+    ka, kb = A[:, -1] - A[:, -2], B[:, -1] - B[:, -2]
+    sa, sb = _sign(ka), _sign(kb)
+    flat = (sa == 0) & (sb == 0)
+    # quad_sign(ka, kb, m): a^2 = b^2 m has no solution with b != 0
+    s = np.where(ka * ka > kb * kb * m, sa, sb)
+    s = np.where((sb == 0) | (sa == sb), sa, np.where(sa == 0, sb, s))
+    n = np.where(flat, 1, ka * ka - kb * kb * m)
+    a, b, kac, kbc = A[:, :d], B[:, :d], ka[:, None], kb[:, None]
+    center = (a * kac - b * kbc * m, n[:, None], b * kac - a * kbc, n[:, None])
+    radius = (s * ka * den, n * num, -s * kb * den, n * num)
+    normal = (inv[0][:, :d], inv[1], inv[2][:, :d], inv[3])
+    offset = (inv[0][:, d], den, inv[2][:, d], den)
+    curvature = (ka * num, den, kb * num, den)
+    return inv, curvature, s, _where(flat[:, None], normal, center), _where(flat, offset, radius)
 
 
 # -- the JSON text ---------------------------------------------------------------
 
 
-def _float_text(x: float) -> str:
-    return repr(x) if x - x == 0 else json.dumps(x)  # json's names for inf and nan
+def _float_texts(x: np.ndarray) -> list:
+    """The JSON text of each float, row by row: its repr, or json's name
+    for inf and nan."""
+    values = x.ravel().tolist()
+    return list(map(repr if np.isfinite(x).all() else json.dumps, values))
 
 
 def _list_text(items: list, indent: int) -> str:
@@ -420,9 +421,56 @@ def _list_text(items: list, indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
+def _ratio_texts(p: np.ndarray, q: np.ndarray) -> list:
+    """The text "a" or "a/b" of each fraction p/q (object arrays of ints, q
+    nonzero), in lowest terms."""
+    g = np.gcd(p, q)
+    g = np.where(q < 0, -g, g)
+    return [str(a) if b == 1 else f"{a}/{b}" for a, b in zip((p // g).tolist(), (q // g).tolist())]
+
+
+def _exact_texts(x: tuple, m: int) -> list:
+    """The canonical text of each scalar of an exact column (pa, qa, pb,
+    qb), row by row: "a", "a/b" or "a/b±c/d√m"."""
+    pa, qa, pb, qb = (p.ravel() for p in np.broadcast_arrays(*x))
+    out = _ratio_texts(pa, qa)
+    if not (pb != 0).any():
+        return out
+    root = f"{RADICAL}{m}"
+    return [
+        a if b == "0" else f"{a}{b}{root}" if b[0] == "-" else f"{a}+{b}{root}"
+        for a, b in zip(out, _ratio_texts(pb, qb))
+    ]
+
+
+def _entry_template(d: int, exact: bool, sphere: bool) -> str:
+    """One entry's text with a %s for each of its (d + 2) + 1 + d + 1
+    scalars and its depth, word and orbit, as json.dumps(indent=2) lays it."""
+    x = '"%s"' if exact else "%s"
+    if sphere:
+        geo = f'      "center": {_list_text([x] * d, 6)},\n      "radius": {x},\n'
+    else:
+        geo = (
+            '      "halfspace": {\n'
+            f'        "normal": {_list_text([x] * d, 8)},\n'
+            f'        "offset": {x}\n'
+            "      },\n"
+        )
+    return (
+        "    {\n"
+        f'      "inversive": {_list_text([x] * (d + 2), 6)},\n'
+        f'      "curvature": {x},\n'
+        f"{geo}"
+        '      "depth": %s,\n'
+        '      "word": %s,\n'
+        '      "orbit": %s\n'
+        "    }"
+    )
+
+
 def to_json(doc: PackingDocument) -> str:
     """The document's JSON text, as json.dumps(indent=2, ensure_ascii=False)
-    prints it, written from the rows."""
+    prints it, written from the rows a block of entries at a time."""
     head = json.dumps(
         {"dimension": doc.dimension, "mode": doc.mode, "solid": doc.solid, "seed": doc.seed,
          "entries": []},
@@ -431,48 +479,33 @@ def to_json(doc: PackingDocument) -> str:
     )
     if not len(doc):
         return head + "\n"
-    if doc.is_float:
-        text = _float_text
-    else:
-        m = doc.m
-        text = lambda x: f'"{_quad_text(x, m)}"'  # noqa: E731
-    letters = {}
+    d, exact = doc.dimension, not doc.is_float
+    texts = (lambda x: _exact_texts(x, doc.m)) if exact else _float_texts
+    templates = {s: _entry_template(d, exact, s != 0) for s in (-1, 0, 1)}
+    letters = {w: json.dumps(w, ensure_ascii=False) for w in set(chain.from_iterable(doc.word))}
 
-    def letter(w):
-        if w not in letters:
-            letters[w] = json.dumps(w, ensure_ascii=False)
-        return letters[w]
+    def word_text(word) -> str:
+        return _list_text(list(map(letters.get, word)), 6)
 
-    # many short pieces and one join: a whole entry's text, a few hundred
-    # bytes, would bypass the small-object allocator and fragment the heap
-    parts = [head[: -len("[]\n}")], "[\n"]
-    for (inv, k, s, first, second), depth, word, orbit in zip(
-        derived_rows(doc), doc.depth, doc.word, doc.orbit
-    ):
-        if s:
-            geo = (
-                f'      "center": {_list_text([text(x) for x in first], 6)},\n'
-                f'      "radius": {text(second)},\n'
-            )
-        else:
-            geo = (
-                '      "halfspace": {\n'
-                f'        "normal": {_list_text([text(x) for x in first], 8)},\n'
-                f'        "offset": {text(second)}\n'
-                "      },\n"
-            )
-        parts += (
-            "    {\n",
-            f'      "inversive": {_list_text([text(x) for x in inv], 6)},\n',
-            f'      "curvature": {text(k)},\n',
-            geo,
-            f'      "depth": {depth},\n',
-            f'      "word": {_list_text([letter(w) for w in word], 6)},\n',
-            f'      "orbit": {orbit}\n',
-            "    },\n",
+    parts = [head[: -len("[]\n}")] + "[\n"]  # one join, so the text is made once
+    for entries, (inv, k, shape, first, second) in derived_rows(doc):
+        inv, first = texts(inv), texts(first)
+        fields = zip(
+            *(inv[j :: d + 2] for j in range(d + 2)),
+            texts(k),
+            *(first[j::d] for j in range(d)),
+            texts(second),
+            doc.depth[entries],
+            map(word_text, doc.word[entries]),
+            doc.orbit[entries],
         )
-    parts[-1] = "    }\n  ]\n}\n"
+        parts.append(",\n".join([templates[s] % f for s, f in zip(shape.tolist(), fields)]))
+        parts.append(",\n")
+    parts[-1] = "\n  ]\n}\n"
     return "".join(parts)
+
+
+# -- loading ---------------------------------------------------------------------
 
 
 _JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
@@ -502,30 +535,165 @@ def _field(raw: dict, key: str, kind: type, default=_REQUIRED, nullable=False):
     return _typed(raw[key], kind, repr(key), nullable)
 
 
-def _entry_from_dict(raw, floaty: bool) -> tuple:
-    """(vector, depth, word, orbit) of one JSON entry: the vector of floats,
-    or of exact scalars as (pa, qa, pb, qb, m)."""
+def _check_entry(raw, floaty: bool) -> None:
+    """Raise the first fault of one JSON entry, with the loader's message:
+    the checks that :func:`_read_block` makes a block at a time."""
     _typed(raw, dict, "entry")
     if "halfspace" in raw:
         hs = _field(raw, "halfspace", dict)
         derived = [*_field(hs, "normal", list), _field(hs, "offset", object)]
     else:
         derived = [*_field(raw, "center", list), _field(raw, "radius", object)]
-    read = _float_scalar if floaty else _exact_scalar
     for x in (_field(raw, "curvature", object), *derived):  # written for readers, never read
-        if floaty:
-            _float_scalar(x)
-        else:
-            _exact_scalar(x, read=False)
-    return (
-        [read(x) for x in _field(raw, "inversive", list)],
-        _field(raw, "depth", int, 0),
-        tuple(_typed(w, str, "'word' letter") for w in _field(raw, "word", list, ())),
-        _field(raw, "orbit", int, 0),
-    )
+        _float_scalar(x) if floaty else _exact_scalar(x, read=False)
+    for x in _field(raw, "inversive", list):
+        _float_scalar(x) if floaty else _exact_scalar(x)
+    _field(raw, "depth", int, 0)
+    for w in _field(raw, "word", list, ()):
+        _typed(w, str, "'word' letter")
+    _field(raw, "orbit", int, 0)
+
+
+_MISSING = object()
+# an entry's fields and the value each takes when missing
+_ENTRY_FIELDS = (("inversive", None), ("curvature", None), ("center", None), ("radius", None),
+                 ("depth", 0), ("word", ()), ("orbit", 0), ("halfspace", _MISSING))
+
+
+def _block_fields(block: list) -> Optional[tuple]:
+    """(inversive lists, derived scalars, depths, words, orbits) of a block
+    of JSON entries, each field read for all entries at once; None if one is
+    missing or of the wrong JSON type, as :func:`_check_entry` would
+    find it.  The scalars' own types are left to the caller: a missing one
+    is read as None."""
+    try:
+        invs, ks, first, second, depths, words, orbits, hs = (
+            list(map(dict.get, block, repeat(key), repeat(default)))
+            for key, default in _ENTRY_FIELDS
+        )
+    except TypeError:  # an entry that is not a JSON object
+        return None
+    for i in [i for i, h in enumerate(hs) if h is not _MISSING]:
+        if type(hs[i]) is not dict:
+            return None
+        first[i], second[i] = hs[i].get("normal"), hs[i].get("offset")
+    if (
+        {*map(type, invs), *map(type, first)} != {list}
+        or {*map(type, depths), *map(type, orbits)} != {int}
+        or {*map(type, words)} - {list, tuple}
+        or {*map(type, chain.from_iterable(words))} - {str}
+    ):
+        return None
+    derived = [*chain.from_iterable(first), *second, *ks]
+    return invs, derived, depths, list(map(tuple, words)), orbits
+
+
+def _float_values(invs: list, derived: list) -> Optional[tuple]:
+    """The inversive scalars of a float block, in row-major order, and no
+    fields; None if any stored scalar is not a finite JSON number."""
+    flat = list(chain.from_iterable(invs))
+    if {*map(type, flat), *map(type, derived)} - {int, float}:
+        return None
+    try:
+        values, checked = np.array(flat, dtype=np.float64), np.array(derived, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return (values, set()) if np.isfinite(values).all() and np.isfinite(checked).all() else None
+
+
+def _joined(texts: list) -> Optional[str]:
+    """The texts joined by newlines, one a line; None if one is not a string,
+    or holds a newline or a zero denominator."""
+    try:
+        joined = "\n".join(texts)
+    except TypeError:  # a scalar that is not a JSON string
+        return None
+    if joined.count("\n") != max(len(texts) - 1, 0):
+        return None
+    return None if "/0" in joined and _ZERO_DENOMINATOR_RE.search(joined) else joined
+
+
+def _denominators(texts: tuple, read: Optional[list] = None) -> list:
+    """The int of each denominator's text, 1 for an empty one, each distinct
+    text converted once: a document has few.  With ``read``, only the texts
+    where ``read`` is nonzero are converted, the ones :func:`_parse` reads.
+    Another takes 1, or its value where it is read; it is the denominator
+    of a zero radical part, which leaves the row as it is."""
+    value = {t: int(t) for t in set(texts if read is None else compress(texts, read)) if t}
+    return list(map(value.get, texts, repeat(1)))
+
+
+def _exact_parts(invs: list, derived: list) -> Optional[tuple]:
+    """The parts (pa, qa, pb, qb) of an exact block's inversive scalars, as
+    four lists of ints in row-major order, and the set of fields of their
+    nonzero radical parts; None if a stored scalar is malformed, as
+    :func:`_parse` would find it.  A part is read from its text only where
+    ``_parse`` reads it."""
+    flat = list(chain.from_iterable(invs))
+    checked, joined = _joined(derived), _joined(flat)
+    if checked is None or joined is None or len(_LINES_RE.findall(checked)) != len(derived):
+        return None
+    groups = _LINES_RE.findall(joined)
+    if len(groups) != len(flat):
+        return None
+    an, ad, bn, bd, ms = zip(*groups) if groups else ((),) * 5
+    try:
+        pb = [int(x) if x else 0 for x in bn]
+        parts = list(map(int, an)), _denominators(ad), pb, _denominators(bd, pb)
+        fields = {field_modulus(int(m)) for m in set(compress(ms, pb))}
+    except ValueError:  # a number beyond int's digit limit, or not a field
+        return None
+    return parts, fields
+
+
+class _Block(NamedTuple):
+    rows: Optional[dict]  # None when an entry has the wrong number of coordinates
+    wrong: Optional[int]  # the first such entry's number of coordinates
+    fields: set  # the fields of the block's nonzero radical parts
+    depth: list
+    word: list
+    orbit: list
+
+
+def _read_block(block: list, floaty: bool, width: int) -> _Block:
+    """A block of JSON entries, checked and made into rows.  The faults that
+    each entry's own checks find are raised here, the first in entry order;
+    a wrong number of coordinates, or fields that differ, are left to the
+    caller, which refuses them after every entry is checked."""
+    fields = _block_fields(block)
+    if fields is not None:
+        invs, derived, depth, word, orbit = fields
+        read = (_float_values if floaty else _exact_parts)(invs, derived)
+    if fields is None or read is None:
+        for raw in block:
+            _check_entry(raw, floaty)  # raises the first fault
+        raise AssertionError("a refused block holds no faulty entry")  # pragma: no cover
+    (parts, ms), rows = read, None
+    wrong = next((len(v) for v in invs if len(v) != width), None)
+    if wrong is None and floaty:
+        rows = {"V": parts.reshape(-1, width)}
+    elif wrong is None:
+        rows = exact_rows(parts, width)
+    return _Block(rows, wrong, ms, depth, word, orbit)
 
 
 def from_json(text: str) -> PackingDocument:
+    """The document of a JSON text, checked as described above.
+
+    The cyclic garbage collector is paused while it loads: the parsed JSON
+    and the block columns hold no reference cycles and are freed as the rows
+    are made, so a collection would only walk the live heap for nothing.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load(text: str) -> PackingDocument:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -537,36 +705,34 @@ def from_json(text: str) -> PackingDocument:
     mode = _field(payload, "mode", str)
     raw_entries = _field(payload, "entries", list)
     floaty = mode == MODE_FLOAT
-    entries, vectors = [], []
-    for i, raw in enumerate(raw_entries):
-        v, *provenance = _entry_from_dict(raw, floaty)
-        raw_entries[i] = None  # the parsed JSON is freed as its rows are made
-        entries.append((len(v), *provenance))
-        try:
-            vectors.append(v if floaty else exact_row(v))
-        except ValueError:  # refused with the document's other vectors, below
-            vectors.append(None)
+    width = dimension + 2
+    blocks = []
+    for lo in range(0, len(raw_entries), BLOCK):
+        blocks.append(_read_block(raw_entries[lo : lo + BLOCK], floaty, width))
+        raw_entries[lo : lo + BLOCK] = [None] * len(blocks[-1].depth)  # freed as its rows are made
     solid = _field(payload, "solid", str, None, nullable=True)
     seed = _field(payload, "seed", dict, None, nullable=True) or {}
-    width = dimension + 2
-    for n, *_ in entries:
-        if n != width:
-            raise ValueError(f"entry has {n} coordinates, wanted {width}")
+    for b in blocks:
+        if b.wrong is not None:
+            raise ValueError(f"entry has {b.wrong} coordinates, wanted {width}")
+    rows = [b.rows for b in blocks]
     if floaty:
-        rows, m = {"V": _matrix(vectors, width, np.float64)}, 0
+        m, empty = 0, {"V": np.empty((0, width))}
     else:
-        rows, m = _stack(vectors, width)
+        fields = set().union(*(b.fields for b in blocks))
+        if len(fields) > 1:
+            raise ValueError("document mixes quadratic fields")
+        m, empty = max(fields, default=0), exact_rows(([],) * 4, width)
         found = _exact_mode(m)
-        if entries and mode != found:  # an empty document keeps the mode it declares
+        if rows and mode != found:  # an empty document keeps the mode it declares
             raise ValueError(f"'mode' is {mode!r}, but the vectors are in {found}")
+    rows = {k: np.concatenate([r[k] for r in rows or [empty]]) for k in empty}
     return PackingDocument(
         dimension,
         mode,
         solid,
         seed,
         rows,
-        tuple(e[1] for e in entries),
-        tuple(e[2] for e in entries),
-        tuple(e[3] for e in entries),
+        *(tuple(chain.from_iterable(getattr(b, k) for b in blocks)) for k in _Block._fields[3:]),
         m,
     )

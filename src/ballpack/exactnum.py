@@ -15,7 +15,8 @@ pa/qa + (pb/qb) sqrt(m) with qa, qb nonzero and m = 0 when it is rational
 (:func:`scalar_parts`, :func:`quad_value`).  A vector travels as one row
 (A + B sqrt m) * num/den: A and B a primitive integer vector (the gcd of all
 their entries is 1), num/den > 0 in lowest terms or 0/1 for a zero row, and
-m one int, 0 when B is zero (:func:`exact_row`, :func:`row_vector`); a
+m one int, 0 when B is zero (:func:`exact_row`, :func:`row_vector`; a
+document's vectors take :func:`exact_rows`, the same rows as arrays); a
 vector in two fields has no row.  The row of a vector is unique, so two rows
 are equal exactly when their vectors are.  Sums and products of rows stay
 integer pairs X + Y sqrt m, :func:`quad_sign` reads their exact sign, and
@@ -31,6 +32,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadScalar"]
@@ -461,6 +464,33 @@ def exact_row(parts) -> tuple:
     return [x // c for x in a], [x // c for x in b], c // g, lcm // g, m
 
 
+def exact_rows(parts, width: int) -> dict:
+    """The :func:`exact_row` of each of n vectors at once, as a dict of
+    arrays: "A" and "B" n x width object arrays of ints, "num" and "den" of
+    length n.  ``parts`` holds the vectors' scalars as four flat sequences
+    (pa, qa, pb, qb) in row-major order, qa and qb > 0; their one field is
+    the caller's."""
+    pa, qa, pb, qb = parts
+    radical = any(pb)
+
+    def columns(x) -> list:
+        return [x[j::width] for j in range(width)]
+
+    def over_lcm(p, q) -> np.ndarray:
+        p, q = (np.array(x, dtype=object).reshape(-1, width) for x in (p, q))
+        return p * (lcm[:, None] // q)
+
+    lcm = np.array(list(map(math.lcm, *columns(qa), *(columns(qb) if radical else ()))), dtype=object)
+    a = over_lcm(pa, qa)
+    b = over_lcm(pb, qb) if radical else np.zeros(a.shape, dtype=object)
+    c = np.array(list(map(math.gcd, *a.T.tolist(), *(b.T.tolist() if radical else ()))), dtype=object)
+    g = np.gcd(c, lcm)
+    big = np.flatnonzero(c > 1)  # the rows with a content to pull out; a zero row is 0/1
+    a[big] //= c[big, None]
+    b[big] //= c[big, None]
+    return {"A": a, "B": b, "num": c // g, "den": lcm // g}
+
+
 def scaled_row(A, B, num: int, den: int, m: int) -> tuple:
     """The :func:`exact_row` of the vector (A + B sqrt m) * num/den, for int
     lists A and B, an int num and a nonzero int den: the row arithmetic of
@@ -483,9 +513,11 @@ def row_vector(A, B, num: int, den: int, m: int) -> tuple:
 def quad_float(x, root: float) -> float:
     """float(x) for parts x = (pa, qa, pb, qb) and root = sqrt(m), as
     ``QuadScalar.__float__`` computes it, also from unreduced fractions:
-    int division is correctly rounded.  The one row-to-float conversion."""
+    int division is correctly rounded, and a zero pb adds 0.0.  The parts may
+    be ints or object arrays of ints, for a whole column of scalars.  The one
+    row-to-float conversion."""
     pa, qa, pb, qb = x
-    return pa / qa + (pb / qb) * root if pb else pa / qa
+    return pa / qa + (pb / qb) * root
 
 
 def float_row(values) -> tuple:

@@ -474,7 +474,8 @@ def apply_map(m: MobiusMap, b: Ball) -> Ball:
         return ball_from_row(scaled_row(xa, xb, mn * n, md * d, f))
     w = tuple(xa)  # float rows have B zero and scale one
     n = lorentz_product(w, w)
-    terms = lambda: sum(product_scale(MA[i : i + k], A) ** 2 for i in range(0, k * k, k))
+    scales = lambda: (product_scale(MA[i : i + k], A) for i in range(0, k * k, k))  # noqa: E731
+    terms = lambda: sum(s * s for s in scales())  # inf, where a float's s ** 2 raises OverflowError
     if compare(n, 1, terms) != 0:
         raise ValueError(f"map output drifted off the unit shell by {abs(n - 1)}")
     return Ball(w, _checked=True)

@@ -359,7 +359,8 @@ def _half_space_x_last(d: int, sign: int) -> Ball:
 def _reflection_swapping(x, t) -> Optional[MobiusMap]:
     """Lorentz reflection exchanging unit space-like vectors x and t, if sound."""
     n = tuple(a - b for a, b in zip(x, t))
-    return reflection_map(n, lambda: sum((abs(a) + abs(b)) ** 2 for a, b in zip(x, t)))
+    sizes = lambda: (abs(a) + abs(b) for a, b in zip(x, t))  # noqa: E731
+    return reflection_map(n, lambda: sum(s * s for s in sizes()))  # a float's s ** 2 can raise
 
 
 def _two_reflections(x_i, x_j, t_i, t_j, d: int) -> Optional[MobiusMap]:

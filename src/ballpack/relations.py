@@ -280,7 +280,12 @@ def solve_next_polyhedron(p: int, q: int, triple):
 def _any_sqrt(disc, ks):
     """Square root of a discriminant quadratic in the curvatures ks: float or
     exact; refuses negatives.  (sum |k|)^2 bounds its terms' size."""
-    s = compare(disc, 0, lambda: sum(abs(k) for k in ks) ** 2)
+
+    def size():
+        s = sum(abs(k) for k in ks)
+        return s * s  # inf, where a float's ** 2 raises OverflowError
+
+    s = compare(disc, 0, size)
     if s < 0:
         raise ValueError("negative discriminant: not packing data")
     return exact_sqrt(disc if s > 0 else 0 * disc)  # a double root within rounding

@@ -5,10 +5,10 @@ Every entry becomes exactly one SVG element in document order: a
 complement of a disk (negative curvature), and a clipped polygon for a
 half-plane.  All numbers are printed with one fixed format, so rendering
 the same document twice yields byte-identical output.  The floats come
-from the document's rows (:func:`documents.derived_rows`): an exact
-scalar pa/qa + (pb/qb) sqrt(m) becomes pa/qa + (pb/qb) * sqrt(m) in int
-division, which is correctly rounded, so it is the float that
-``QuadScalar.__float__`` gives for the same value.
+from the columns of :func:`documents.derived_rows`, computed for a block
+of entries at a time: an exact scalar pa/qa + (pb/qb) sqrt(m) becomes
+pa/qa + (pb/qb) * sqrt(m) in int division, which is correctly rounded, so
+it is the float that ``QuadScalar.__float__`` gives for the same value.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .documents import PackingDocument, derived_rows
 from .exactnum import quad_float
@@ -64,6 +66,17 @@ class RenderSpec:
         x, y, w, h = self.viewport
         mx, my = w * self.halfspace_margin, h * self.halfspace_margin
         return (x - mx, y - my, x + w + mx, y + h + my)
+
+
+def _shapes(doc: PackingDocument):
+    """(orientation, first, second, orbit) of each entry, the geometry of
+    :func:`documents.derived_rows` in floats: a center and a radius, or a
+    normal and an offset."""
+    root = math.sqrt(doc.m)
+    for entries, (_, _, shape, first, second) in derived_rows(doc):
+        if not doc.is_float:
+            first, second = (np.asarray(quad_float(x, root), dtype=np.float64) for x in (first, second))
+        yield from zip(shape.tolist(), first.tolist(), second.tolist(), doc.orbit[entries])
 
 
 def _fmt(v) -> str:
@@ -119,20 +132,15 @@ def render_svg(doc: PackingDocument, spec: Optional[RenderSpec] = None) -> str:
         f'viewBox="{_fmt(x)} {_fmt(-(y + h))} {_fmt(w)} {_fmt(h)}">'
     ]
     style = f'stroke="{spec.stroke}" stroke-width="{_fmt(spec.stroke_width)}"'
-    root = math.sqrt(doc.m)
-    num = float if doc.is_float else (lambda q: quad_float(q, root))
-    for (_, _, orientation, first, second), orbit in zip(derived_rows(doc), doc.orbit):
+    for orientation, (cx, cy), r, orbit in _shapes(doc):
         fill = spec.palette[orbit % npal]
         if orientation == 0:
-            nx, ny = (num(v) for v in first)
-            poly = _clip_halfplane(box, nx, ny, num(second))
+            poly = _clip_halfplane(box, cx, cy, r)  # normal and offset
             if len(poly) < 3:
                 continue
             pts = " ".join(f"{_fmt(px)},{_fmt(-py)}" for px, py in poly)
             parts.append(f'<polygon points="{pts}" fill="{fill}" {style}/>')
             continue
-        cx, cy = (num(v) for v in first)
-        r = num(second)
         if spec.max_radius_clip is not None and r > spec.max_radius_clip:
             continue
         if orientation < 0:

@@ -63,8 +63,8 @@ def scalar_to_text(x) -> str:
 
 
 _SCALAR_RE = re.compile(
-    r"^(?P<an>[+-]?\d+)(?:/(?P<ad>\d+))?"
-    r"(?:(?P<sign>[+-])(?P<bn>\d+)(?:/(?P<bd>\d+))?√(?P<m>\d+))?$"
+    r"^(?P<an>[+-]?[0-9]+)(?:/(?P<ad>[0-9]+))?"
+    r"(?:(?P<sign>[+-])(?P<bn>[0-9]+)(?:/(?P<bd>[0-9]+))?√(?P<m>[0-9]+))?\Z"
 )
 
 

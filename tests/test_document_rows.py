@@ -16,12 +16,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import document_oracle as oracle
 from ballpack import cli
 from ballpack.apollonian import generate_cluster, platonic_generators
 from ballpack.documents import (
+    BLOCK,
     document_from_arrangement,
     document_from_cluster,
     document_from_entries,
@@ -101,6 +102,7 @@ def check_against_oracle(tmp_path, doc, old, checks=None):
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture,
                                                                   HealthCheck.too_slow])
 @given(st.one_of(exact_seeds(), float_seeds()), st.integers(0, 2))
+@example(seed=("cube", ["0.0", "0.0", "5.896640133697064e-230"], "float"), depth=0)
 def test_cluster_documents_match_the_oracle(tmp_path, seed, depth):
     solid, initial, mode = seed
     record = {"kind": "cluster", "solid": solid, "initial": initial, "depth": depth}
@@ -197,7 +199,7 @@ def test_from_json_reads_every_spelling_the_oracle_reads(data, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.text(alphabet="0123456789+-/√", min_size=0, max_size=9), st.integers(0, 3))
+@given(st.text(alphabet="0123456789+-/√\n ٣", min_size=0, max_size=9), st.integers(0, 3))
 def test_from_json_reads_or_refuses_each_scalar_as_the_oracle_does(scalar, where):
     text = edited(cluster_text("tetrahedron", (-3, 5, 8), 0),
                   lambda d: d["entries"][1]["inversive"].__setitem__(where, scalar))
@@ -215,9 +217,7 @@ def test_from_json_reads_or_refuses_each_scalar_as_the_oracle_does(scalar, where
     assert from_json(text).entries == want.entries
 
 
-@pytest.mark.parametrize("mangle", MALFORMED)
-def test_from_json_refuses_what_the_oracle_refuses_with_its_message(mangle):
-    text = mangle(cluster_text("tetrahedron", (0, 0, 1), 1))
+def assert_refused_as_the_oracle_refuses(text: str):
     with pytest.raises(ValueError) as want:
         oracle.from_json(text)
     with pytest.raises(ValueError) as got:
@@ -225,7 +225,89 @@ def test_from_json_refuses_what_the_oracle_refuses_with_its_message(mangle):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("mangle", MALFORMED)
+def test_from_json_refuses_what_the_oracle_refuses_with_its_message(mangle):
+    assert_refused_as_the_oracle_refuses(mangle(cluster_text("tetrahedron", (0, 0, 1), 1)))
+
+
 @pytest.mark.parametrize("mode", ["float", "Q", "Q(√5)"])
 def test_an_empty_document_is_written_as_the_oracle_writes_it(mode):
     text = json.dumps({"dimension": 2, "mode": mode, "solid": None, "seed": {}, "entries": []})
     assert to_json(from_json(text)) == oracle.to_json(oracle.from_json(text))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_document_of_several_blocks_matches_the_oracle(tmp_path, mode):
+    """The tetrahedron at depth 6 holds 1,460 balls: several blocks of
+    entries, the last one partial."""
+    record = {"kind": "cluster", "solid": "tetrahedron", "initial": ["-3", "5", "8"], "depth": 6}
+    made = cli._made_by(record, mode)
+    record["flavor"] = made.flavor
+    assert len(made) > 2 * BLOCK and len(made) % BLOCK
+    doc = document_from_cluster(made, solid="tetrahedron", seed=record)
+    old = oracle.document_from_cluster(made, solid="tetrahedron", seed=record)
+    check_against_oracle(tmp_path, doc, old, "descartes")
+
+
+# faults that an entry's own checks find: a wrong JSON type, and a scalar
+# the grammar refuses
+TYPE_FAULTS = {
+    "word": lambda e: e.update(word=5),
+    "depth": lambda e: e.update(depth="1"),
+    "letter": lambda e: e.update(word=[7]),
+    "entry": lambda e: e.clear(),
+    "curvature": lambda e: e.update(curvature=3),
+}
+SCALAR_FAULTS = {
+    "inversive": lambda e: e["inversive"].__setitem__(2, "1.5"),
+    "zero-denominator": lambda e: e["inversive"].__setitem__(0, "1/0"),
+    "radius": lambda e: e.update(radius="2√"),
+    "newline": lambda e: e["inversive"].__setitem__(3, "7\n"),
+}
+
+
+@pytest.mark.parametrize("at", [(3, BLOCK // 2), (BLOCK // 2, 3), (100, BLOCK + 7), (BLOCK + 7, 100),
+                                (BLOCK - 1, BLOCK)])
+@pytest.mark.parametrize("scalar", sorted(SCALAR_FAULTS))
+@pytest.mark.parametrize("kind", sorted(TYPE_FAULTS))
+def test_the_first_of_two_faults_is_named_as_the_oracle_names_it(kind, scalar, at):
+    """A wrong JSON type in one entry and a malformed scalar in another, in
+    either order, in one block or in two: the first in entry order is named."""
+    text = cluster_text("tetrahedron", (-3, 5, 8), 6)
+
+    def mangle(payload):
+        entries = payload["entries"]
+        TYPE_FAULTS[kind](entries[at[0]])
+        SCALAR_FAULTS[scalar](entries[at[1]])
+
+    assert_refused_as_the_oracle_refuses(edited(text, mangle))
+
+
+# faults of the document as a whole, named only after every entry is checked
+DOCUMENT_FAULTS = {
+    "coordinates": lambda e: e["inversive"].append("1"),
+    "fields": lambda e: e["inversive"].__setitem__(0, "0+1√3"),
+}
+
+
+@pytest.mark.parametrize("at", [(3, BLOCK // 2), (BLOCK // 2, 3), (100, BLOCK + 7), (BLOCK + 7, 100)])
+@pytest.mark.parametrize("scalar", [None, *sorted(SCALAR_FAULTS)])
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_FAULTS))
+def test_a_document_fault_is_named_after_every_entry_fault(kind, scalar, at):
+    text = cluster_text("tetrahedron", (-3, 5, 8), 6)
+
+    def mangle(payload):
+        entries = payload["entries"]
+        DOCUMENT_FAULTS[kind](entries[at[0]])
+        if scalar:
+            SCALAR_FAULTS[scalar](entries[at[1]])
+
+    assert_refused_as_the_oracle_refuses(edited(text, mangle))
+
+
+@pytest.mark.parametrize("x", [2**53 + 1, 2**63 + 1025, -(2**64) - 1, 3 * 10**300])
+def test_a_float_document_reads_an_integer_as_float_does(x):
+    text = edited(to_json(cluster_doc((1.0, 2.0, 3.0), 1)),
+                  lambda d: d["entries"][1]["inversive"].__setitem__(2, x))
+    assert from_json(text).rows["V"][1, 2] == float(x)
+    assert from_json(text).entries == oracle.from_json(text).entries

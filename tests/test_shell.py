@@ -281,6 +281,28 @@ def test_cli_exits_two_on_a_non_finite_number(tmp_path, capsys, bad, name, comma
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("initial", ["0,0,1e-160", "0.0,0.0,5.896640133697064e-230"])
+def test_cli_refuses_a_float_seed_whose_term_squares_overflow(tmp_path, capsys, initial):
+    # a refusal, not a traceback
+    path = tmp_path / "c.json"
+    argv = ["cluster", "--solid", "cube", "--mode", "float", f"--initial={initial}",
+            "--depth", "0", "--out", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", ["5\n", "\n5", " 5", "5 ", "٣", "1/٣", "1+1√٥", "1/2\n+1√2"])
+def test_from_json_refuses_a_scalar_outside_the_strict_grammar(text):
+    doc = edited(to_json(cluster_doc((0, 0, 1), 1)),
+                 lambda d: d["entries"][2]["inversive"].__setitem__(1, text))
+    with pytest.raises(ValueError) as err:
+        from_json(doc)
+    assert str(err.value) == f"malformed exact scalar {text!r}"
+
+
 @pytest.mark.parametrize("mode", ["float", "Q", "Q(√5)"])
 def test_an_empty_document_keeps_its_declared_mode(mode):
     text = json.dumps({"dimension": 2, "mode": mode, "entries": []})

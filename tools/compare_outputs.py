@@ -14,14 +14,24 @@ The list is:
 * ``cluster``, ``verify`` and ``render`` of the README seeds, ``0,0,1`` and
   ``-1,2,2``, exact, at depths 0-2, and float at depths 0-1, and
   ``integrality --certify-depth 2`` of each;
+* exact ``cluster``, ``verify`` and ``render`` of the tetrahedron
+  ``-3000,5000,8000`` at depths 0-2, whose rows are python ints;
+* ``verify`` of mangled copies of an exact cluster document, which the
+  tool writes first: a zero denominator, a scalar with a trailing newline,
+  junk after the JSON text, a number for ``word``, and a scalar in a
+  second quadratic field;
 * float ``cluster`` and ``verify`` at depth 1 of c times each Platonic
   projection's own first three face-cycle curvatures, c = 1, 2, 1/3;
 * ``squares --p 3|4|5``;
 * every operation of perfbench's ``full_verify`` and ``doc_chain``
   workloads (this checkout's ``perfbench/``, workload seed 5), set-up
   included;
-* refusals of malformed or two-field ``--initial`` values, and a seed whose
-  two solids are both past-directed.
+* refusals of malformed or two-field ``--initial`` values, a seed whose
+  two solids are both past-directed, and a float seed whose terms' squares
+  overflow.
+
+A command that raises, rather than returning an exit code, is recorded
+with the exception in place of its exit code.
 
 It prints each command whose outputs differ, and what differs, and exits 1
 if any do.  For a float JSON document written by both checkouts with bytes
@@ -78,7 +88,39 @@ REFUSALS = (
     ("cluster", "cube", "5+2sqrt5,20+4sqrt2,15", "exact"),
     ("integrality", "tetrahedron", "-3,5,,8", None),
     ("integrality", "tetrahedron", "sqrt2+sqrt3,5,8", None),
+    ("cluster", "cube", "0,0,1e-160", "float"),
 )
+BIG_SEED = ("tetrahedron", "-3000,5000,8000")
+
+
+def _set_scalar(text: str):
+    def change(payload):
+        payload["entries"][1]["inversive"][0] = text
+
+    return change
+
+
+# edits of an exact tetrahedron -3,5,8 cluster document (over Q(sqrt 2)),
+# each made on its parsed JSON; "junk" is appended to the text instead
+MANGLES = {
+    "zero-denominator": _set_scalar("1/0"),
+    "trailing-newline": _set_scalar("5\n"),
+    "junk": None,
+    "number-word": lambda payload: payload["entries"][1].update(word=5),
+    "two-fields": _set_scalar("0+1√3"),
+}
+
+
+def mangle(kind: str, source: str, target: str) -> None:
+    """Write ``target``: the document ``source`` with one ``MANGLES`` fault."""
+    text = Path(source).read_text(encoding="utf-8")
+    if MANGLES[kind] is None:
+        text += "junk"
+    else:
+        payload = json.loads(text)
+        MANGLES[kind](payload)
+        text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    Path(target).write_text(text, encoding="utf-8")
 
 
 def cases() -> list:
@@ -105,6 +147,21 @@ def cases() -> list:
                 ])
         out.append([["integrality", "--solid", solid, f"--initial={initial}",
                      "--certify-depth", "2"]])
+    solid, initial = BIG_SEED
+    for depth in (0, 1, 2):
+        out.append([
+            ["cluster", "--solid", solid, f"--initial={initial}", "--depth", str(depth),
+             "--out", "c.json"],
+            ["verify", "--in", "c.json"],
+            ["render", "--in", "c.json", "--out", "c.svg"],
+        ])
+    for kind in MANGLES:
+        out.append([
+            ["cluster", "--solid", "tetrahedron", "--initial=-3,5,8", "--depth", "1",
+             "--out", "c.json"],
+            ["mangle", kind, "c.json", "m.json"],
+            ["verify", "--in", "m.json"],
+        ])
     for solid, initials in ANCHOR_SEEDS:
         for initial in initials:
             out.append([
@@ -171,11 +228,15 @@ class _Recorder:
         })
 
     def run(self, argv) -> None:
+        """Run one command; ``mangle KIND SOURCE TARGET`` writes a file."""
         from ballpack import cli
 
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(list(argv))
+            try:
+                rc = mangle(*argv[1:]) if argv[0] == "mangle" else cli.main(list(argv))
+            except Exception as exc:  # a traceback is an outcome to compare
+                rc = f"raised {type(exc).__name__}: {exc}"
         self.record(argv, rc, out.getvalue(), err.getvalue())
 
 
