@@ -14,13 +14,15 @@ exactly 0, 1, 4, 9, ...
 Clusters grow in one breadth-first level loop, the reduced-word enumeration
 of Graham, Lagarias, Mallows, Wilks and Yan, over numpy row arrays of one
 of three kinds: int64, python ints (when int64 could overflow) or float64.
-Only the deduplication key differs between them.  Generation is
-deterministic: entries are ordered by depth and then by a canonical key of
-the stored row data (the same for int64 and python-int rows), and each entry
-records the first shortest generator word that produces it (ties broken by
-generator position).  A cluster hands out its balls as :class:`lorentz.Entry`
-objects, the inversive vector plus that word, depth and seed orbit: the same
-entries that a document stores.
+Only the deduplication differs between them.  Entries are in word order, the
+order in which the loop visits them: by depth, then by word (letters
+compared by generator position, the first-applied letter first), then by
+seed orbit; each entry records the first shortest word that produces it.
+The rule is one for all three kinds of rows, so a float cluster and its
+exact twin list the same (depth, word, orbit) in the same order.  A cluster
+hands out its balls as :class:`lorentz.Entry` objects, the inversive vector
+plus that word, depth and seed orbit: the same entries that a document
+stores.
 
 A seed's balls and facet balls, its normalizing reflection and the
 facet-ball inversions are made on rows (see :mod:`lorentz`), and the cluster
@@ -43,6 +45,7 @@ from .exactnum import (
     compare,
     exact_sqrt,
     float_row,
+    in_ring,
     is_float_data,
     one_field,
     quad_sign,
@@ -413,17 +416,19 @@ class _Store:
     (dtype object, mode "obj").  Mode "float" holds float64 rows "V".
     """
 
-    __slots__ = ("mode", "m", "levels", "offsets", "order", "count")
+    __slots__ = ("mode", "m", "levels", "offsets", "count")
 
     def __init__(self, mode, m):
         self.mode = mode
         self.m = m
         self.levels = []
         self.offsets = [0]
-        self.order = []
         self.count = 0
 
-    def close_level(self, level) -> None:
+    def close_level(self, rows: dict, sel, meta: dict) -> None:
+        """Append the rows ``sel`` picks, in that order, with their ``meta``."""
+        level = {name: arr[sel] for name, arr in rows.items()}
+        level.update(meta, n=int(sel.size))
         self.levels.append(level)
         self.count += level["n"]
         self.offsets.append(self.count)
@@ -461,9 +466,10 @@ class _Store:
 class Cluster:
     """Deduplicated breadth-first closure of a seed packing.
 
-    Entries are ordered by depth and then by the canonical key of the
-    stored row, so the order is reproducible across runs and across int64
-    and python-int rows.  ``entry(i)`` and iteration build each
+    Entries are in word order: by depth, then by word (letters compared by
+    generator position, the first-applied letter first), then by seed
+    orbit, as the level loop stores them, for int64, python-int and float
+    rows alike.  ``entry(i)`` and iteration build each
     :class:`lorentz.Entry` (the type documents store) from its row on
     demand and keep none of them, so very large exact clusters can still
     stream curvatures from the rows without building entries.
@@ -500,10 +506,9 @@ class Cluster:
 
     def entry(self, i: int) -> Entry:
         st = self._store
-        gidx = st.order[i]
-        k, li = st.locate(gidx)
+        k, li = st.locate(i)
         _, _, orbit = st.row_meta(k, li)
-        return Entry(st.vector(k, li), depth=k, word=self._word(gidx), orbit=orbit)
+        return Entry(st.vector(k, li), depth=k, word=self._word(i), orbit=orbit)
 
     def __iter__(self) -> Iterator[Entry]:
         return (self.entry(i) for i in range(len(self)))
@@ -518,24 +523,20 @@ class Cluster:
 
         st = self._store
         names = ("V",) if st.mode == "float" else ("A", "B", "num", "den")
-        order = np.array(st.order, dtype=np.int64)
-        flat = {
-            k: np.concatenate([lv[k] for lv in st.levels])
-            for k in (*names, "gen", "parent", "orbit")
-        }
+        out = {k: np.concatenate([lv[k] for lv in st.levels]) for k in (*names, "orbit")}
         words = []
-        for gen, parent in zip(flat["gen"].tolist(), flat["parent"].tolist()):
-            words.append(words[parent] + (self.generator_names[gen],) if gen >= 0 else ())
+        for lv in st.levels:
+            for gen, parent in zip(lv["gen"].tolist(), lv["parent"].tolist()):
+                words.append(words[parent] + (self.generator_names[gen],) if gen >= 0 else ())
         depth = np.repeat(np.arange(len(st.levels)), [lv["n"] for lv in st.levels])
-        out = {k: flat[k][order] for k in (*names, "orbit")}
-        out.update(m=st.m, depth=depth[order], word=[words[g] for g in order.tolist()])
+        out.update(m=st.m, depth=depth, word=words)
         return out
 
     def curvatures(self) -> Iterator:
         st = self._store
-        for gidx in st.order:
-            k, i = st.locate(gidx)
-            yield st.curvature(k, i)
+        for k, lv in enumerate(st.levels):
+            for i in range(lv["n"]):
+                yield st.curvature(k, i)
 
     def curvatures_in_ring(self, ring: str) -> bool:
         """True iff every curvature is an algebraic integer of the ring.
@@ -543,36 +544,17 @@ class Cluster:
         Runs on the internal level arrays, so million-entry exact clusters
         are checked in bulk; float clusters cannot certify integrality.
         """
-        from .exactnum import RING_Z, RING_Z_PHI, RING_Z_SQRT2
-
-        if ring not in (RING_Z, RING_Z_SQRT2, RING_Z_PHI):
-            raise ValueError(f"unknown ring {ring!r}")
         st = self._store
         if st.mode == "float":
             raise ValueError("integrality needs an exact cluster")
-        # value = (ka + kb sqrt m) * num / den; membership conditions:
-        #   Z       : kb = 0 and den | ka num
-        #   Z[sqrt2]: den | ka num and den | kb num          (m = 2)
-        #   Z[phi]  : den | 2 kb num and den | (ka - kb) num (m = 5)
-        for lv in st.levels:
+        for lv in st.levels:  # value = (ka + kb sqrt m) * num / den
             ka = lv["A"][:, -1] - lv["A"][:, -2]
             kb = lv["B"][:, -1] - lv["B"][:, -2]
             num, den = lv["num"], lv["den"]
             big = 4 * int(abs(ka).max(initial=0) + abs(kb).max(initial=0) + 1)
             if big * int(num.max(initial=1)) >= 2**63:  # int64 products could overflow
                 ka, kb, num, den = (a.astype(object, copy=False) for a in (ka, kb, num, den))
-            if ring == RING_Z_SQRT2 and st.m == 2:
-                ok = bool(
-                    ((ka * num) % den == 0).all() and ((kb * num) % den == 0).all()
-                )
-            elif ring == RING_Z_PHI and st.m == 5:
-                ok = bool(
-                    ((2 * kb * num) % den == 0).all()
-                    and (((ka - kb) * num) % den == 0).all()
-                )
-            else:  # rational integers are the only members left to allow
-                ok = bool((kb == 0).all() and ((ka * num) % den == 0).all())
-            if not ok:
+            if not in_ring(ka, kb, num, den, st.m, ring).all():
                 return False
         return True
 
@@ -584,7 +566,9 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
     the generator just applied are pruned, and balls are deduplicated: in
     exact mode by the normalized coordinate tuple, in float mode when every
     coordinate agrees within FLOAT_REL * max(1, |row|inf), FLOAT_REL = 1e-10
-    (the policy of exactnum.compare).
+    (the policy of exactnum.compare).  Each ball keeps its first shortest
+    word, and the entries are in word order (see :class:`Cluster`).  A float
+    level whose coordinates overflow is refused with a ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -597,37 +581,37 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
     return Cluster(seed, gens.flavor, depth, gens.names, store)
 
 
-def _grow(store: _Store, rows: dict, expand, keys_of, first_fresh, depth: int, n_gens: int):
+def _grow(store: _Store, rows: dict, expand, first_fresh, depth: int, n_gens: int):
     """The level loop shared by the int64, big-int and float backends.
 
-    ``rows`` holds the seed rows as named arrays, ``expand(level)`` returns
-    the rows g(x) of every generator g and level row x, generator-major,
-    and ``keys_of(rows)`` their canonical keys: a sorted-comparable void
-    array, or a list of tuples for python-int rows.  Candidates are visited
-    in production order (parent's word group, then generator, then parent),
-    a child repeating its parent's generator is pruned, and
-    ``first_fresh(rows, keys, order, seen)`` keeps the first candidate of
-    each ball not seen before.  Kept children of one parent group and
-    generator form one group of the next level; within a level, entries are
-    exposed in key order.
+    ``rows`` holds the seed rows as named arrays, and ``expand(level)``
+    returns the rows g(x) of every generator g and level row x,
+    generator-major.  Candidates are visited in word order: by the parent's
+    word, then the generator, then the parent, so that a level lists its
+    entries by word (letters compared by generator position, the
+    first-applied letter first) and then by seed orbit.  A child repeating
+    its parent's generator is pruned, and ``first_fresh(rows, order, seen)``
+    keeps the first candidate of each ball not seen before, so each entry
+    records its first shortest word.  Kept children of one parent group and
+    generator form one group of the next level, and a level stores its
+    entries in the order they were kept: the cluster's entry order.
     """
     import numpy as np
 
-    keys = keys_of(rows)
-    sel, seen = first_fresh(rows, keys, np.arange(len(keys)), None)
+    n0 = len(next(iter(rows.values())))
+    sel, seen = first_fresh(rows, np.arange(n0), None)
     none = np.full(sel.size, -1, dtype=np.int64)
     meta = {"gen": none, "parent": none, "orbit": sel, "group": np.zeros_like(sel)}
-    _close_level(store, rows, keys, sel, meta)
+    store.close_level(rows, sel, meta)
     for k in range(1, depth + 1):
         prev = store.levels[k - 1]
         n = prev["n"]
         rows = expand(prev)
-        keys = keys_of(rows)
         gg = np.repeat(np.arange(n_gens, dtype=np.int64), n)
         pp = np.tile(np.arange(n, dtype=np.int64), n_gens)
         order = np.lexsort((pp, gg, np.tile(prev["group"], n_gens)))
         order = order[np.tile(prev["gen"], n_gens)[order] != gg[order]]
-        first, seen = first_fresh(rows, keys, order, seen)
+        first, seen = first_fresh(rows, order, seen)
         if first.size == 0:
             break
         sel = order[first]
@@ -641,47 +625,36 @@ def _grow(store: _Store, rows: dict, expand, keys_of, first_fresh, depth: int, n
             "orbit": prev["orbit"][p_lv],
             "group": group,
         }
-        _close_level(store, rows, keys, sel, meta)
+        store.close_level(rows, sel, meta)
     return store
 
 
-def _first_fresh(rows, keys, order, seen):
-    """Ascending positions in ``order`` of the first candidate of each key
-    not in ``seen`` (None before the seed level), and ``seen`` grown by
-    those keys.  Exact rows are equal exactly when their keys are."""
+def _first_fresh(rows, order, seen):
+    """Ascending positions in ``order`` of the first candidate of each exact
+    row not in ``seen`` (None before the seed level), and ``seen`` grown by
+    those rows' keys.  A row's key is (A, B, num, den): the raw bytes of an
+    int64 row, a tuple of python ints otherwise.  Exact rows are equal
+    exactly when their keys are."""
     import numpy as np
 
-    if seen is None:
-        seen = set() if isinstance(keys, list) else keys[:0]
-    if isinstance(keys, list):
+    K = np.concatenate([rows["A"], rows["B"], rows["num"][:, None], rows["den"][:, None]], axis=1)
+    if K.dtype == object:
+        seen = set() if seen is None else seen
         first = []
-        for pos, c in enumerate(order.tolist()):
-            key = keys[c]
+        for pos, key in enumerate(map(tuple, K[order].tolist())):
             if key not in seen:
                 seen.add(key)
                 first.append(pos)
         return np.array(first, dtype=np.int64), seen
+    keys = np.ascontiguousarray(K).view(np.dtype((np.void, K.shape[1] * 8))).ravel()
+    if seen is None:
+        seen = keys[:0]
     uniq, first = np.unique(keys[order], return_index=True)
     if len(seen):
         pos = np.minimum(np.searchsorted(seen, uniq), len(seen) - 1)
         fresh = seen[pos] != uniq
         uniq, first = uniq[fresh], first[fresh]
     return np.sort(first), np.sort(np.concatenate([seen, uniq]))
-
-
-def _close_level(store: _Store, rows: dict, keys, sel, meta: dict) -> None:
-    import numpy as np
-
-    if isinstance(keys, list):
-        picked = [keys[c] for c in sel.tolist()]
-        order = sorted(range(len(picked)), key=picked.__getitem__)
-    else:
-        order = np.argsort(keys[sel]).tolist()
-    base = store.offsets[-1]
-    store.order.extend(base + i for i in order)
-    level = {name: arr[sel] for name, arr in rows.items()}
-    level.update(meta, n=int(sel.size))
-    store.close_level(level)
 
 
 def _exact_cluster(seed: BallArrangement, maps, depth: int, dtype=None) -> _Store:
@@ -727,11 +700,9 @@ class _NeedsBigInts(Exception):
 def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _Store:
     """Exact rows (A + B sqrt m) * num / den, with A, B, num, den arrays,
     from the seed's :func:`exactnum.exact_row` results and each generator's
-    integer matrices A_g, B_g (flat, row by row) over den_g.
+    integer matrices A_g, B_g (flat, row by row) over den_g, kept in the
+    word order of :func:`_grow`.
 
-    An int64 key row is (A, B, num, den) with the sign bit flipped and the
-    bytes swapped, so the raw-byte order of its void view is the numeric
-    lexicographic order; python-int rows use the same numbers as a tuple.
     Before each int64 level a one-step lookahead checks that no product can
     reach 2^63, and raises _NeedsBigInts if one could.
     """
@@ -775,39 +746,30 @@ def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _
         shrink = np.gcd(num, den)
         return {"A": P[:, :nb], "B": P[:, nb:], "num": num // shrink, "den": den // shrink}
 
-    def keys_of(rows):
-        K = np.concatenate(
-            [rows["A"], rows["B"], rows["num"][:, None], rows["den"][:, None]], axis=1
-        )
-        if not i64:
-            return list(map(tuple, K.tolist()))
-        U = np.ascontiguousarray((K ^ np.int64(-limit)).view(np.uint64).byteswap())
-        return U.view(np.dtype((np.void, U.shape[1] * 8))).ravel()
-
     store = _Store("i64" if i64 else "obj", m)
-    return _grow(store, rows0, expand, keys_of, _first_fresh, depth, G)
+    return _grow(store, rows0, expand, _first_fresh, depth, G)
 
 
 def _float_cluster(seed: BallArrangement, mats, depth: int) -> _Store:
-    """Float closure, deduplicated by _window_fresh; the key, the row rounded
-    to 1e-7 as raw bytes, only orders the entries of a level."""
+    """Float closure, deduplicated by _window_fresh.  A level whose rows are
+    not all finite (the products overflowed) is refused, naming its depth."""
     import numpy as np
 
-    nb = seed.dimension + 2
     V0 = np.array([[float(approx(x)) for x in b.v] for b in seed.balls], dtype=np.float64)
     M = [np.array([[float(approx(x)) for x in r] for r in mt], dtype=np.float64) for mt in mats]
+    store = _Store("float", 0)
 
     def expand(prev):
-        return {"V": np.concatenate([prev["V"] @ Mg.T for Mg in M], axis=0)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = np.concatenate([prev["V"] @ Mg.T for Mg in M], axis=0)
+        if not np.isfinite(V).all():
+            raise ValueError(f"float coordinates overflow at depth {len(store.levels)}")
+        return {"V": V}
 
-    def keys_of(rows):
-        R = np.ascontiguousarray(np.round(rows["V"], 7) + 0.0)
-        return R.view(np.dtype((np.void, nb * 8))).ravel()
-
-    return _grow(_Store("float", 0), {"V": V0}, expand, keys_of, _window_fresh, depth, len(M))
+    return _grow(store, {"V": V0}, expand, _window_fresh, depth, len(M))
 
 
-def _window_fresh(rows, keys, order, seen):
+def _window_fresh(rows, order, seen):
     """_first_fresh for float rows: two rows are one ball when every
     coordinate agrees within FLOAT_REL * max(1, |row|inf), as in
     lorentz.same_vector.  Such rows have values under the fixed generic

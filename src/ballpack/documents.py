@@ -91,11 +91,10 @@ def _parse(s: str) -> tuple:
     """(pa, qa, pb, qb, m) of a scalar's text; m = 0 when its radical part
     is absent or zero, and otherwise a square-free integer > 1."""
     an, ad, bn, bd, m = _scalar_match(s)
-    pa, qa = int(an), int(ad or 1)
-    pb = int(bn or 0)
+    pa, qa, pb, qb, m = int(an), int(ad or 1), int(bn or 0), int(bd or 1), int(m or 0)
     if not pb:
         return pa, qa, 0, 1, 0
-    return pa, qa, pb, int(bd or 1), field_modulus(int(m))
+    return pa, qa, pb, qb, field_modulus(m)
 
 
 def _float_scalar(x) -> float:
@@ -613,13 +612,10 @@ def _joined(texts: list) -> Optional[str]:
     return None if "/0" in joined and _ZERO_DENOMINATOR_RE.search(joined) else joined
 
 
-def _denominators(texts: tuple, read: Optional[list] = None) -> list:
+def _denominators(texts: tuple) -> list:
     """The int of each denominator's text, 1 for an empty one, each distinct
-    text converted once: a document has few.  With ``read``, only the texts
-    where ``read`` is nonzero are converted, the ones :func:`_parse` reads.
-    Another takes 1, or its value where it is read; it is the denominator
-    of a zero radical part, which leaves the row as it is."""
-    value = {t: int(t) for t in set(texts if read is None else compress(texts, read)) if t}
+    text converted once: a document has few."""
+    value = {t: int(t) for t in set(texts) if t}
     return list(map(value.get, texts, repeat(1)))
 
 
@@ -627,8 +623,7 @@ def _exact_parts(invs: list, derived: list) -> Optional[tuple]:
     """The parts (pa, qa, pb, qb) of an exact block's inversive scalars, as
     four lists of ints in row-major order, and the set of fields of their
     nonzero radical parts; None if a stored scalar is malformed, as
-    :func:`_parse` would find it.  A part is read from its text only where
-    ``_parse`` reads it."""
+    :func:`_parse` would find it."""
     flat = list(chain.from_iterable(invs))
     checked, joined = _joined(derived), _joined(flat)
     if checked is None or joined is None or len(_LINES_RE.findall(checked)) != len(derived):
@@ -639,8 +634,9 @@ def _exact_parts(invs: list, derived: list) -> Optional[tuple]:
     an, ad, bn, bd, ms = zip(*groups) if groups else ((),) * 5
     try:
         pb = [int(x) if x else 0 for x in bn]
-        parts = list(map(int, an)), _denominators(ad), pb, _denominators(bd, pb)
-        fields = {field_modulus(int(m)) for m in set(compress(ms, pb))}
+        parts = list(map(int, an)), _denominators(ad), pb, _denominators(bd)
+        radicand = {m: int(m) for m in set(ms) if m}
+        fields = {field_modulus(radicand[m]) for m in set(compress(ms, pb))}
     except ValueError:  # a number beyond int's digit limit, or not a field
         return None
     return parts, fields

@@ -218,19 +218,7 @@ class QuadScalar:
     def sign(self) -> int:
         """Exact sign (-1, 0, +1) of a + b*sqrt(m)."""
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 m
-        lhs, rhs = a * a, b * b * self.m
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return quad_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.m)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -406,21 +394,37 @@ def exact_sqrt(x):
     return sqrt_rational(a)
 
 
+def in_ring(ka, kb, num, den, m: int, ring: str):
+    """Membership of (ka + kb sqrt m) num / den in Z, Z[sqrt2] or Z[phi], for
+    ints (a bool) or int arrays (a bool array, elementwise):
+
+        Z       : kb = 0 and den | ka num
+        Z[sqrt2]: den | ka num and den | kb num          (m = 2)
+        Z[phi]  : den | 2 kb num and den | (ka - kb) num (m = 5)
+
+    since a + b sqrt5 = (a - b) + 2b phi.  In any other field m only
+    rational integers are members."""
+    if ring not in (RING_Z, RING_Z_SQRT2, RING_Z_PHI):
+        raise ValueError(f"unknown ring {ring!r}")
+    a, b = ka * num, kb * num
+    if ring == RING_Z_SQRT2 and m == 2:
+        return (a % den == 0) & (b % den == 0)
+    if ring == RING_Z_PHI and m == 5:
+        return (2 * b % den == 0) & ((a - b) % den == 0)
+    return (kb == 0) & (a % den == 0)
+
+
 def is_ring_integer(x: ScalarLike, ring: str) -> bool:
-    """Membership of an exact scalar in Z, Z[sqrt2], or Z[phi]."""
+    """Membership of an exact scalar in Z, Z[sqrt2], or Z[phi]; a scalar of
+    another quadratic field than the ring's is refused."""
     q = QuadScalar._coerce(x)
     if q is None:
         raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
-    if ring == RING_Z:
-        return q.b == 0 and q.a.denominator == 1
-    if ring == RING_Z_SQRT2:
-        one_field(q.m, 2)
-        return q.a.denominator == 1 and q.b.denominator == 1
-    if ring == RING_Z_PHI:
-        one_field(q.m, 5)
-        # a + b sqrt5 = (a - b) + 2b * phi
-        return (q.a - q.b).denominator == 1 and (2 * q.b).denominator == 1
-    raise ValueError(f"unknown ring {ring!r}")
+    if ring in (RING_Z_SQRT2, RING_Z_PHI):
+        one_field(q.m, 2 if ring == RING_Z_SQRT2 else 5)
+    a, b = q.a, q.b
+    ka, kb = a.numerator * b.denominator, b.numerator * a.denominator
+    return in_ring(ka, kb, 1, a.denominator * b.denominator, q.m or 0, ring)
 
 
 # -- the exact row form ---------------------------------------------------------

@@ -72,7 +72,7 @@ def _scalar_match(s: str):
     mt = _SCALAR_RE.match(s)
     if not mt:
         raise ValueError(f"malformed exact scalar {s!r}")
-    if mt["ad"] == "0" or mt["bd"] == "0":
+    if any(d is not None and not d.strip("0") for d in (mt["ad"], mt["bd"])):
         raise ValueError(f"zero denominator in {s!r}")
     return mt
 

@@ -572,8 +572,47 @@ def test_float_cluster_matches_the_exact_one(case):
     # the same number of balls at every depth 0..3
     assert fl._store.offsets == ex._store.offsets and len(ex._store.offsets) == 5
     bound = FLOAT_CURVATURE_REL.get(case, 1e-9)
-    for k_ex, k_fl in zip(sorted(map(approx, ex.curvatures())), sorted(fl.curvatures())):
+    for k_ex, k_fl in zip(map(approx, ex.curvatures()), fl.curvatures(), strict=True):
         assert abs(k_fl - k_ex) <= bound * max(1.0, abs(k_ex))
+
+
+def _word_order(c) -> list:
+    """(depth, generator positions of the word, orbit) of each entry, in entry order."""
+    r = c.rows()
+    at = {name: i for i, name in enumerate(c.generator_names)}
+    return [
+        (d, tuple(at[g] for g in w), o)
+        for d, w, o in zip(r["depth"].tolist(), r["word"], r["orbit"].tolist(), strict=True)
+    ]
+
+
+def _strictly_increasing(seq) -> bool:
+    return all(a < b for a, b in zip(seq, seq[1:]))
+
+
+@pytest.mark.parametrize("case", README_SEEDS)
+def test_entries_are_in_word_order_and_float_twins_agree(case):
+    solid, triple = README_SEEDS[case]
+    for depth in range(4):
+        exact, fl = (
+            _word_order(generate_cluster(seed, apollonian_group_from_packing(seed), depth))
+            for seed in (packing_from_curvatures(solid, ks) for ks in (triple, map(approx, triple)))
+        )
+        assert _strictly_increasing(exact)
+        assert fl == exact
+
+
+@pytest.mark.parametrize("case", ["cube-ssa", "tetrahedron-big-int"])
+def test_entries_are_in_word_order_on_the_ssa_and_big_int_paths(case):
+    if case == "cube-ssa":
+        gens = platonic_generators(CUBE)
+        seed, mode = gens.seed, "i64"
+    else:
+        seed, mode = packing_from_curvatures(TETRAHEDRON, (-3000, 5000, 8000)), "obj"
+        gens = apollonian_group_from_packing(seed)
+    c = generate_cluster(seed, gens, 6)
+    assert c._store.mode == mode
+    assert _strictly_increasing(_word_order(c))
 
 
 def test_float_seed_discriminant_is_judged_by_its_own_rounding():

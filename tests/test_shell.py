@@ -955,6 +955,16 @@ def test_cli_float_seeds_with_large_curvatures_exit_cleanly(solid, initial, code
         assert err.startswith("error: float balls too large to classify (scale ")
 
 
+def test_cli_float_cluster_that_overflows_is_refused(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    argv = ["cluster", "--solid", "dodecahedron", "--mode", "float",
+            "--initial=0.0,0.0,8.934313095693387e-69", "--depth", "2", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: float coordinates overflow at depth 2\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "check,line",
     [

@@ -118,7 +118,7 @@ GOLDEN = {
     ),
     "planted": (
         1,
-        "packing: FAILED (balls 1 and 11 are overlapping)\n"
+        "packing: FAILED (balls 0 and 11 are overlapping)\n"
         "descartes: FAILED (the record makes 30 balls, the document holds 31)\n"
         "soddy: vacuous (no mutually tangent tuples found)\n"
     ),

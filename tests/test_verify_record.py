@@ -131,7 +131,7 @@ def test_float_entries_match_their_record_within_the_float_window(tmp_path):
     _edit_entries(path, _shrink_first_disk(1 + 1e-6))
     assert _run(["verify", "--in", str(path), "--checks", "descartes"]) == (
         1,
-        ["descartes: FAILED (entry 0 differs from what the record makes)"],
+        ["descartes: FAILED (entry 1 differs from what the record makes)"],
     )
 
 

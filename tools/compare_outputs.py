@@ -18,8 +18,9 @@ The list is:
   ``-3000,5000,8000`` at depths 0-2, whose rows are python ints;
 * ``verify`` of mangled copies of an exact cluster document, which the
   tool writes first: a zero denominator, a scalar with a trailing newline,
-  junk after the JSON text, a number for ``word``, and a scalar in a
-  second quadratic field;
+  junk after the JSON text, a number for ``word``, a scalar in a second
+  quadratic field, and a zero radical part whose denominator is too long
+  for int;
 * float ``cluster`` and ``verify`` at depth 1 of c times each Platonic
   projection's own first three face-cycle curvatures, c = 1, 2, 1/3;
 * ``squares --p 3|4|5``;
@@ -27,18 +28,20 @@ The list is:
   workloads (this checkout's ``perfbench/``, workload seed 5), set-up
   included;
 * refusals of malformed or two-field ``--initial`` values, a seed whose
-  two solids are both past-directed, and a float seed whose terms' squares
-  overflow.
+  two solids are both past-directed, a float seed whose terms' squares
+  overflow, and a float cluster whose coordinates overflow at depth 2.
 
 A command that raises, rather than returning an exit code, is recorded
 with the exception in place of its exit code.
 
 It prints each command whose outputs differ, and what differs, and exits 1
-if any do.  For a float JSON document written by both checkouts with bytes
-that differ, it also prints the largest change of an inversive coordinate x
-relative to max(1, |x|), matching the entries by their (depth, word, orbit),
-and how many entries changed place.  Paths under the temporary directory
-are printed as ``<tmp>``.
+if any do.  For a JSON document written by both checkouts with bytes that
+differ, it matches the entries by their (depth, word, orbit) and prints how
+many changed place.  For a float document it also prints the largest change
+of an inversive coordinate x relative to max(1, |x|); for an exact one it
+prints ``same entries`` when every matched entry's inversive texts are
+identical, and otherwise how many entries differ.  Paths under the
+temporary directory are printed as ``<tmp>``.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ REFUSALS = (
     ("integrality", "tetrahedron", "sqrt2+sqrt3,5,8", None),
     ("cluster", "cube", "0,0,1e-160", "float"),
 )
+OVERFLOW_SEED = ("dodecahedron", "0.0,0.0,8.934313095693387e-69", 2)
 BIG_SEED = ("tetrahedron", "-3000,5000,8000")
 
 
@@ -108,6 +112,7 @@ MANGLES = {
     "junk": None,
     "number-word": lambda payload: payload["entries"][1].update(word=5),
     "two-fields": _set_scalar("0+1√3"),
+    "long-denominator-of-zero": _set_scalar("1+0/" + "1" * 5000 + "√2"),
 }
 
 
@@ -176,6 +181,9 @@ def cases() -> list:
         if command == "cluster":
             argv += ["--depth", "1", "--mode", mode, "--out", "c.json"]
         out.append([argv])
+    solid, initial, depth = OVERFLOW_SEED
+    out.append([["cluster", "--solid", solid, f"--initial={initial}", "--depth", str(depth),
+                 "--mode", "float", "--out", "f.json"]])
     out.append([
         ["cluster", "--solid", "tetrahedron", "--initial=sqrt2+sqrt3,5,8", "--depth", "1",
          "--mode", "float", "--out", "f.json"],
@@ -184,18 +192,19 @@ def cases() -> list:
     return out
 
 
-def _float_entries(path: Path):
-    """The entries of a float JSON document, in order, as pairs of their
-    (depth, word, orbit) in JSON and their inversive coordinates; None for
+def _entries(path: Path):
+    """Whether a JSON cluster document is a float one, and its entries, in
+    order, as pairs of their (depth, word, orbit) in JSON and their
+    inversive coordinates: floats, or an exact document's texts; None for
     any other file."""
     if path.suffix != ".json":
         return None
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        if doc.get("mode") != "float":
-            return None
-        return [
-            [json.dumps([e["depth"], e["word"], e["orbit"]]), [float(x) for x in e["inversive"]]]
+        floaty = doc["mode"] == "float"
+        return floaty, [
+            [json.dumps([e["depth"], e["word"], e["orbit"]]),
+             [float(x) for x in e["inversive"]] if floaty else list(e["inversive"])]
             for e in doc["entries"]
         ]
     except (ValueError, TypeError, KeyError, AttributeError):
@@ -219,11 +228,11 @@ class _Recorder:
         after = _digests(self.where)
         files = {k: v for k, v in after.items() if self.before.get(k) != v}
         self.before = after
-        floats = {k: _float_entries(self.where / k) for k in files}
+        entries = {k: _entries(self.where / k) for k in files}
         tmp = str(self.where)
         self.records.append({
             "argv": label, "rc": rc, "files": files,
-            "floats": {k: v for k, v in floats.items() if v is not None},
+            "entries": {k: v for k, v in entries.items() if v is not None},
             "stdout": stdout.replace(tmp, "<tmp>"), "stderr": stderr.replace(tmp, "<tmp>"),
         })
 
@@ -283,19 +292,24 @@ def _first_difference(a: str, b: str) -> str:
     return "line endings differ"
 
 
-def _float_change(xs, ys) -> str:
-    """The largest coordinate change between the entries of two float
-    documents, as a suffix of the line that says their bytes differ."""
-    if xs is None or ys is None:
+def _entry_change(x, y) -> str:
+    """How the entries of two documents differ, matched by (depth, word,
+    orbit), as a suffix of the line that says their bytes differ."""
+    if x is None or y is None or x[0] != y[0]:
         return ""
+    (floaty, xs), (_, ys) = x, y
     a, b = dict(xs), dict(ys)
     if a.keys() != b.keys() or len(a) != len(xs):
         return f"; the entries differ in (depth, word, orbit): {len(xs)} and {len(ys)} entries"
+    moved = sum(p != q for (p, _), (q, _) in zip(xs, ys))
+    if not floaty:
+        changed = sum(a[k] != b[k] for k in a)
+        out = f"; {changed} entries differ in their inversive texts" if changed else "; same entries"
+        return out + f", {moved} changed place"
     change = max(
-        (abs(x - y) / max(1.0, abs(x)) for k in a for x, y in zip(a[k], b[k], strict=True)),
+        (abs(p - q) / max(1.0, abs(p)) for k in a for p, q in zip(a[k], b[k], strict=True)),
         default=0.0,
     )
-    moved = sum(p != q for (p, _), (q, _) in zip(xs, ys))
     out = f"; largest float coordinate change {change:.3g} relative to max(1, |x|)"
     return out + (f", {moved} entries changed place" if moved else "")
 
@@ -310,8 +324,8 @@ def differences(a: dict, b: dict) -> list:
     for name in sorted(set(a["files"]) | set(b["files"])):
         if a["files"].get(name) != b["files"].get(name):
             if name in a["files"] and name in b["files"]:
-                out.append(f"file {name}: bytes differ" + _float_change(
-                    a["floats"].get(name), b["floats"].get(name)))
+                out.append(f"file {name}: bytes differ" + _entry_change(
+                    a["entries"].get(name), b["entries"].get(name)))
             else:
                 out.append(f"file {name}: " + " != ".join(
                     "written" if name in r["files"] else "not written" for r in (a, b)
