@@ -5,11 +5,12 @@ in its facet (dual) balls, those together with the packing's own reflection
 symmetries, and the further extension by inversions in the packing's own
 balls.  For the five regular polyhedra the frame can be normalized so that
 every generator on the ladder is one of five concrete reflection matrices
-over Z, Z[sqrt2] or Z[phi]; this module builds those generators, the
-normalized seed packings they act on, and breadth-first orbit closures
-("clusters") with exact or floating-point deduplication.  A separate walk
-produces the sequence of balls of one such orbit whose curvatures are
-exactly 0, 1, 4, 9, ...
+over Z, Z[sqrt2] or Z[phi]; this module builds those generators, the seed
+packings that their three symmetry mirrors generate from one vertex ball
+and one facet ball, and breadth-first orbit closures ("clusters") with
+exact or floating-point deduplication.  A separate walk produces the
+sequence of balls of one such orbit whose curvatures are exactly 0, 1, 4,
+9, ...
 
 Clusters grow in one breadth-first level loop, the reduced-word enumeration
 of Graham, Lagarias, Mallows, Wilks and Yan, over numpy row arrays of one
@@ -60,7 +61,6 @@ from .lorentz import (
     MobiusMap,
     apply_map,
     ball_from_geometry,
-    geometry_from_ball,
     inversion_map,
     lorentz_product,
     product_scale,
@@ -70,21 +70,12 @@ from .lorentz import (
 from .packings import (
     BallArrangement,
     _reflection_swapping,
-    _translation_map,
     dual,
     first_overlap,
     project,
-    standard_form,
     with_dual,
 )
-from .polytopes import (
-    COS2,
-    PLATONIC,
-    Solid,
-    face_cycle,
-    regular_edge_scribed,
-    solid_from_schlafli,
-)
+from .polytopes import COS2, PLATONIC, Solid, face_cycle, regular_edge_scribed
 
 FLAVOR_DUAL = "A"  # inversions in the facet balls
 FLAVOR_FULL = "SSA"  # both inversion families plus the symmetries
@@ -94,26 +85,6 @@ ROLE_PRIMAL_INVERSION = "primal_inversion"
 ROLE_SYMMETRY = "symmetry"
 
 _FLAVORS = (FLAVOR_DUAL, FLAVOR_FULL)
-
-
-# -- canonical keys -------------------------------------------------------------
-
-
-def scalar_key(x):
-    """Hashable, orderable canonical form of one coordinate.
-
-    Floats are rounded to 1e-7 (with -0.0 normalized), an order only: float
-    equality is ``lorentz.same_vector``'s.  Exact values become their
-    ``exactnum.scalar_parts``.
-    """
-    if isinstance(x, float):
-        return round(x, 7) + 0.0
-    return scalar_parts(x)
-
-
-def canonical_ball_key(b: Ball) -> tuple:
-    """Deduplication key of a ball: the normalized coordinate tuple."""
-    return tuple(scalar_key(x) for x in b.v)
 
 
 # -- generator sets -------------------------------------------------------------
@@ -221,32 +192,21 @@ def _coxeter_path_matrices(q: int) -> dict:
     }
 
 
-def _normalized_triangular_packing(q: int) -> BallArrangement:
-    """The projected {3,q} packing moved into the frame of the generators.
+def _orbit(ball: Ball, maps) -> tuple:
+    """The images of a ball under the finite group the maps generate, breadth
+    first in the maps' order, each image once, keyed by its row."""
 
-    The first edge's balls become {y >= 1} and {y <= -1}, the third vertex
-    of the first facet containing that edge becomes the unit disk at the
-    origin, and the leftover mirror ambiguity is fixed so that the vertical
-    symmetry line of the packing sits at x = -2cos(pi/q).
-    """
-    poly = regular_edge_scribed(solid_from_schlafli((3, q)))
-    arr = with_dual(project(poly))
-    i, j = sorted(poly.edges[0])
-    arr, _ = standard_form(arr, i, j)
-    face = next(f for f in poly.faces(2) if {i, j} <= f)
-    (w,) = sorted(face - {i, j})
-    b = arr.balls[w]
-    cx = geometry_from_ball(b).center[0]
-    if scalar_sign(cx) != 0:
-        arr = arr.transformed(_translation_map((-cx, 0), 2))
-    mirror = _mirror_x(-exact_sqrt(4 * COS2[q]))
-    keys = {canonical_ball_key(x) for x in arr.balls}
-    if {canonical_ball_key(apply_map(mirror, x)) for x in arr.balls} != keys:
-        arr = arr.transformed(inversion_map(Ball((1, 0, 0, 0))))
-        keys = {canonical_ball_key(x) for x in arr.balls}
-        if {canonical_ball_key(apply_map(mirror, x)) for x in arr.balls} != keys:
-            raise RuntimeError("mirror normalization failed")  # pragma: no cover
-    return arr
+    def key(b: Ball) -> tuple:
+        A, B, num, den, m = row_of(b)
+        return tuple(A), tuple(B), num, den, m
+
+    orbit, seen = [ball], {key(ball)}
+    for b in orbit:
+        for image in (apply_map(m, b) for m in maps):
+            if key(image) not in seen:
+                seen.add(key(image))
+                orbit.append(image)
+    return tuple(orbit)
 
 
 def platonic_generators(s: Solid) -> GeneratorSet:
@@ -256,15 +216,21 @@ def platonic_generators(s: Solid) -> GeneratorSet:
     (ball inversion s_v, vertex mirror r_v, edge inversion r_e, facet mirror
     r_f, facet-ball inversion s_f).  A polyhedron with triangular vertex
     figures instead gets the same five matrices with the outer and the inner
-    pairs swapped, acting on the dual seed.  The attached seed is the
-    normalized standard packing of the frame.
+    pairs swapped, acting on the dual seed.  The attached seed is made by
+    the frame's own mirrors: the symmetry group [3,q] that r_v, r_e and r_f
+    generate is transitive on the vertex balls and on the facet balls, so
+    these are the orbits of s_v's ball {y >= 1} and of s_f's ball {x >= 0},
+    listed breadth first.
     """
     if s not in PLATONIC:
         raise ValueError(f"{s.name} has no normalized generator frame")
     p, q = s.schlafli
     base_q = q if p == 3 else p
     mats = _coxeter_path_matrices(base_q)
-    primal = _normalized_triangular_packing(base_q)
+    mirrors = [mats[k] for k in ("r_v", "r_e", "r_f")]
+    primal = BallArrangement(
+        _orbit(Ball((0, 1, 1, 1)), mirrors), dual_balls=_orbit(Ball((1, 0, 0, 0)), mirrors)
+    )
     if p == 3:
         seed = primal
         spelling = ("s_v", "r_v", "r_e", "r_f", "s_f")

@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exactnum import FLOAT_REL, exact_rows, field_modulus, is_float_data, scalar_parts
-from .lorentz import Ball, Entry, ball_from_row
+from .lorentz import Ball, Entry, ball_from_row, lorentz_product
 
 RADICAL = "√"
 
@@ -226,24 +226,15 @@ class PackingDocument:
         return _Balls(self)
 
 
-def _lorentz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise Lorentz products, summed left to right as ``lorentz_product``
-    does, so float rows get the same bits."""
-    s = x[:, 0] * y[:, 0]
-    for j in range(1, x.shape[1] - 1):
-        s = s + x[:, j] * y[:, j]
-    return s - x[:, -1] * y[:, -1]
-
-
 def _exact_norms_ok(rows: dict, m: int) -> np.ndarray:
     A, B, num, den = rows["A"], rows["B"], rows["num"], rows["den"]
-    rational = (_lorentz(A, A) + m * _lorentz(B, B)) * num * num == den * den
-    return (rational & (_lorentz(A, B) == 0)).astype(bool)
+    rational = (lorentz_product(A.T, A.T) + m * lorentz_product(B.T, B.T)) * num * num == den * den
+    return (rational & (lorentz_product(A.T, B.T) == 0)).astype(bool)
 
 
 def _float_norms_ok(V: np.ndarray) -> np.ndarray:
     """``exactnum.compare(n, 1, product_scale)`` for each row's norm n."""
-    d = _lorentz(V, V) - 1
+    d = lorentz_product(V.T, V.T) - 1
     scale = np.abs(V[:, 0] * V[:, 0])
     for j in range(1, V.shape[1]):
         scale = scale + np.abs(V[:, j] * V[:, j])
@@ -294,8 +285,11 @@ def document_from_entries(dimension: int, entries, *, solid=None, seed=None) -> 
         raise ValueError(f"an entry has not {width} coordinates")
     scalars = [x for e in entries for x in e.inversive]
     if is_float_data(scalars):
-        rows = {"V": np.array([float(x) for x in scalars], dtype=np.float64).reshape(-1, width)}
-        mode, m = MODE_FLOAT, 0
+        V = np.array([float(x) for x in scalars], dtype=np.float64)
+        bad = V[~np.isfinite(V)]
+        if bad.size:
+            raise ValueError(f"float document holds a non-finite number {float(bad[0])!r}")
+        rows, mode, m = {"V": V.reshape(-1, width)}, MODE_FLOAT, 0
     else:
         *parts, moduli = zip(*map(scalar_parts, scalars)) if scalars else ((),) * 5
         fields = set(moduli) - {0}

@@ -449,14 +449,15 @@ def quad_value(parts, m: int):
     return Fraction(pa, qa)
 
 
-def exact_row(parts) -> tuple:
-    """(A, B, num, den, m) of a vector given as the parts of its scalars.
+def exact_row(values) -> tuple:
+    """(A, B, num, den, m) of a vector of exact scalars.
 
     The vector is put over the lcm of its denominators and its content is
     pulled out as num/den, so A and B are lists of ints that form a primitive
     row.  m is the one field modulus of the irrational scalars
     (:func:`one_field`), 0 when B is zero.
     """
+    parts = [scalar_parts(x) for x in values]
     m = one_field(*(x[4] for x in parts))
     lcm = math.lcm(*(x[1] for x in parts), *(x[3] for x in parts))
     a = [pa * (lcm // qa) for pa, qa, _, _, _ in parts]

@@ -272,7 +272,7 @@ def _values(x) -> list:
 
 def _values_row(values) -> Optional[tuple]:
     """The ``exactnum.exact_row`` of exact values; None when one is a float."""
-    return None if is_float_data(values) else exact_row([scalar_parts(e) for e in values])
+    return None if is_float_data(values) else exact_row(values)
 
 
 def ball_from_row(row: tuple) -> Ball:

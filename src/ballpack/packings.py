@@ -4,13 +4,12 @@ Every vertex of an outer-sphere polytope is the light source of a ball; the
 arrangement of those balls is the polytope's projection.  Edge-scribed
 realizations project to packings whose tangency graph is the polytope graph.
 This module adds centered projections (a chosen face sent to infinity),
-polar-dual arrangements, the two-half-space standard form, Gramians, and
-Mobius spectra.  A projection takes its balls from the vertices' rows
-(:func:`lorentz.light_source_balls`, one square root per distinct |u|^2),
-its facet balls from the polar vertices that :func:`polytopes.polar_dual`
-computes on rows, and a Mobius image of either is a matrix-row product
-(:func:`lorentz.apply_map`): in integers for exact data, in floats for
-float data.
+polar-dual arrangements, Gramians, and Mobius spectra.  A projection takes
+its balls from the vertices' rows (:func:`lorentz.light_source_balls`, one
+square root per distinct |u|^2), its facet balls from the polar vertices
+that :func:`polytopes.polar_dual` computes on rows, and a Mobius image of
+either is a matrix-row product (:func:`lorentz.apply_map`): in integers for
+exact data, in floats for float data.
 """
 
 from __future__ import annotations
@@ -18,32 +17,22 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
 
 from . import linalg
-from .exactnum import (
-    FLOAT_REL,
-    approx,
-    quad_float,
-    ratio,
-    scalar_sign,
-)
+from .exactnum import FLOAT_REL, approx, quad_float
 from .lorentz import (
-    Ball,
     DISJOINT,
     EXTERNALLY_TANGENT,
     MobiusMap,
     _is_past_directed,
     apply_map,
     classify_pair,
-    geometry_from_ball,
     light_source_balls,
     lorentz_product,
     reflection_map,
     row_of,
-    same_vector,
 )
 from .polytopes import Polytope, Solid, face_barycenter, polar_dual, regular_edge_scribed
 
@@ -347,104 +336,11 @@ def gram(a: BallArrangement):
     )
 
 
-# -- standard form -------------------------------------------------------------
-
-
-def _half_space_x_last(d: int, sign: int) -> Ball:
-    # {x_d >= 1} for sign +1, {x_d <= -1} for sign -1
-    v = [0] * (d - 1) + [sign, 1, 1]
-    return Ball(tuple(v))
-
-
 def _reflection_swapping(x, t) -> Optional[MobiusMap]:
     """Lorentz reflection exchanging unit space-like vectors x and t, if sound."""
     n = tuple(a - b for a, b in zip(x, t))
     sizes = lambda: (abs(a) + abs(b) for a, b in zip(x, t))  # noqa: E731
     return reflection_map(n, lambda: sum(s * s for s in sizes()))  # a float's s ** 2 can raise
-
-
-def _two_reflections(x_i, x_j, t_i, t_j, d: int) -> Optional[MobiusMap]:
-    """Map with x_i -> t_i and x_j -> t_j, as at most two reflections."""
-    if same_vector(x_i, t_i):
-        m1 = MobiusMap.identity(d)
-    else:
-        m1 = _reflection_swapping(x_i, t_i)
-        if m1 is None:
-            return None
-    moved = linalg.mat_vec(m1.mat, x_j)
-    if same_vector(moved, t_j):
-        return m1
-    m2 = _reflection_swapping(moved, t_j)
-    if m2 is None:
-        return None
-    m = m2 @ m1
-    # the second reflection fixes t_i when <moved - t_j, t_i> = 0; verify
-    if not same_vector(linalg.mat_vec(m.mat, x_i), t_i):
-        return None
-    return m
-
-
-def _generic_premaps(d: int):
-    from .lorentz import ball_from_geometry, inversion_map
-
-    yield MobiusMap.identity(d)
-    center = tuple([Fraction(1, 3)] + [Fraction(1, 7)] * (d - 1))
-    yield inversion_map(ball_from_geometry(d, center=center, curvature=2))
-    center2 = tuple([Fraction(-2, 5)] + [Fraction(1, 2)] * (d - 1))
-    yield inversion_map(ball_from_geometry(d, center=center2, curvature=3))
-
-
-def _translation_map(t, d: int) -> MobiusMap:
-    """The Lorentz matrix of the Euclidean translation x -> x + t."""
-    t = tuple(t)
-    t2 = sum(x * x for x in t)
-    size = d + 2
-    rows = []
-    for i in range(d):
-        row = [1 if i == j else 0 for j in range(d)]
-        row += [-t[i], t[i]]
-        rows.append(tuple(row))
-    half = ratio(t2, 2)
-    rows.append(tuple(list(t) + [1 - half, half]))
-    rows.append(tuple(list(t) + [-half, 1 + half]))
-    return MobiusMap(rows, check=False)
-
-
-def standard_form(a: BallArrangement, i: int, j: int):
-    """Transform so ball i becomes {x_d >= 1} and ball j becomes {x_d <= -1}.
-
-    Returns (new arrangement, the Mobius map used).  The residual horizontal
-    translation is fixed by centering the first remaining non-half-space ball
-    on the last-coordinate axis.
-    """
-    if classify_pair(a.balls[i], a.balls[j]) != EXTERNALLY_TANGENT:
-        raise ValueError("chosen balls are not externally tangent")
-    d = a.dimension
-    t_i = _half_space_x_last(d, 1)
-    t_j = _half_space_x_last(d, -1)
-    m = None
-    for g in _generic_premaps(d):
-        xi = linalg.mat_vec(g.mat, a.balls[i].v)
-        xj = linalg.mat_vec(g.mat, a.balls[j].v)
-        core = _two_reflections(xi, xj, t_i.v, t_j.v, d)
-        if core is not None:
-            m = core @ g
-            break
-    if m is None:
-        raise ValueError("could not construct a normalizing map")
-    # pin down the translation along the tangency hyperplane
-    shift = None
-    for k in range(len(a.balls)):
-        if k in (i, j):
-            continue
-        geo = geometry_from_ball(apply_map(m, a.balls[k]))
-        if geo.kind == "halfspace":
-            continue
-        shift = tuple(-x for x in geo.center[: d - 1]) + (0,)
-        break
-    if shift is not None and any(scalar_sign(x) != 0 for x in shift):
-        m = _translation_map(shift, d) @ m
-    return a.transformed(m), m
 
 
 # -- Mobius spectra -------------------------------------------------------------

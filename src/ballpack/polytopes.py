@@ -46,7 +46,6 @@ from .exactnum import (
     quad_sign,
     ratio,
     row_vector,
-    scalar_parts,
     scaled_row,
     sqrt_int,
     sqrt_rational,
@@ -372,7 +371,7 @@ def _integer_coords(verts) -> tuple:
     """
     if any(is_float_data(v) for v in verts):
         return [float_row(v)[:2] for v in verts], 0, 1.0
-    parts = [exact_row([scalar_parts(x) for x in v]) for v in verts]
+    parts = [exact_row(v) for v in verts]
     lcm = math.lcm(*(den for _, _, _, den, _ in parts))
     rows = []
     for A, B, num, den, _ in parts:

@@ -35,7 +35,6 @@ from .exactnum import (
     is_ring_integer,
     one_field,
     ratio,
-    scalar_parts,
     scalar_sign,
     sqrt_if_expressible,
 )
@@ -141,8 +140,8 @@ def exact_flag_residuals(s: Solid, chains, kappas):
     if is_float_data([*lv, *kappas]):
         return None
     coeffs = [1, *(-ratio(lv[-1], lv[i + 1] - lv[i]) for i in range(top))]
-    E, F, _, _, f1 = exact_row([scalar_parts(c) for c in coeffs])
-    A, B, _, _, f2 = exact_row([scalar_parts(k) for k in kappas])
+    E, F, _, _, f1 = exact_row(coeffs)
+    A, B, _, _, f2 = exact_row(kappas)
     m = one_field(f1, f2)
     faces = {f for chain in chains for f in chain}
     n = math.lcm(len(kappas), *map(len, faces))

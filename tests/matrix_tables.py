@@ -2,11 +2,13 @@
 
 Every entry was transcribed by hand and is pinned exactly; the tests compare
 the library's constructions against these tables entry by entry, so any
-change in the underlying algebra shows up as a literal mismatch.
+change in the underlying algebra shows up as a literal mismatch.  The
+canonical keys below compare balls and matrices as sets of exact values.
 """
 
 from fractions import Fraction
 
+from ballpack.exactnum import scalar_parts
 from ballpack.polytopes import (
     CUBE,
     DODECAHEDRON,
@@ -103,6 +105,23 @@ CUBE_FAMILY = (
         (12 * R2, 6, -6, 19),
     ),
 )
+
+
+def scalar_key(x):
+    """Hashable, orderable canonical form of one coordinate.
+
+    Floats are rounded to 1e-7 (with -0.0 normalized), an order only: float
+    equality is ``lorentz.same_vector``'s.  Exact values become their
+    ``exactnum.scalar_parts``.
+    """
+    if isinstance(x, float):
+        return round(x, 7) + 0.0
+    return scalar_parts(x)
+
+
+def canonical_ball_key(b) -> tuple:
+    """Comparison key of a ball: the canonical coordinate tuple."""
+    return tuple(scalar_key(x) for x in b.v)
 
 
 def mat_equal(m, rows) -> bool:

@@ -24,20 +24,20 @@ from matrix_tables import (
     OCTA_FAMILY,
     TETRA_FAMILY,
     TRIANGULAR,
+    canonical_ball_key,
     generator,
     is_identity,
     mat_equal,
     mat_f,
     preserves_form,
+    scalar_key,
 )
 from ballpack.apollonian import (
     apollonian_group_from_packing,
-    canonical_ball_key,
     generate_cluster,
     packing_from_curvatures,
     perfect_square_sequence,
     platonic_generators,
-    scalar_key,
 )
 from ballpack.exactnum import RING_Z, RING_Z_PHI, approx, is_float_data, phi, ratio
 from ballpack.lorentz import (

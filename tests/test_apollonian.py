@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,12 @@ from ballpack.apollonian import (
     ROLE_PRIMAL_INVERSION,
     ROLE_SYMMETRY,
     apollonian_group_from_packing,
-    canonical_ball_key,
     generate_cluster,
     is_apollonian_packing,
     orbit_coloring,
     packing_from_curvatures,
     perfect_square_sequence,
     platonic_generators,
-    scalar_key,
 )
 from ballpack.exactnum import (
     RING_Z,
@@ -69,11 +68,13 @@ from matrix_tables import (
     R2,
     TETRA_FAMILY,
     TRIANGULAR,
+    canonical_ball_key,
     generator,
     is_identity,
     mat_equal,
     mat_f,
     preserves_form,
+    scalar_key,
 )
 
 HALF = Fraction(1, 2)
@@ -192,6 +193,35 @@ def test_symmetries_permute_seed_and_conjugate_inversions(q):
             lhs = conj(r, inversion_map(b))
             rhs = inversion_map(apply_map(r, b))
             assert mat_key(lhs) == mat_key(rhs)
+
+
+def _product_rows(balls, others) -> Counter:
+    """The multiset of each ball's sorted row of Lorentz products with the others."""
+    return Counter(
+        tuple(sorted(scalar_key(lorentz_product(x.v, y.v)) for y in others)) for x in balls
+    )
+
+
+@pytest.mark.parametrize("solid", PLATONIC, ids=lambda s: s.name)
+def test_frame_seed_is_the_projection_made_by_the_mirrors(solid):
+    gens = platonic_generators(solid)
+    seed = gens.seed
+    poly = regular_edge_scribed(solid)
+    projection = with_dual(project(poly))
+    assert len(seed.balls) == len(poly.vertices)
+    assert len(seed.dual_balls) == len(poly.faces(2))
+    assert is_packing(seed)
+    got, want = ((x.balls, x.dual_balls) for x in (seed, projection))
+    for a, b in ((0, 0), (1, 1), (1, 0)):  # balls, facet balls, facet balls against balls
+        assert _product_rows(got[a], got[b]) == _product_rows(want[a], want[b])
+    p = solid.schlafli[0]
+    for f in seed.dual_balls:
+        assert sum(lorentz_product(f.v, b.v) == 0 for b in seed.balls) == p
+    for name in ("r_v", "r_e", "r_f"):
+        r = generator(gens, name).map
+        for balls in (seed.balls, seed.dual_balls):
+            keys = {canonical_ball_key(b) for b in balls}
+            assert {canonical_ball_key(apply_map(r, b)) for b in balls} == keys
 
 
 def test_generator_set_validation():

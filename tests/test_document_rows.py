@@ -13,6 +13,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from ballpack.documents import (
     to_json,
 )
 from ballpack.exactnum import QuadScalar, phi
+from ballpack.lorentz import Entry
 from ballpack.polytopes import solid_from_name
 from ballpack.svgout import RenderSpec, render_svg
 from test_shell import MALFORMED, cluster_doc, edited
@@ -141,6 +143,17 @@ def test_a_full_symmetry_cluster_document_is_the_document_of_its_entries():
     gens = platonic_generators(solid_from_name("cube"))
     made = generate_cluster(gens.seed, gens, 4)
     assert document_from_cluster(made) == document_from_entries(made.seed.dimension, made)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_document_of_entries_refuses_a_non_finite_float_as_the_loader_does(bad):
+    with pytest.raises(ValueError) as made:
+        document_from_entries(2, [Entry((0.0, 1.0, 1.0, 1.0)), Entry((bad, 0.0, 0.0, 1.0))])
+    text = to_json(document_from_entries(2, [Entry((1.0, 0.0, 0.0, 0.0))]))
+    text = text.replace("1.0,", f"{json.dumps(bad)},", 1)  # what to_json printed for it
+    with pytest.raises(ValueError) as loaded:
+        from_json(text)
+    assert str(made.value) == str(loaded.value) == f"float document holds a non-finite number {bad!r}"
 
 
 PROJECTED = ("triangle", "square", "ngon-5", "tetrahedron", "octahedron", "cube", "icosahedron",

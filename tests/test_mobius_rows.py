@@ -21,7 +21,6 @@ from ballpack.exactnum import (
     is_float_data,
     phi,
     quad_value,
-    scalar_parts,
     scaled_row,
     sqrt_int,
 )
@@ -118,7 +117,7 @@ def test_scaled_row_is_the_exact_row_of_its_vector(A, B, num, den, m):
     if not m:
         B = [0] * 4
     vector = [quad_value((a * num, den, b * num, den), m) for a, b in zip(A, B)]
-    assert scaled_row(A, B, num, den, m) == exact_row([scalar_parts(x) for x in vector])
+    assert scaled_row(A, B, num, den, m) == exact_row(vector)
 
 
 def _outcome(build):
@@ -220,5 +219,5 @@ def test_classifying_a_seed_derives_no_row(solid, triple, monkeypatch):
 def test_an_image_keeps_the_row_of_its_vector():
     seed = packing_from_curvatures(ICOSAHEDRON, (-4, 8, 9))
     for b in seed.balls + seed.dual_balls:
-        assert b._row == lorentz.exact_row([lorentz.scalar_parts(x) for x in b.v])
+        assert b._row == lorentz.exact_row(b.v)
     assert all(isinstance(b, Ball) for b in seed.balls)

@@ -21,7 +21,7 @@ from ballpack.apollonian import (
     generate_cluster,
     packing_from_curvatures,
 )
-from ballpack.exactnum import QuadScalar, exact_row, one_field, scalar_parts, scaled_row, sqrt_int
+from ballpack.exactnum import QuadScalar, exact_row, one_field, scaled_row, sqrt_int
 from ballpack.lorentz import Ball, apply_map, ball_from_geometry, classify_pair, inversion_map
 from ballpack.packings import project
 from ballpack.polytopes import ICOSAHEDRON, TETRAHEDRON, Polytope, polar_dual
@@ -53,7 +53,7 @@ def test_one_field_is_the_common_modulus_or_a_refusal_naming_the_first_operand_f
     ids=["Q", "Q(sqrt 2)", "rational QuadScalar", "zero"],
 )
 def test_a_rows_field_is_an_int_and_zero_without_an_irrational_part(vector, m):
-    row = exact_row([scalar_parts(x) for x in vector])
+    row = exact_row(vector)
     assert row[4] == m and type(row[4]) is int
     assert scaled_row(*row[:4], 5)[4] == (5 if any(row[1]) else 0)
 

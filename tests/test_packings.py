@@ -6,9 +6,8 @@ import pytest
 from closed_forms import graph_distance
 from curvature_tables import CENTERED_CURVATURES, MOBIUS_SPECTRA, multisets_match
 from frame_oracle import mobius_equivalent
-from ballpack.exactnum import approx, is_float_data
+from ballpack.exactnum import approx
 from ballpack.lorentz import (
-    Ball,
     MobiusMap,
     ball_from_geometry,
     classify_pair,
@@ -24,7 +23,6 @@ from ballpack.packings import (
     is_packing,
     mobius_spectra,
     project,
-    standard_form,
 )
 from ballpack.polytopes import (
     CUBE,
@@ -156,58 +154,6 @@ def test_gram_hypercube_law():
                     assert g[i][j] == want
                 else:
                     assert approx(g[i][j]) == pytest.approx(want, abs=1e-9)
-
-
-def test_standard_form_two_disks():
-    disks = BallArrangement(
-        (
-            ball_from_geometry(2, center=(0, 1), curvature=1),
-            ball_from_geometry(2, center=(0, -1), curvature=1),
-        )
-    )
-    out, m = standard_form(disks, 0, 1)
-    assert out[0] == Ball((0, 1, 1, 1))
-    assert out[1] == Ball((0, -1, 1, 1))
-
-
-def test_standard_form_tetrahedron_edge():
-    a = project(regular_edge_scribed(TETRAHEDRON))
-    p = a.polytope
-    e = sorted(p.edges[0])
-    out, m = standard_form(a, e[0], e[1])
-    # the remaining two balls must be unit disks: Descartes quadruple (0,0,1,1)
-    ks = sorted(approx(k) for k in out.curvatures())
-    assert ks == pytest.approx([0, 0, 1, 1], abs=1e-9)
-    assert out[e[0]].v == (0, 1, 1, 1)
-    assert out[e[1]].v == (0, -1, 1, 1)
-    # exactness is preserved
-    assert all(not is_float_data(b.v) for b in out.balls)
-
-
-def test_standard_form_already_standard():
-    a = BallArrangement(
-        (
-            Ball((0, 1, 1, 1)),
-            Ball((0, -1, 1, 1)),
-            ball_from_geometry(2, center=(0, 0), curvature=1),
-        )
-    )
-    out, m = standard_form(a, 0, 1)
-    assert out[0] == a[0] and out[1] == a[1] and out[2] == a[2]
-
-
-def test_standard_form_requires_tangency():
-    a = project(regular_edge_scribed(OCTAHEDRON))
-    p = a.polytope
-    # find an antipodal (non-tangent) pair
-    i, j = next(
-        (i, j)
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if frozenset((i, j)) not in set(p.edges)
-    )
-    with pytest.raises(ValueError):
-        standard_form(a, i, j)
 
 
 def test_mobius_equivalence():

@@ -9,9 +9,10 @@ from hypothesis import example, given, strategies as st
 
 import closed_forms as cf
 from ballpack import linalg, relations as rel
+from ballpack.apollonian import platonic_generators
 from ballpack.exactnum import QuadScalar, approx, phi, sqrt_int
 from ballpack.lorentz import ball_from_geometry, inversion_map
-from ballpack.packings import dual, project, standard_form
+from ballpack.packings import dual, project
 from ballpack.polytopes import (
     CUBE,
     DODECAHEDRON,
@@ -37,11 +38,8 @@ def arrangement(s):
 
 
 def descartes_quadruple():
-    """The standard-form tetrahedron: curvatures (0, 0, 1, 1)."""
-    a = arrangement(TETRAHEDRON)
-    e = sorted(a.polytope.edges[0])
-    out, _ = standard_form(a, e[0], e[1])
-    return out
+    """The tetrahedron's frame seed: curvatures (0, 0, 1, 1)."""
+    return platonic_generators(TETRAHEDRON).seed
 
 
 # -- barycenters and the L ladder -----------------------------------------------

@@ -37,7 +37,9 @@ with the exception in place of its exit code.
 It prints each command whose outputs differ, and what differs, and exits 1
 if any do.  For a JSON document written by both checkouts with bytes that
 differ, it matches the entries by their (depth, word, orbit) and prints how
-many changed place.  For a float document it also prints the largest change
+many changed place; if a document repeats a key, it matches whole entries
+(key and inversive coordinates) as multisets and prints how many entries
+only each side holds.  For a float document it also prints the largest change
 of an inversive coordinate x relative to max(1, |x|); for an exact one it
 prints ``same entries`` when every matched entry's inversive texts are
 identical, and otherwise how many entries differ.  Paths under the
@@ -55,6 +57,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 
@@ -294,12 +297,20 @@ def _first_difference(a: str, b: str) -> str:
 
 def _entry_change(x, y) -> str:
     """How the entries of two documents differ, matched by (depth, word,
-    orbit), as a suffix of the line that says their bytes differ."""
+    orbit), as a suffix of the line that says their bytes differ.  When a
+    document repeats a key, whole entries (key and inversive coordinates)
+    are matched as multisets instead."""
     if x is None or y is None or x[0] != y[0]:
         return ""
     (floaty, xs), (_, ys) = x, y
     a, b = dict(xs), dict(ys)
-    if a.keys() != b.keys() or len(a) != len(xs):
+    if len(a) != len(xs) or len(b) != len(ys):
+        p, q = (Counter((k, tuple(v)) for k, v in es) for es in (xs, ys))
+        same = sum(u == w for u, w in zip(xs, ys))
+        return (f"; a (depth, word, orbit) repeats, so whole entries are matched: "
+                f"{sum((p - q).values())} only in the first, {sum((q - p).values())} only in "
+                f"the second, {sum((p & q).values()) - same} changed place")
+    if a.keys() != b.keys():
         return f"; the entries differ in (depth, word, orbit): {len(xs)} and {len(ys)} entries"
     moved = sum(p != q for (p, _), (q, _) in zip(xs, ys))
     if not floaty:
