@@ -51,7 +51,6 @@ from .exactnum import (
     one_field,
     quad_sign,
     ratio,
-    row_vector,
     scalar_parts,
     scalar_sign,
 )
@@ -61,6 +60,7 @@ from .lorentz import (
     MobiusMap,
     apply_map,
     ball_from_geometry,
+    ball_from_rows,
     inversion_map,
     lorentz_product,
     product_scale,
@@ -165,11 +165,6 @@ class GeneratorSet:
 # -- the normalized Platonic frame ----------------------------------------------
 
 
-def _mirror_x(offset) -> MobiusMap:
-    """Reflection of the plane in the vertical line {x = offset}."""
-    return inversion_map(ball_from_geometry(2, normal=(1, 0), offset=offset))
-
-
 def _coxeter_path_matrices(q: int) -> dict:
     """The five reflection generators of the normalized {3,q} frame.
 
@@ -187,7 +182,7 @@ def _coxeter_path_matrices(q: int) -> dict:
         "s_v": inversion_map(Ball((0, 1, 1, 1))),
         "r_v": inversion_map(Ball((0, 1, 0, 0))),
         "r_e": inversion_map(ball_from_geometry(2, center=(0, 1), curvature=Fraction(1, 2))),
-        "r_f": _mirror_x(-c),
+        "r_f": inversion_map(ball_from_geometry(2, normal=(1, 0), offset=-c)),
         "s_f": inversion_map(Ball((1, 0, 0, 0))),
     }
 
@@ -405,25 +400,6 @@ class _Store:
             k += 1
         return k, gidx - self.offsets[k]
 
-    def vector(self, k: int, i: int) -> tuple:
-        lv = self.levels[k]
-        if self.mode == "float":
-            return tuple(lv["V"][i].tolist())
-        return row_vector(
-            lv["A"][i].tolist(), lv["B"][i].tolist(), int(lv["num"][i]), int(lv["den"][i]), self.m
-        )
-
-    def curvature(self, k: int, i: int):
-        lv = self.levels[k]
-        if self.mode == "float":
-            row = lv["V"][i]
-            return float(row[-1] - row[-2])
-        a, b = lv["A"][i].tolist(), lv["B"][i].tolist()
-        (kappa,) = row_vector(
-            (a[-1] - a[-2],), (b[-1] - b[-2],), int(lv["num"][i]), int(lv["den"][i]), self.m
-        )
-        return kappa
-
     def row_meta(self, k: int, i: int):
         lv = self.levels[k]
         return int(lv["gen"][i]), int(lv["parent"][i]), int(lv["orbit"][i])
@@ -435,10 +411,10 @@ class Cluster:
     Entries are in word order: by depth, then by word (letters compared by
     generator position, the first-applied letter first), then by seed
     orbit, as the level loop stores them, for int64, python-int and float
-    rows alike.  ``entry(i)`` and iteration build each
-    :class:`lorentz.Entry` (the type documents store) from its row on
-    demand and keep none of them, so very large exact clusters can still
-    stream curvatures from the rows without building entries.
+    rows alike.  ``entry(i)`` (i < 0 counting from the end, as in a
+    document) and iteration build each :class:`lorentz.Entry` (the type
+    documents store) from its row on demand, by the one row reader
+    :func:`lorentz.ball_from_rows`, and keep none of them.
     """
 
     __slots__ = ("seed", "flavor", "depth", "generator_names", "_store")
@@ -471,10 +447,11 @@ class Cluster:
         return tuple(reversed(out))
 
     def entry(self, i: int) -> Entry:
+        i = range(len(self))[i]
         st = self._store
         k, li = st.locate(i)
         _, _, orbit = st.row_meta(k, li)
-        return Entry(st.vector(k, li), depth=k, word=self._word(i), orbit=orbit)
+        return Entry(ball_from_rows(st.levels[k], li, st.m).v, depth=k, word=self._word(i), orbit=orbit)
 
     def __iter__(self) -> Iterator[Entry]:
         return (self.entry(i) for i in range(len(self)))
@@ -499,10 +476,9 @@ class Cluster:
         return out
 
     def curvatures(self) -> Iterator:
+        """The curvatures in entry order, from the rows, building no entry."""
         st = self._store
-        for k, lv in enumerate(st.levels):
-            for i in range(lv["n"]):
-                yield st.curvature(k, i)
+        return (ball_from_rows(lv, i, st.m).curvature for lv in st.levels for i in range(lv["n"]))
 
     def curvatures_in_ring(self, ring: str) -> bool:
         """True iff every curvature is an algebraic integer of the ring.
@@ -805,10 +781,11 @@ def perfect_square_sequence(p: int, n_max: int) -> list:
 
     The standard triangular-faced packing with p balls around a face is
     rescaled by lambda = 4 cos^2(pi/p), so the marked tangent pair becomes
-    the half-planes {y <= -lambda} and {y >= lambda}.  Conjugating n
-    alternating vertical-mirror steps by the inversion in the rescaled edge
-    circle then lands on a ball of curvature n^2; everything stays in the
-    field hosting sqrt(lambda).
+    the half-planes {y <= -lambda} and {y >= lambda}.  Conjugating n steps
+    of the frame's facet mirrors, r_f after s_f, by the inversion in the
+    rescaled edge circle then lands on a ball of curvature n^2.  The walk
+    applies the maps to balls, and everything stays in the field hosting
+    sqrt(lambda).
     """
     if p not in (3, 4, 5):
         raise ValueError("p must be 3, 4 or 5")
@@ -816,14 +793,11 @@ def perfect_square_sequence(p: int, n_max: int) -> list:
         raise ValueError("n_max must be nonnegative")
     c = exact_sqrt(4 * COS2[p])  # 2cos(pi/p)
     lam = c * c
-    edge = inversion_map(
-        ball_from_geometry(2, center=(0, -lam), curvature=ratio(1, 2 * c))
-    )
-    step = _mirror_x(-c) @ inversion_map(Ball((1, 0, 0, 0)))
-    start = ball_from_geometry(2, normal=(0, 1), offset=lam)
+    edge = inversion_map(ball_from_geometry(2, center=(0, -lam), curvature=ratio(1, 2 * c)))
+    mirrors = _coxeter_path_matrices(p)
+    b = apply_map(edge, ball_from_geometry(2, normal=(0, 1), offset=lam))
     out = []
-    walk = MobiusMap.identity(2)
     for n in range(n_max + 1):
-        out.append((n, apply_map(edge @ walk @ edge, start)))
-        walk = walk @ step
+        out.append((n, apply_map(edge, b)))
+        b = apply_map(mirrors["r_f"], apply_map(mirrors["s_f"], b))
     return out

@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .exactnum import FLOAT_REL, exact_rows, field_modulus, is_float_data, scalar_parts
-from .lorentz import Ball, Entry, ball_from_row, lorentz_product
+from .lorentz import Ball, Entry, ball_from_rows, lorentz_product
 
 RADICAL = "√"
 
@@ -189,23 +189,15 @@ class PackingDocument:
     __hash__ = None
 
     def ball(self, i: int) -> Ball:
-        """Ball i, its norm unchecked: a float one from its vector, an exact
-        one born with its ``exactnum.exact_row`` (:func:`lorentz.ball_from_row`)."""
-        if self.is_float:
-            return Ball(tuple(self.rows["V"][i].tolist()), _checked=True)
-        r, B = self.rows, self.rows["B"][i].tolist()
-        m = self.m if any(B) else 0
-        return ball_from_row((r["A"][i].tolist(), B, r["num"][i], r["den"][i], m))
-
-    def vector(self, i: int) -> tuple:
-        """The inversive vector of ball i: floats, or Fractions and QuadScalars."""
-        return self.ball(i).v
+        """Ball i, its norm unchecked, from the one row reader
+        (:func:`lorentz.ball_from_rows`): an exact ball is born with its row."""
+        return ball_from_rows(self.rows, i, self.m)
 
     @property
     def entries(self) -> tuple:
         """The balls as :class:`lorentz.Entry` objects, built on each call."""
         return tuple(
-            Entry(self.vector(i), depth=k, word=w, orbit=o)
+            Entry(self.ball(i).v, depth=k, word=w, orbit=o)
             for i, (k, w, o) in enumerate(zip(self.depth, self.word, self.orbit))
         )
 
@@ -222,7 +214,7 @@ class PackingDocument:
             ok = _float_norms_ok(self.rows["V"]) if self.is_float else _exact_norms_ok(self.rows, self.m)
             bad = np.flatnonzero(~ok)
             if bad.size:
-                Ball(self.vector(int(bad[0])))  # raises
+                Ball(self.ball(int(bad[0])).v)  # raises
         return _Balls(self)
 
 

@@ -452,9 +452,9 @@ def quad_value(parts, m: int):
 def exact_row(values) -> tuple:
     """(A, B, num, den, m) of a vector of exact scalars.
 
-    The vector is put over the lcm of its denominators and its content is
-    pulled out as num/den, so A and B are lists of ints that form a primitive
-    row.  m is the one field modulus of the irrational scalars
+    The vector is put over the lcm of its denominators, and :func:`scaled_row`
+    pulls its content out as num/den, so A and B are lists of ints that form
+    a primitive row.  m is the one field modulus of the irrational scalars
     (:func:`one_field`), 0 when B is zero.
     """
     parts = [scalar_parts(x) for x in values]
@@ -462,11 +462,7 @@ def exact_row(values) -> tuple:
     lcm = math.lcm(*(x[1] for x in parts), *(x[3] for x in parts))
     a = [pa * (lcm // qa) for pa, qa, _, _, _ in parts]
     b = [pb * (lcm // qb) for _, _, pb, qb, _ in parts]
-    c = math.gcd(*a, *b)
-    if not c:
-        return a, b, 0, 1, m
-    g = math.gcd(c, lcm)
-    return [x // c for x in a], [x // c for x in b], c // g, lcm // g, m
+    return scaled_row(a, b, 1, lcm, m)
 
 
 def exact_rows(parts, width: int) -> dict:

@@ -29,7 +29,8 @@ row (v, 0, 1.0, 1.0, 0) of :func:`exactnum.float_row`, and an operation
 with one float operand takes every operand in floats.  Signs are read by
 :func:`exactnum.quad_sign`, through ``compare`` for floats.  Only the last
 step depends on the numeric type: exact results go through
-``exactnum.scaled_row``, and the balls they and the documents make are born
+``exactnum.scaled_row``, and the balls they make, and those that clusters
+and documents read from their row tables (:func:`ball_from_rows`), are born
 with their rows (:func:`ball_from_row`), building their scalar vectors only
 when read, so classifying two of them reads no scalar; float results are
 divided out, and a float image is checked to lie on the unit shell.  Exact
@@ -93,9 +94,9 @@ def curvature(x: LVector) -> Scalar:
     return x[-1] - x[-2]
 
 
-def x_north(d: int, one=1, zero=0) -> LVector:
+def x_north(d: int) -> LVector:
     """e_{d+1} + e_{d+2}: the vector whose pairing extracts curvature."""
-    return tuple([zero] * d + [one, one])
+    return (0,) * d + (1, 1)
 
 
 class Ball:
@@ -280,6 +281,16 @@ def ball_from_row(row: tuple) -> Ball:
     b = Ball.__new__(Ball)
     object.__setattr__(b, "_row", row)
     return b
+
+
+def ball_from_rows(rows: dict, i: int, m: int) -> Ball:
+    """Ball i of a row table, its norm unchecked: of float64 rows "V", or of
+    exact rows "A", "B", "num", "den" over Q(sqrt m), as clusters and
+    documents keep them.  An exact ball is born with its row."""
+    if "V" in rows:
+        return Ball(tuple(rows["V"][i].tolist()), _checked=True)
+    A, B = rows["A"][i].tolist(), rows["B"][i].tolist()
+    return ball_from_row((A, B, int(rows["num"][i]), int(rows["den"][i]), m if any(B) else 0))
 
 
 def _exact_product(b1: Ball, b2: Ball) -> tuple:

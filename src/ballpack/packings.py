@@ -241,49 +241,6 @@ def is_packing(a: BallArrangement) -> bool:
     return first_overlap(a.balls) is None
 
 
-def _rotation_to_north(direction, n: int):
-    """(n x n) float rotation sending the given direction to +e_n, minimally."""
-    a = [float(x) for x in direction]
-    norm = math.sqrt(sum(x * x for x in a))
-    a = [x / norm for x in a]
-    c = a[-1]  # cos(theta) against the north axis
-    s2 = 1 - c * c
-    if s2 < 1e-30:
-        if c > 0:
-            return linalg.identity(n)
-        # antipodal: half-turn in the plane of the axis and a perpendicular
-        u = [0.0] * n
-        u[0] = 1.0 if abs(a[0]) < 0.9 else 0.0
-        if not any(u):
-            u[1] = 1.0
-        dot = sum(x * y for x, y in zip(u, a))
-        u = [x - dot * y for x, y in zip(u, a)]
-        un = math.sqrt(sum(x * x for x in u))
-        u = [x / un for x in u]
-        rows = []
-        for i in range(n):
-            rows.append(
-                tuple(
-                    (1.0 if i == j else 0.0) - 2 * a[i] * a[j] - 2 * u[i] * u[j]
-                    for j in range(n)
-                )
-            )
-        return tuple(rows)
-    s = math.sqrt(s2)
-    t = [0.0] * (n - 1) + [1.0]
-    v = [(x - c * y) / s for x, y in zip(t, a)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = 1.0 if i == j else 0.0
-            row.append(
-                e + (c - 1) * (a[i] * a[j] + v[i] * v[j]) + s * (v[i] * a[j] - a[i] * v[j])
-            )
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def centered_projection(s: Solid, k: int) -> BallArrangement:
     """Projection with the barycenter of a k-face rotated to the north ray.
 
@@ -295,18 +252,28 @@ def centered_projection(s: Solid, k: int) -> BallArrangement:
 
 
 def face_to_north(p: Polytope, k: int) -> Polytope:
-    """The polytope rotated, in floats, so that the barycenter of its first
-    k-face lies on the north ray; the face lattice is unchanged."""
+    """The polytope rotated, in floats, by the minimal rotation that puts
+    the unit barycenter a of its first k-face on the north axis e; the face
+    lattice is unchanged.  The rotation is two reflections, in a + e (a goes
+    to -e) and then in e.  Where |a + e|^2 < 1e-30 (a = -e) the first axis
+    stands in for a + e, which makes the half-turn."""
     if k not in p.faces_by_rank:
         raise ValueError(f"rank {k} out of range 0..{p.dimension}")
-    f = p.faces_by_rank[k][0]
-    bary = face_barycenter(p, f)
-    rot = _rotation_to_north(bary, p.ambient_dimension)
-    verts = tuple(
-        tuple(float(approx(x)) for x in linalg.mat_vec(rot, tuple(map(approx, u))))
-        for u in p.vertices
-    )
-    return Polytope(verts, p.faces_by_rank, family=p.family)
+    a = [approx(x) for x in face_barycenter(p, p.faces_by_rank[k][0])]
+    norm = math.sqrt(sum(x * x for x in a))
+    w = [x / norm for x in a]
+    w[-1] += 1
+    ww = sum(x * x for x in w)
+    if ww < 1e-30:
+        w, ww = [1.0] + [0.0] * (len(a) - 1), 1.0
+
+    def turn(u) -> tuple:
+        u = [approx(x) for x in u]
+        t = 2 * sum(x * y for x, y in zip(u, w)) / ww
+        *rest, last = (x - t * y for x, y in zip(u, w))
+        return (*rest, -last)
+
+    return Polytope(tuple(map(turn, p.vertices)), p.faces_by_rank, family=p.family)
 
 
 def dual(a: BallArrangement) -> BallArrangement:

@@ -10,8 +10,6 @@ import math
 import time
 from fractions import Fraction
 
-import pytest
-
 from closed_forms import cube_flag_residual, graph_distance, simplex_flag_residual
 from curvature_tables import CENTERED_CURVATURES, MOBIUS_SPECTRA, multisets_match
 from matrix_tables import (

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from ballpack.apollonian import (
     perfect_square_sequence,
     platonic_generators,
 )
+from ballpack.documents import document_from_cluster
 from ballpack.exactnum import (
     RING_Z,
     RING_Z_PHI,
@@ -42,7 +42,7 @@ from ballpack.lorentz import (
     inversion_map,
     lorentz_product,
 )
-from ballpack.packings import BallArrangement, dual, is_packing, project, with_dual
+from ballpack.packings import BallArrangement, is_packing, project, with_dual
 from ballpack.polytopes import (
     CUBE,
     DODECAHEDRON,
@@ -65,7 +65,6 @@ from matrix_tables import (
     MAT_S_STAR,
     MAT_V,
     OCTA_FAMILY,
-    R2,
     TETRA_FAMILY,
     TRIANGULAR,
     canonical_ball_key,
@@ -473,6 +472,18 @@ def test_cluster_streaming_matches_entries():
     assert list(c.curvatures()) == [e.curvature for e in c]
     assert len(list(c)) == len(c)
     assert repr(c).startswith("Cluster(")
+
+
+def test_a_cluster_entry_takes_a_negative_index_from_the_end_as_its_document_does():
+    seed = packing_from_curvatures(TETRAHEDRON, (-1, 2, 2))
+    c = generate_cluster(seed, apollonian_group_from_packing(seed), depth=2)
+    entries, n = document_from_cluster(c).entries, len(c)
+    assert n == 20 and entries[-1].depth == 2 and entries[-1].curvature == 23
+    for i in (0, -1, -n, n - 1):
+        assert c.entry(i) == entries[i], i
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            c.entry(i)
 
 
 def test_cluster_integrality_certificates():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from frame_oracle import light_source
 from ballpack import linalg
-from ballpack.exactnum import QuadScalar, sqrt_int
+from ballpack.exactnum import QuadScalar
 from ballpack.lorentz import (
     Ball,
     MobiusMap,

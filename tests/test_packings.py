@@ -1,6 +1,6 @@
-import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from closed_forms import graph_distance
@@ -8,7 +8,6 @@ from curvature_tables import CENTERED_CURVATURES, MOBIUS_SPECTRA, multisets_matc
 from frame_oracle import mobius_equivalent
 from ballpack.exactnum import approx
 from ballpack.lorentz import (
-    MobiusMap,
     ball_from_geometry,
     classify_pair,
     inversion_map,
@@ -18,6 +17,7 @@ from ballpack.packings import (
     BallArrangement,
     centered_projection,
     dual,
+    face_to_north,
     gram,
     grouped_spectra,
     is_packing,
@@ -26,14 +26,14 @@ from ballpack.packings import (
 )
 from ballpack.polytopes import (
     CUBE,
-    DODECAHEDRON,
-    ICOSAHEDRON,
     OCTAHEDRON,
     PLATONIC,
     TETRAHEDRON,
     Polytope,
     Solid,
+    face_barycenter,
     regular_edge_scribed,
+    solid_from_name,
 )
 
 
@@ -192,3 +192,51 @@ def test_mobius_spectra_table(name):
 def test_grouped_spectra_cube():
     groups = grouped_spectra(CUBE)
     assert [(round(v, 6), m) for v, m in groups] == [(-16.0, 1), (0.0, 4), (8.0, 3)]
+
+
+CENTERED_SOLIDS = (
+    "tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron",
+    "triangle", "square", "5-gon", "6-gon", "7-gon",
+    "simplex-4", "simplex-5", "cube-4", "cube-5", "orthoplex-4", "orthoplex-5",
+)
+
+
+def _first_barycenter(p: Polytope, k: int) -> np.ndarray:
+    return np.array([approx(x) for x in face_barycenter(p, p.faces_by_rank[k][0])])
+
+
+def _centerings() -> list:
+    """(solid, rank) for every rank whose first face has a nonzero barycenter."""
+    out = []
+    for name in CENTERED_SOLIDS:
+        p = regular_edge_scribed(solid_from_name(name))
+        out += [(name, k) for k in sorted(p.faces_by_rank) if _first_barycenter(p, k).any()]
+    return out
+
+
+@pytest.mark.parametrize("name,k", _centerings())
+def test_centering_is_a_rotation_putting_the_first_face_north(name, k):
+    # simplex-4 at rank 0 has its vertex at the south pole: the half-turn
+    p = regular_edge_scribed(solid_from_name(name))
+    q = face_to_north(p, k)
+    assert q.faces_by_rank == p.faces_by_rank
+    U = np.array([[approx(x) for x in u] for u in p.vertices])
+    W = np.array(q.vertices, dtype=float)
+    before, after = U @ U.T, W @ W.T
+    assert (np.abs(after - before) <= 1e-12 * np.maximum(1, np.abs(before))).all()
+    *rest, north = _first_barycenter(q, k)
+    assert north > 0 and max(map(abs, rest), default=0) <= 1e-12
+    basis = []  # d + 1 independent vertices, taken greedily
+    for i in range(len(U)):
+        if np.linalg.matrix_rank(U[basis + [i]]) == len(basis) + 1:
+            basis.append(i)
+    assert len(basis) == U.shape[1]
+    assert np.sign(np.linalg.det(W[basis])) == np.sign(np.linalg.det(U[basis]))
+
+
+def test_centering_a_vertex_at_the_south_pole_is_the_half_turn_about_the_first_axis():
+    p = regular_edge_scribed(solid_from_name("simplex-4"))
+    first, *rest = p.vertices
+    south = Polytope(((0.0, 0.0, 0.0, first[-1]), *rest), p.faces_by_rank, family=p.family)
+    q = face_to_north(south, 0)
+    assert q.vertices == tuple((-u[0], *u[1:-1], -u[-1]) for u in south.vertices)

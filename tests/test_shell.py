@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from ballpack.cli import main, parse_exact_curvature, parse_initial
 from ballpack.documents import (
-    PackingDocument,
     document_from_arrangement,
     document_from_cluster,
     _parse,
@@ -19,7 +18,7 @@ from ballpack.documents import (
     to_json,
 )
 from ballpack.exactnum import QuadScalar, approx, phi, quad_value, sqrt_int
-from ballpack.lorentz import Ball, ball_from_geometry
+from ballpack.lorentz import ball_from_geometry
 from ballpack.apollonian import (
     apollonian_group_from_packing,
     generate_cluster,
