@@ -197,16 +197,16 @@ def quadratic_roots(qa, qb, qc) -> list:
     if s == 0:
         root = ratio(-qb, 2 * qa)
         return [root, root]
-    try:
+    sign = 1 if scalar_sign(qb) >= 0 else -1
+    try:  # a root in another quadratic field than the coefficients' is refused too
         rad = exact_sqrt(disc)
+        q = ratio(-(qb + sign * rad), 2)
+        far, near = ratio(q, qa), ratio(qc, q)
     except ValueError:
         raise ValueError(
             "the normalizing square root is not expressible in the "
             "hosting field; use float mode for this seed"
         )
-    sign = 1 if scalar_sign(qb) >= 0 else -1
-    q = ratio(-(qb + sign * rad), 2)
-    far, near = ratio(q, qa), ratio(qc, q)
     return [near, far] if sign > 0 else [far, near]
 
 
