@@ -15,7 +15,11 @@ sequence of balls of one such orbit whose curvatures are exactly 0, 1, 4,
 Clusters grow in one breadth-first level loop, the reduced-word enumeration
 of Graham, Lagarias, Mallows, Wilks and Yan, over numpy row arrays of one
 of three kinds: int64, python ints (when int64 could overflow) or float64.
-Only the deduplication differs between them.  Entries are in word order, the
+Only the deduplication differs between them.  An exact seed in ping-pong
+position with its generators (:func:`is_ping_pong`: every realized Platonic
+seed with its facet inversions) repeats only balls that a generator fixes,
+so it keeps no set of the balls seen; every other exact cluster keeps one,
+and a float cluster compares rows within a window.  Entries are in word order, the
 order in which the loop visits them: by depth, then by word (letters
 compared by generator position, the first-applied letter first), then by
 seed orbit; each entry records the first shortest word that produces it.
@@ -37,11 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Optional
 
 from . import linalg
 from .exactnum import (
     FLOAT_REL,
+    QuadScalar,
     approx,
     compare,
     exact_sqrt,
@@ -50,17 +56,23 @@ from .exactnum import (
     is_float_data,
     one_field,
     quad_sign,
+    quad_value,
     ratio,
     scalar_parts,
     scalar_sign,
 )
 from .lorentz import (
+    DISJOINT,
+    EXTERNALLY_TANGENT,
+    ORTHOGONAL,
     Ball,
     Entry,
     MobiusMap,
+    _exact_product,
     apply_map,
     ball_from_geometry,
     ball_from_rows,
+    classify_pair,
     inversion_map,
     lorentz_product,
     product_scale,
@@ -95,7 +107,7 @@ def _is_involution(m: MobiusMap) -> bool:
     (A A + f B B) num^2 = den^2 I and A B + B A = 0, in python ints for an
     exact map (its kept :func:`lorentz.row_of`), and for a float map (its
     ``exactnum.float_row``) by ``compare`` with the size of each entry's terms."""
-    n = len(m.mat)
+    n = m.dimension + 2
     A, B, num, den, f = row_of(m) or float_row([e for r in m.mat for e in r])
     A, B = (linalg.mat(v[i : i + n] for i in range(0, n * n, n)) for v in (A, B))
     mul, cols = linalg.mat_mul, tuple(zip(*A))
@@ -187,19 +199,20 @@ def _coxeter_path_matrices(q: int) -> dict:
     }
 
 
+def _row_key(x) -> tuple:
+    """An exact ball's or map's row as a hashable key: equal keys, equal rows."""
+    A, B, num, den, m = row_of(x)
+    return tuple(A), tuple(B), num, den, m
+
+
 def _orbit(ball: Ball, maps) -> tuple:
     """The images of a ball under the finite group the maps generate, breadth
     first in the maps' order, each image once, keyed by its row."""
-
-    def key(b: Ball) -> tuple:
-        A, B, num, den, m = row_of(b)
-        return tuple(A), tuple(B), num, den, m
-
-    orbit, seen = [ball], {key(ball)}
+    orbit, seen = [ball], {_row_key(ball)}
     for b in orbit:
         for image in (apply_map(m, b) for m in maps):
-            if key(image) not in seen:
-                seen.add(key(image))
+            if _row_key(image) not in seen:
+                seen.add(_row_key(image))
                 orbit.append(image)
     return tuple(orbit)
 
@@ -253,12 +266,83 @@ def apollonian_group_from_packing(a: BallArrangement) -> GeneratorSet:
     facet balls (see packings.with_dual), which it reads as they are, or
     through its polytope.
     """
-    facets = a.dual_balls if a.dual_balls is not None else dual(a).balls
     gens = tuple(
         Generator(f"s{i}", ROLE_DUAL_INVERSION, inversion_map(b))
-        for i, b in enumerate(facets)
+        for i, b in enumerate(_facet_balls(a))
     )
     return GeneratorSet(FLAVOR_DUAL, gens, a)
+
+
+def _facet_balls(a: BallArrangement) -> tuple:
+    """The arrangement's facet balls: its attached dual balls, else those of
+    :func:`packings.dual`."""
+    return a.dual_balls if a.dual_balls is not None else dual(a).balls
+
+
+def _apart(a: Ball, b: Ball, orthogonal: bool = False) -> bool:
+    """Whether two exact balls have disjoint interiors (externally tangent or
+    disjoint), or, with ``orthogonal``, are orthogonal, by
+    :func:`lorentz.classify_pair`.  It refuses a pair of two past-directed
+    balls; each of them is more than a hemisphere, so they share interior
+    points, and such a pair passes only as orthogonal, when its exact
+    product is 0."""
+    try:
+        rel = classify_pair(a, b)
+    except ValueError:  # two past-directed balls; rows in two fields raise again here
+        X, Y, _, m = _exact_product(a, b)
+        return orthogonal and quad_sign(X, Y, m) == 0
+    return rel in (EXTERNALLY_TANGENT, DISJOINT) or (orthogonal and rel == ORTHOGONAL)
+
+
+def is_ping_pong(seed: BallArrangement, gens: GeneratorSet) -> bool:
+    """Whether the seed and the generators are in ping-pong position, so that
+    in the seed's cluster distinct reduced words give distinct balls.
+
+    The certificate is decided on exact rows, by :func:`lorentz.classify_pair`,
+    and never reads the flavor label.  It holds when
+
+    * each generator g is, by row equality, the inversion in a facet ball D_g
+      of ``gens.seed`` (its dual balls, else :func:`packings.dual`);
+    * the D_g of any two generators are externally tangent or disjoint;
+    * each seed ball is orthogonal to each D_g (g fixes it), or externally
+      tangent to it or disjoint from it.
+
+    This is the configuration of Graham, Lagarias, Mallows, Wilks and Yan
+    ("Apollonian circle packings: geometry and group theory I", Discrete
+    Comput. Geom. 2005).  Then, by induction on the word length, a ball at
+    depth k >= 1 whose last letter is g lies in the closed ball D_g: g maps
+    everything outside D_g's interior into D_g, and its argument is either a
+    seed ball that g moves, so not orthogonal to D_g and outside its
+    interior, or a ball inside some D_h, h != g, which is outside D_g's
+    interior too.  Two such balls with different last letters lie in two
+    balls that share no interior point, so they differ; with the same last
+    letter, applying it to both leaves two balls of smaller depth.  A ball
+    inside D_h is neither a seed ball (orthogonal to D_h or outside its
+    interior) nor fixed by another generator.  So the only repeats a
+    cluster meets are the depth-1 images of seed balls that their generator
+    fixes, and :func:`generate_cluster` drops a candidate equal to its
+    parent instead of keeping a set of every ball seen.
+
+    False for float data, for a generator set without a seed, and when any
+    condition fails; rows in two fields are refused.
+    """
+    rows = [row_of(x) for x in (*seed.balls, *gens.maps)]
+    if gens.seed is None or any(r is None for r in rows):
+        return False
+    one_field(*(r[4] for r in rows))
+    try:
+        facets = _facet_balls(gens.seed)
+    except ValueError:  # no dual to take
+        return False
+    if any(row_of(b) is None for b in facets):
+        return False
+    inverting = {_row_key(inversion_map(b)): b for b in facets}
+    disks = [inverting.get(_row_key(g)) for g in gens.maps]
+    if any(d is None for d in disks):
+        return False
+    return all(_apart(a, b) for a, b in combinations(disks, 2)) and all(
+        _apart(x, d, orthogonal=True) for x in seed.balls for d in disks
+    )
 
 
 # -- seeding a packing from three consecutive curvatures -------------------------
@@ -476,9 +560,20 @@ class Cluster:
         return out
 
     def curvatures(self) -> Iterator:
-        """The curvatures in entry order, from the rows, building no entry."""
+        """The curvatures in entry order, each level's read from its rows as
+        (A[-1] - A[-2] + (B[-1] - B[-2]) sqrt m) num/den, building no entry
+        or ball.  Each has the value and type of its entry's curvature: a
+        float of float rows, else a QuadScalar when either of the two
+        coordinates is irrational and a Fraction when neither is."""
         st = self._store
-        return (ball_from_rows(lv, i, st.m).curvature for lv in st.levels for i in range(lv["n"]))
+        for lv in st.levels:
+            if st.mode == "float":
+                yield from (lv["V"][:, -1] - lv["V"][:, -2]).tolist()
+                continue
+            A, B = lv["A"][:, -2:].tolist(), lv["B"][:, -2:].tolist()
+            for (a0, a1), (b0, b1), num, den in zip(A, B, lv["num"].tolist(), lv["den"].tolist()):
+                k = quad_value(((a1 - a0) * num, den, (b1 - b0) * num, den), st.m)
+                yield QuadScalar(k) if b1 == b0 != 0 else k
 
     def curvatures_in_ring(self, ring: str) -> bool:
         """True iff every curvature is an algebraic integer of the ring.
@@ -508,9 +603,12 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
     the generator just applied are pruned, and balls are deduplicated: in
     exact mode by the normalized coordinate tuple, in float mode when every
     coordinate agrees within FLOAT_REL * max(1, |row|inf), FLOAT_REL = 1e-10
-    (the policy of exactnum.compare).  Each ball keeps its first shortest
-    word, and the entries are in word order (see :class:`Cluster`).  A float
-    level whose coordinates overflow is refused with a ValueError.
+    (the policy of exactnum.compare).  An exact seed that
+    :func:`is_ping_pong` certifies with these generators keeps no set of
+    seen rows, and drops only a candidate equal to its parent, with the same
+    entries.  Each ball keeps its first shortest word, and the entries are
+    in word order (see :class:`Cluster`).  A float level whose coordinates
+    overflow is refused with a ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -519,11 +617,11 @@ def generate_cluster(seed: BallArrangement, gens: GeneratorSet, depth: int = 5) 
     if any(row_of(x) is None for x in (*seed.balls, *gens.maps)):
         store = _float_cluster(seed, [g.mat for g in gens.maps], depth)
     else:
-        store = _exact_cluster(seed, gens.maps, depth)
+        store = _exact_cluster(seed, gens.maps, depth, free=is_ping_pong(seed, gens))
     return Cluster(seed, gens.flavor, depth, gens.names, store)
 
 
-def _grow(store: _Store, rows: dict, expand, first_fresh, depth: int, n_gens: int):
+def _grow(store: _Store, rows: dict, expand, first_fresh, depth: int, n_gens: int, free=False):
     """The level loop shared by the int64, big-int and float backends.
 
     ``rows`` holds the seed rows as named arrays, and ``expand(level)``
@@ -534,9 +632,12 @@ def _grow(store: _Store, rows: dict, expand, first_fresh, depth: int, n_gens: in
     first-applied letter first) and then by seed orbit.  A child repeating
     its parent's generator is pruned, and ``first_fresh(rows, order, seen)``
     keeps the first candidate of each ball not seen before, so each entry
-    records its first shortest word.  Kept children of one parent group and
-    generator form one group of the next level, and a level stores its
-    entries in the order they were kept: the cluster's entry order.
+    records its first shortest word.  A ``free`` run (a seed that
+    :func:`is_ping_pong` certifies) calls it on the seed level only, and
+    then drops just the candidates equal to their parents (:func:`_fixed`).
+    Kept children of one parent group and generator form one group of the
+    next level, and a level stores its entries in the order they were kept:
+    the cluster's entry order.
     """
     import numpy as np
 
@@ -553,7 +654,10 @@ def _grow(store: _Store, rows: dict, expand, first_fresh, depth: int, n_gens: in
         pp = np.tile(np.arange(n, dtype=np.int64), n_gens)
         order = np.lexsort((pp, gg, np.tile(prev["group"], n_gens)))
         order = order[np.tile(prev["gen"], n_gens)[order] != gg[order]]
-        first, seen = first_fresh(rows, order, seen)
+        if free:
+            first = np.flatnonzero(~_fixed(rows, prev)[order])
+        else:
+            first, seen = first_fresh(rows, order, seen)
         if first.size == 0:
             break
         sel = order[first]
@@ -569,6 +673,19 @@ def _grow(store: _Store, rows: dict, expand, first_fresh, depth: int, n_gens: in
         }
         store.close_level(rows, sel, meta)
     return store
+
+
+def _fixed(rows, prev):
+    """Whether each candidate row, generator-major as ``expand`` makes them,
+    equals the row of its parent in ``prev``: its generator fixes it."""
+    import numpy as np
+
+    n = prev["n"]
+    fixed = np.ones((len(rows["num"]) // n, n), dtype=bool)
+    for name in ("num", "den", "A", "B"):
+        same = rows[name].reshape(-1, *prev[name].shape) == prev[name]
+        fixed &= same.reshape(*fixed.shape, -1).all(axis=2)
+    return fixed.ravel()
 
 
 def _first_fresh(rows, order, seen):
@@ -599,9 +716,10 @@ def _first_fresh(rows, order, seen):
     return np.sort(first), np.sort(np.concatenate([seen, uniq]))
 
 
-def _exact_cluster(seed: BallArrangement, maps, depth: int, dtype=None) -> _Store:
+def _exact_cluster(seed: BallArrangement, maps, depth: int, dtype=None, free=False) -> _Store:
     """Exact closure on integer rows: int64 arrays unless a level could
     overflow, then the whole run again on python ints (``dtype=object``).
+    ``free``: :func:`is_ping_pong` certifies the seed with the maps.
 
     Seed balls and generator matrices enter in ``exactnum``'s row form, as
     they keep it (:func:`lorentz.row_of`).
@@ -626,7 +744,7 @@ def _exact_cluster(seed: BallArrangement, maps, depth: int, dtype=None) -> _Stor
             fa = sum(map(abs, A[i : i + nb]))
             fb = sum(map(abs, B[i : i + nb]))
             factor = max(factor, fa + m * fb, fa + fb)
-    args = (seed_rows, mats_int, den_gens, m, depth, nb, factor)
+    args = (seed_rows, mats_int, den_gens, m, depth, nb, factor, free)
     if dtype is None:
         try:
             return _exact_rows(*args, np.int64)
@@ -639,11 +757,11 @@ class _NeedsBigInts(Exception):
     """Raised when a level could overflow int64; retried with python ints."""
 
 
-def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _Store:
+def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, free, dtype) -> _Store:
     """Exact rows (A + B sqrt m) * num / den, with A, B, num, den arrays,
     from the seed's :func:`exactnum.exact_row` results and each generator's
     integer matrices A_g, B_g (flat, row by row) over den_g, kept in the
-    word order of :func:`_grow`.
+    word order of :func:`_grow`, ``free`` or with a seen set.
 
     Before each int64 level a one-step lookahead checks that no product can
     reach 2^63, and raises _NeedsBigInts if one could.
@@ -689,7 +807,7 @@ def _exact_rows(seed_rows, mats_int, den_gens, m, depth, nb, factor, dtype) -> _
         return {"A": P[:, :nb], "B": P[:, nb:], "num": num // shrink, "den": den // shrink}
 
     store = _Store("i64" if i64 else "obj", m)
-    return _grow(store, rows0, expand, _first_fresh, depth, G)
+    return _grow(store, rows0, expand, _first_fresh, depth, G, free)
 
 
 def _float_cluster(seed: BallArrangement, mats, depth: int) -> _Store:

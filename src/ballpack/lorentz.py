@@ -29,11 +29,13 @@ row (v, 0, 1.0, 1.0, 0) of :func:`exactnum.float_row`, and an operation
 with one float operand takes every operand in floats.  Signs are read by
 :func:`exactnum.quad_sign`, through ``compare`` for floats.  Only the last
 step depends on the numeric type: exact results go through
-``exactnum.scaled_row``, and the balls they make, and those that clusters
-and documents read from their row tables (:func:`ball_from_rows`), are born
-with their rows (:func:`ball_from_row`), building their scalar vectors only
-when read, so classifying two of them reads no scalar; float results are
-divided out, and a float image is checked to lie on the unit shell.  Exact
+``exactnum.scaled_row``, and the balls and reflections they make, and the
+balls that clusters and documents read from their row tables
+(:func:`ball_from_rows`), are born with their rows (:func:`ball_from_row`),
+building their scalar vectors or matrices only when read, so classifying
+two such balls, or comparing two such maps by row, reads no scalar; float
+results are divided out, and a float image is checked to lie on the unit
+shell.  Exact
 data whose coordinates lie in two quadratic fields has no row: it is refused
 where its row is made, or where two rows in different fields meet
 (:func:`exactnum.one_field`).
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -344,7 +347,9 @@ def classify_pair(b1: Ball, b2: Ball) -> str:
 
 class MobiusMap:
     """An orthochronous Lorentz matrix acting on balls.  An exact map keeps
-    the ``exactnum`` row of its matrix once :func:`row_of` has made it."""
+    the ``exactnum`` row of its matrix once :func:`row_of` has made it; a
+    map born with it (an exact reflection) builds its matrix ``mat`` of
+    scalars when ``mat`` is first read."""
 
     __slots__ = ("mat", "_row")
 
@@ -357,9 +362,17 @@ class MobiusMap:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MobiusMap is immutable")
 
+    def __getattr__(self, name):  # only for an unset slot: a row-born map's matrix
+        if name != "mat":
+            raise AttributeError(name)
+        flat, n = row_vector(*self._row), self.dimension + 2
+        object.__setattr__(self, "mat", linalg.mat(flat[i : i + n] for i in range(0, n * n, n)))
+        return self.mat
+
     @property
     def dimension(self) -> int:
-        return len(self.mat) - 2
+        row = getattr(self, "_row", None)
+        return (len(self.mat) if row is None else isqrt(len(row[0]))) - 2
 
     @classmethod
     def identity(cls, d: int) -> "MobiusMap":
@@ -434,7 +447,8 @@ def _row_reflection(A, B, m: int, c: tuple) -> MobiusMap:
     """I - 2 c x xT Q for the row x = A + B sqrt m and c = (cp + cq sqrt m)/cd:
     with P = A AT + m B BT and R = A BT + B AT, the matrix is
     I + (-2 (cp P + m cq R) Q + (-2 (cp R + cq P) Q) sqrt m) / cd.  An exact
-    map keeps that row; a float one (B and cq zero) is I - 2 cp P Q / cd."""
+    map is born with that row; a float one (B and cq zero) is
+    I - 2 cp P Q / cd."""
     cp, cq, cd = c
     n = len(A)
     MA, MB = [], []
@@ -447,14 +461,14 @@ def _row_reflection(A, B, m: int, c: tuple) -> MobiusMap:
             MA.append(-q * (cp * p + m * cq * r))
             MB.append(-q * (cp * r + cq * p))
     if isinstance(cd, float):
-        row, flat = None, [(1 if k % (n + 1) == 0 else 0) + x / cd for k, x in enumerate(MA)]
-    else:
-        for k in range(0, n * n, n + 1):
-            MA[k] += cd
-        row = scaled_row(MA, MB, 1, cd, m)
-        flat = row_vector(*row)
-    out = MobiusMap(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), check=False)
-    object.__setattr__(out, "_row", row)
+        flat = [(1 if k % (n + 1) == 0 else 0) + x / cd for k, x in enumerate(MA)]
+        out = MobiusMap(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)), check=False)
+        object.__setattr__(out, "_row", None)
+        return out
+    for k in range(0, n * n, n + 1):
+        MA[k] += cd
+    out = MobiusMap.__new__(MobiusMap)
+    object.__setattr__(out, "_row", scaled_row(MA, MB, 1, cd, m))
     return out
 
 
@@ -474,7 +488,7 @@ def apply_map(m: MobiusMap, b: Ball) -> Ball:
         mrow, brow = float_row(_values(m)), float_row(b.v)
     MA, MB, mn, md, fm = mrow
     A, B, n, d, fb = brow
-    f, k = one_field(fm, fb), len(m.mat)
+    f, k = one_field(fm, fb), m.dimension + 2
     xa, xb = [], []
     for i in range(0, k * k, k):
         ra, rb = MA[i : i + k], MB[i : i + k]

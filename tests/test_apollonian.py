@@ -17,6 +17,7 @@ from ballpack.apollonian import (
     apollonian_group_from_packing,
     generate_cluster,
     is_apollonian_packing,
+    is_ping_pong,
     orbit_coloring,
     packing_from_curvatures,
     perfect_square_sequence,
@@ -54,6 +55,7 @@ from ballpack.polytopes import (
     TETRAHEDRON,
     face_cycle,
     regular_edge_scribed,
+    solid_from_name,
 )
 
 from matrix_tables import (
@@ -388,20 +390,36 @@ def test_tetra_cluster_growth_is_frozen():
     assert ssa_sizes == [4, 9, 15, 27]
 
 
-def test_platonic_cluster_first_level_counts():
-    # an inversion in a facet ball fixes the balls of that facet and moves
-    # the rest, so depth 1 adds (#facets) x (#vertices - facet size) balls
-    expected = {
-        TETRAHEDRON: 4 + 4 * 1,
-        OCTAHEDRON: 6 + 8 * 3,
-        CUBE: 8 + 6 * 4,
-        ICOSAHEDRON: 12 + 20 * 9,
-        DODECAHEDRON: 20 + 12 * 15,
-    }
-    for solid, want in expected.items():
-        seed = platonic_generators(solid).seed
-        c = generate_cluster(seed, apollonian_group_from_packing(seed), depth=1)
-        assert len(c) == want, solid.name
+# vertices V, facets F and vertices per facet v_f of each Platonic solid
+COUNTS = {
+    TETRAHEDRON: (4, 4, 3),
+    OCTAHEDRON: (6, 8, 3),
+    CUBE: (8, 6, 4),
+    ICOSAHEDRON: (12, 20, 3),
+    DODECAHEDRON: (20, 12, 5),
+}
+
+
+def closed_form_level_sizes(solid, depth) -> list:
+    """n_0 = V, n_1 = F (V - v_f), n_k = n_1 (F - 1)^(k - 1): an inversion in
+    a facet ball fixes the balls of that facet and moves the rest, and after
+    that each ball has F - 1 children, none of them met before."""
+    v, f, vf = COUNTS[solid]
+    return [v] + [f * (v - vf) * (f - 1) ** (k - 1) for k in range(1, depth + 1)]
+
+
+def level_sizes(c) -> list:
+    """The number of entries at each depth, 0 to the cluster's depth."""
+    counts = Counter(c.rows()["depth"].tolist())
+    return [counts[k] for k in range(c.depth + 1)]
+
+
+@pytest.mark.parametrize("solid", PLATONIC, ids=lambda s: s.name)
+def test_platonic_cluster_first_level_counts(solid):
+    seed = platonic_generators(solid).seed
+    c = generate_cluster(seed, apollonian_group_from_packing(seed), depth=3)
+    assert level_sizes(c) == closed_form_level_sizes(solid, 3)
+    assert len(c) == sum(closed_form_level_sizes(solid, 3))
 
 
 def test_cluster_words_replay_to_their_balls():
@@ -558,6 +576,147 @@ def test_cluster_object_mode_agrees_with_vectorized(case):
             b.word,
             b.orbit,
         )
+
+
+# -- the ping-pong certificate ------------------------------------------------------
+
+CERTIFIED_SEEDS = {
+    **README_SEEDS,
+    "tetrahedron-big-int": (TETRAHEDRON, (-3000, 5000, 8000)),
+    "tetrahedron-1-2-2": (TETRAHEDRON, (-1, 2, 2)),
+}
+
+
+def _row_table(c) -> tuple:
+    """Every entry's row, word and orbit, as python values in entry order."""
+    r = c.rows()
+    names = ("V",) if "V" in r else ("A", "B", "num", "den")
+    return tuple(r[k].tolist() for k in (*names, "orbit")), r["word"]
+
+
+@pytest.mark.parametrize("case", CERTIFIED_SEEDS)
+def test_platonic_seeds_are_certified(case):
+    seed = packing_from_curvatures(*CERTIFIED_SEEDS[case])
+    assert is_ping_pong(seed, apollonian_group_from_packing(seed))
+
+
+def test_the_cube_seed_meets_a_refused_pair_that_is_orthogonal(monkeypatch):
+    # its outer ball (curvature -3) and its facet half-plane are both
+    # past-directed, which classify_pair refuses; their product is 0
+    import ballpack.apollonian as mod
+
+    refused = []
+
+    def counting(a, b):
+        try:
+            return classify_pair(a, b)
+        except ValueError:
+            refused.append(lorentz_product(a.v, b.v))
+            raise
+
+    seed = packing_from_curvatures(CUBE, (5, -3, 12))
+    monkeypatch.setattr(mod, "classify_pair", counting)
+    assert is_ping_pong(seed, apollonian_group_from_packing(seed))
+    assert refused == [0]
+
+
+def test_a_refused_pair_passes_only_as_orthogonal():
+    from ballpack.apollonian import _apart
+
+    # three disks, each more than a hemisphere of the sphere (|c|^2 + 1 < r^2),
+    # so past-directed: radius 2 about the origin, and radii 3 and 4 about
+    # (2, 0) and (-3, 0), which cross at right angles (5^2 = 3^2 + 4^2)
+    big = ball_from_geometry(2, center=(0, 0), curvature=HALF)
+    right = ball_from_geometry(2, center=(2, 0), curvature=Fraction(1, 3))
+    left = ball_from_geometry(2, center=(-3, 0), curvature=Fraction(1, 4))
+    for a, b in ((big, right), (right, left)):
+        with pytest.raises(ValueError, match="past-directed"):
+            classify_pair(a, b)
+    assert not _apart(big, right, orthogonal=True)
+    assert _apart(right, left, orthogonal=True)
+    assert not _apart(right, left)
+
+
+def test_sets_that_are_not_facet_inversions_of_the_seed_are_not_certified():
+    a = with_dual(project(regular_edge_scribed(solid_from_name("orthoplex-4"))))
+    assert not is_ping_pong(a, apollonian_group_from_packing(a))  # orthogonal facet pairs
+    for solid in PLATONIC:
+        gens = platonic_generators(solid)
+        assert not is_ping_pong(gens.seed, gens), solid.name
+    seed = packing_from_curvatures(TETRAHEDRON, (-3, 5, 8))
+    facets = apollonian_group_from_packing(seed)
+    own = tuple(
+        Generator(f"p{i}", ROLE_DUAL_INVERSION, inversion_map(b)) for i, b in enumerate(seed.balls)
+    )
+    twice = (*facets.generators, Generator("again", ROLE_DUAL_INVERSION, facets.maps[0]))
+    for gens in (own, twice):
+        assert not is_ping_pong(seed, GeneratorSet(FLAVOR_DUAL, gens, seed))
+    assert not is_ping_pong(seed, GeneratorSet(FLAVOR_DUAL, facets.generators))  # no seed
+    floaty = packing_from_curvatures(TETRAHEDRON, (-3.0, 5.0, 8.0))
+    assert not is_ping_pong(floaty, apollonian_group_from_packing(floaty))
+    assert not is_ping_pong(seed.approx(), facets)
+
+
+@pytest.mark.parametrize("case", CERTIFIED_SEEDS)
+def test_a_certified_seed_grows_the_cluster_of_the_seen_set(case, monkeypatch):
+    import ballpack.apollonian as mod
+
+    seed = packing_from_curvatures(*CERTIFIED_SEEDS[case])
+    gens = apollonian_group_from_packing(seed)
+    calls = []
+    fresh = mod._first_fresh
+    monkeypatch.setattr(mod, "_first_fresh", lambda *a: calls.append(1) or fresh(*a))
+    free = generate_cluster(seed, gens, 3)
+    assert len(calls) == 1 + (free._store.mode == "obj")  # the seed level of each run
+    for dtype in (None, object):
+        store = mod._exact_cluster(seed, gens.maps, 3, dtype=dtype)
+        assert store.mode == ("obj" if dtype else free._store.mode)
+        kept = mod.Cluster(seed, gens.flavor, 3, gens.names, store)
+        assert _row_table(kept) == _row_table(free)
+
+
+@st.composite
+def _realized_triples(draw):
+    """A Platonic solid and three curvatures it realizes: three consecutive
+    balls around a face of the image of a README seed under a random word of
+    its facet inversions, scaled by a random lam > 0."""
+    solid, triple = draw(st.sampled_from(list(README_SEEDS.values())))
+    seed = packing_from_curvatures(solid, triple)
+    maps = apollonian_group_from_packing(seed).maps
+    poly = regular_edge_scribed(solid)
+    cycle = face_cycle(poly, draw(st.sampled_from(poly.faces(2))))
+    at = draw(st.integers(0, len(cycle) - 1))
+    step = draw(st.sampled_from((1, -1)))
+    balls = [seed.balls[cycle[(at + step * i) % len(cycle)]] for i in range(3)]
+    for g in draw(st.lists(st.integers(0, len(maps) - 1), max_size=3)):
+        balls = [apply_map(maps[g], b) for b in balls]
+    lam = draw(st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20))
+    return solid, tuple(lam * b.curvature for b in balls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_realized_triples(), st.integers(0, 3))
+def test_a_realized_seed_is_certified_and_grows_distinct_rows_in_closed_form_level_sizes(
+    case, depth
+):
+    solid, triple = case
+    seed = packing_from_curvatures(solid, triple)
+    gens = apollonian_group_from_packing(seed)
+    assert is_ping_pong(seed, gens)
+    depth = min(depth, 2 if solid in (ICOSAHEDRON, DODECAHEDRON) else 3)
+    c = generate_cluster(seed, gens, depth)
+    (A, B, num, den, _), _ = _row_table(c)
+    assert len({(tuple(a), tuple(b), n, d) for a, b, n, d in zip(A, B, num, den)}) == len(c)
+    assert level_sizes(c) == closed_form_level_sizes(solid, depth)
+
+
+@pytest.mark.parametrize("case", [*CERTIFIED_SEEDS, "float"])
+def test_cluster_curvatures_have_the_values_and_types_of_the_entries(case):
+    solid, triple = CERTIFIED_SEEDS.get(case, (TETRAHEDRON, (-3.0, 5.0, 8.0)))
+    seed = packing_from_curvatures(solid, triple)
+    c = generate_cluster(seed, apollonian_group_from_packing(seed), 2)
+    got = [(type(k), k) for k in c.curvatures()]
+    assert got == [(type(e.curvature), e.curvature) for e in c]
 
 
 def _curvatures_and_words_by_depth(c):

@@ -11,11 +11,11 @@ a seed need no row derived again when they are classified.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import frame_oracle
 from ballpack import lorentz
-from ballpack.apollonian import apollonian_group_from_packing, packing_from_curvatures
+from ballpack.apollonian import apollonian_group_from_packing, generate_cluster, packing_from_curvatures
 from ballpack.exactnum import (
     exact_row,
     is_float_data,
@@ -129,6 +129,7 @@ def _outcome(build):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_seeds)
+@example((DODECAHEDRON, (1, 3 - 2 * PHI, 5 - 2 * PHI)))  # its root lies in another field
 def test_random_exact_seeds_and_refusals_equal_the_scalar_oracle(seed):
     solid, triple = seed
 
@@ -213,6 +214,20 @@ def test_classifying_a_seed_derives_no_row(solid, triple, monkeypatch):
         if not (past(a) and past(b))
     }
     assert lorentz.EXTERNALLY_TANGENT in kinds and lorentz.ORTHOGONAL in kinds
+    assert calls == []
+
+
+@pytest.mark.parametrize("solid, triple", SEEDS, ids=SEED_IDS)
+def test_growing_a_cluster_builds_no_scalar_vector_or_matrix(solid, triple, monkeypatch):
+    # the facet inversions are born with their rows, and the involution
+    # check, the ping-pong certificate and the engine read only rows
+    seed = packing_from_curvatures(solid, triple)
+    calls = []
+    for name in ("exact_row", "row_vector"):
+        real = getattr(lorentz, name)
+        monkeypatch.setattr(lorentz, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    c = generate_cluster(seed, apollonian_group_from_packing(seed), 2)
+    assert len(c) > len(seed.balls)
     assert calls == []
 
 
